@@ -677,7 +677,7 @@ mod tests {
         assert_eq!(h.quantile(1.0), Some(768.0));
         // Quantile is within 2× of the true value by construction.
         let m = h.quantile(0.5).unwrap();
-        assert!(m >= 3.0 / 2.0 && m <= 3.0 * 2.0);
+        assert!((3.0 / 2.0..=3.0 * 2.0).contains(&m));
         // Fractional ranks interpolate between bucket midpoints the
         // same way R-7 interpolates between samples: with 7 samples,
         // q=0.75 has rank 4.5, halfway between ranks 4 ([8,16) → 12)
@@ -705,7 +705,7 @@ mod tests {
             let dev = DeviceId(dev_base + i);
             // Long-lived, post-shutdown-active device with varying volume.
             for d in 0..StudyCalendar::NUM_DAYS {
-                let bytes = 1000 + (i as u64 + 1) * (d as u64 % 17);
+                let bytes = 1000 + (i + 1) * (d as u64 % 17);
                 c.volume.add(dev, Day(d), bytes);
             }
         }

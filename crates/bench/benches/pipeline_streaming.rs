@@ -59,7 +59,7 @@ fn main() {
     });
     // Same batched path with span tracing on: a recorder lane is
     // installed, so the pipeline emits per-stage aggregate spans. See
-    // `batch_overhead` (src/bin) for the off-vs-on comparison artifact.
+    // the `overhead` bin (src/bin) for the off-vs-on comparison artifact.
     let recorder = SpanRecorder::new();
     let _lane = recorder.install(0, "bench");
     bench("per_day_pipeline/batched_traced", n_flows, || {

@@ -165,8 +165,7 @@ mod tests {
             let (mut li, mut di) = (0, 0);
             for row in 0..=n {
                 while li < batch.leases.len() && batch.leases[li].0 as usize == row {
-                    self.events
-                        .push(DayEvent::Lease(batch.leases[li].1.clone()));
+                    self.events.push(DayEvent::Lease(batch.leases[li].1));
                     li += 1;
                 }
                 while di < batch.dns.len() && batch.dns[di].0 as usize == row {

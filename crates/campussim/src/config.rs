@@ -266,8 +266,10 @@ mod tests {
         );
         assert!(!dbg.contains("scenario"));
         // A non-default scenario shows up (and changes the hash).
-        let mut alt = SimConfig::default();
-        alt.scenario = Scenario::builtin("favale-elearning").unwrap();
+        let alt = SimConfig {
+            scenario: Scenario::builtin("favale-elearning").unwrap(),
+            ..SimConfig::default()
+        };
         let alt_dbg = format!("{alt:?}");
         assert!(alt_dbg.contains("scenario: \"favale-elearning\""));
         assert!(alt_dbg.contains("scenario_hash: "));

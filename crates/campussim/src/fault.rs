@@ -447,7 +447,7 @@ mod tests {
         assert!(profile.is_noop());
         let (kinds, stats) = collect_day(&profile, Day(10));
         assert_eq!(stats, FaultStats::default());
-        assert!(kinds.iter().any(|k| *k == "flow"));
+        assert!(kinds.contains(&"flow"));
     }
 
     #[test]

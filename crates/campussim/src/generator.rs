@@ -87,7 +87,7 @@ impl std::ops::AddAssign for DayGenStats {
 /// DNS queries, then its flows, then its User-Agent sightings, each
 /// group in timestamp order. The stream is therefore *device-major*:
 /// timestamps are monotone within a device but not across devices.
-/// That is exactly the [`nettrace::Stage`] contract — every event a
+/// That is exactly the [`nettrace::BatchStage`] contract — every event a
 /// flow depends on (its device's lease bracket, its service's DNS
 /// resolution) arrives before the flow itself, and day-level results
 /// must be invariant to device interleaving.

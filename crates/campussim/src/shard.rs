@@ -57,7 +57,8 @@ use crate::rng;
 pub const MAX_SHARD_DEVICES: u64 = 49_152;
 
 /// Per-device working-set estimate used to derive a shard count from a
-/// memory budget, calibrated from `results/BENCH_memory.json`
+/// memory budget, calibrated from the memory pass of
+/// `results/BENCH_overhead.json`
 /// (collector dominates: two dense 121-day volume rows ≈ 2 KiB, plus
 /// profiles/midpoints/site sets and the device table itself). Biased
 /// high so a budget is a ceiling, not a target.

@@ -35,11 +35,10 @@ use dhcplog::{
 use dnslog::{DnsQuery, DomainId, DomainTable, LabeledFlow, ResolverMap};
 use lockdown_obs::{
     trace, AllocScope, Counter, Gauge, MetricsRegistry, NullObserver, RunObserver, ScopeDelta,
-    StageTimer,
 };
 use nettrace::ip::campus;
 use nettrace::time::Day;
-use nettrace::{DeviceId, FlowBatch, NO_LABEL};
+use nettrace::{BatchStage, DeviceId, FlowBatch, NO_LABEL};
 use std::time::Instant;
 
 /// Everything a [`DayPipeline`] needs besides its input stream and its
@@ -194,49 +193,93 @@ impl<'a> PipelineOptions<'a> {
     }
 }
 
-/// Per-stage allocation tallies for one day, accumulated from one
-/// [`AllocScope`] per stage touch on the batched path.
-#[derive(Clone, Copy, Default)]
-struct StageMemTally {
-    alloc_bytes: u64,
-    freed_bytes: u64,
-    allocs: u64,
-    deallocs: u64,
-    /// Largest net growth observed inside any single stage touch —
-    /// the stage's transient high-water mark, merged across days by
-    /// `max`.
-    peak_net_bytes: u64,
+/// One stage's instrumentation for one day: busy time and records for
+/// the day's `"stage"` aggregate span, and allocation totals for its
+/// `mem.stage.<name>.*` metrics. Each half is decided at construction
+/// (a trace lane installed; [`PipelineOptions::track_memory`] with a
+/// registry), so an unwatched call costs one branch and the meter
+/// never allocates.
+struct StageMeter {
+    name: &'static str,
+    /// Either half is on.
+    on: bool,
+    /// `(busy_ns, records)` accrued since the last [`emit`](Self::emit).
+    busy: Option<(u64, u64)>,
+    /// Allocation totals over the day's calls; `peak_net_bytes` is the
+    /// largest net growth inside any single call, the stage's transient
+    /// high-water mark (merged across days by `max`).
+    mem: Option<ScopeDelta>,
 }
 
-impl StageMemTally {
-    fn absorb(&mut self, d: ScopeDelta) {
-        self.alloc_bytes += d.alloc_bytes;
-        self.freed_bytes += d.freed_bytes;
-        self.allocs += d.allocs;
-        self.deallocs += d.deallocs;
-        self.peak_net_bytes = self.peak_net_bytes.max(d.peak_net_bytes);
+/// Indices into [`DayPipeline`]'s meters, in span order.
+const NORMALIZE: usize = 0;
+const RESOLVER: usize = 1;
+const COLLECT: usize = 2;
+
+impl StageMeter {
+    fn new(name: &'static str, traced: bool, track_memory: bool) -> Self {
+        StageMeter {
+            name,
+            on: traced || track_memory,
+            busy: traced.then_some((0, 0)),
+            mem: track_memory.then(ScopeDelta::default),
+        }
     }
 
-    fn publish(&self, reg: &MetricsRegistry, stage: &str) {
-        reg.counter(&format!("mem.stage.{stage}.alloc_bytes"))
-            .add(self.alloc_bytes);
-        reg.counter(&format!("mem.stage.{stage}.freed_bytes"))
-            .add(self.freed_bytes);
-        reg.counter(&format!("mem.stage.{stage}.allocs"))
-            .add(self.allocs);
-        reg.counter(&format!("mem.stage.{stage}.deallocs"))
-            .add(self.deallocs);
-        reg.gauge(&format!("mem.stage.{stage}.peak_net_bytes"))
-            .set_max(self.peak_net_bytes);
+    /// Run `f` as `records` records of this stage's work: timed only
+    /// when traced, inside an [`AllocScope`] only when tracking memory.
+    #[inline]
+    fn measure<R>(&mut self, records: u64, f: impl FnOnce() -> R) -> R {
+        if !self.on {
+            return f();
+        }
+        let scope = self.mem.is_some().then(AllocScope::begin);
+        let t0 = self.busy.is_some().then(Instant::now);
+        let r = f();
+        if let (Some((ns, n)), Some(t0)) = (&mut self.busy, t0) {
+            *ns += t0.elapsed().as_nanos() as u64;
+            *n += records;
+        }
+        if let (Some(m), Some(scope)) = (&mut self.mem, scope) {
+            let d = scope.end();
+            m.alloc_bytes += d.alloc_bytes;
+            m.freed_bytes += d.freed_bytes;
+            m.allocs += d.allocs;
+            m.deallocs += d.deallocs;
+            m.peak_net_bytes = m.peak_net_bytes.max(d.peak_net_bytes);
+        }
+        r
     }
-}
 
-/// Allocation attribution for the three stage seams of one day.
-#[derive(Clone, Copy, Default)]
-struct MemTallies {
-    normalize: StageMemTally,
-    resolver: StageMemTally,
-    collect: StageMemTally,
+    /// Publish the busy time accrued since the last call as one
+    /// `"stage"` aggregate span with a `records` attribute, then reset.
+    /// No-op when untraced or when nothing accrued.
+    fn emit(&mut self) {
+        if let Some((ns, records)) = &mut self.busy {
+            if *records > 0 {
+                trace::aggregate("stage", self.name, *ns, &[("records", *records)]);
+                *ns = 0;
+                *records = 0;
+            }
+        }
+    }
+
+    /// Add the day's allocation totals to `mem.stage.<name>.*`. No-op
+    /// unless tracking memory.
+    fn publish(&self, reg: &MetricsRegistry) {
+        let Some(m) = &self.mem else { return };
+        let name = self.name;
+        reg.counter(&format!("mem.stage.{name}.alloc_bytes"))
+            .add(m.alloc_bytes);
+        reg.counter(&format!("mem.stage.{name}.freed_bytes"))
+            .add(m.freed_bytes);
+        reg.counter(&format!("mem.stage.{name}.allocs"))
+            .add(m.allocs);
+        reg.counter(&format!("mem.stage.{name}.deallocs"))
+            .add(m.deallocs);
+        reg.gauge(&format!("mem.stage.{name}.peak_net_bytes"))
+            .set_max(m.peak_net_bytes);
+    }
 }
 
 /// Hot-path counter handles, acquired once per day at registration time
@@ -268,51 +311,47 @@ impl PipelineCounters {
 /// row runs normalize → label → collect between them, in the exact
 /// per-device event order the generator emitted.
 ///
-/// Each stage sits inside a [`StageTimer`] used purely as the tracing
-/// seam (the registry side stays off — the pipeline keeps its own
-/// hand-registered counters so the metrics schema and metrics-on cost
-/// are unchanged). When the constructing thread has a trace lane
-/// installed, [`DayPipeline::emit_stage_spans`] publishes one
-/// `"stage"`-category span per stage per day.
+/// Normalize, resolver and collect each have one meter. Normalize
+/// counts raw rows plus lease events, resolver counts device rows plus
+/// DNS queries, and collect counts collected flows; device metadata,
+/// UA sightings and `finish_day` stay outside every meter. When the
+/// constructing thread has a trace lane installed,
+/// [`DayPipeline::emit_stage_spans`] publishes one `"stage"`-category
+/// span per stage per day.
 pub struct DayPipeline<'a> {
     opts: PipelineOptions<'a>,
     collector: &'a mut StudyCollector,
-    normalize: StageTimer<NormalizeStage>,
-    resolver: StageTimer<ResolverMap>,
+    normalize: NormalizeStage,
+    resolver: ResolverMap,
     counters: Option<PipelineCounters>,
-    /// `(busy_ns, records)` for the collect stage, accumulated only
-    /// when tracing was on at construction.
-    collect_busy: Option<(u64, u64)>,
+    /// One meter per stage, indexed by [`NORMALIZE`], [`RESOLVER`] and
+    /// [`COLLECT`].
+    meters: [StageMeter; 3],
     /// Flows collected this day, driving the periodic `day_tick`
     /// publication.
     collected_total: u64,
     /// Flows collected since the last `day_tick`.
     since_tick: u32,
-    /// Per-stage allocation tallies, populated only when
-    /// [`PipelineOptions::track_memory`] is on.
-    mem: Option<MemTallies>,
 }
 
 impl<'a> DayPipeline<'a> {
     /// Wire the stages up for one day, accumulating into `collector`.
     pub fn new(opts: PipelineOptions<'a>, collector: &'a mut StudyCollector) -> Self {
+        let traced = trace::enabled();
+        let track_memory = opts.track_memory && opts.metrics.is_some();
         DayPipeline {
             collector,
-            normalize: StageTimer::new(
-                "normalize",
-                NormalizeStage::new(
-                    campus::residential_pool(),
-                    opts.anon_key,
-                    DEFAULT_MAX_LEASE_SECS,
-                ),
-                None,
+            normalize: NormalizeStage::new(
+                campus::residential_pool(),
+                opts.anon_key,
+                DEFAULT_MAX_LEASE_SECS,
             ),
-            resolver: StageTimer::new("resolver", ResolverMap::new(), None),
+            resolver: ResolverMap::new(),
             counters: opts.metrics.map(PipelineCounters::register),
-            collect_busy: trace::enabled().then_some((0, 0)),
+            meters: ["normalize", "resolver", "collect"]
+                .map(|name| StageMeter::new(name, traced, track_memory)),
             collected_total: 0,
             since_tick: 0,
-            mem: (opts.track_memory && opts.metrics.is_some()).then(MemTallies::default),
             opts,
         }
     }
@@ -322,14 +361,8 @@ impl<'a> DayPipeline<'a> {
     /// umbrella span is still open so the stage spans nest under it;
     /// [`DayPipeline::finish`] also calls it as a safety net.
     pub fn emit_stage_spans(&mut self) {
-        self.normalize.emit_trace();
-        self.resolver.emit_trace();
-        if let Some((ns, records)) = &mut self.collect_busy {
-            if *records > 0 {
-                trace::aggregate("stage", "collect", *ns, &[("records", *records)]);
-                *ns = 0;
-                *records = 0;
-            }
+        for m in &mut self.meters {
+            m.emit();
         }
     }
 
@@ -339,28 +372,26 @@ impl<'a> DayPipeline<'a> {
     pub fn finish(mut self) -> NormalizeStats {
         self.emit_stage_spans();
         self.collector.finish_day();
-        let stats = self.normalize.inner().stats();
+        let stats = self.normalize.stats();
         if let Some(reg) = self.opts.metrics {
             reg.counter("normalize.attributed").add(stats.attributed);
             reg.counter("normalize.unattributed")
                 .add(stats.unattributed);
             reg.counter("normalize.foreign").add(stats.foreign);
             reg.counter("normalize.lease_events")
-                .add(self.normalize.inner().lease_events());
+                .add(self.normalize.lease_events());
             reg.gauge("normalize.tracker.closed_peak")
-                .set_max(self.normalize.inner().tracker().closed_count() as u64);
-            let labels = self.resolver.inner().label_stats();
+                .set_max(self.normalize.tracker().closed_count() as u64);
+            let labels = self.resolver.label_stats();
             reg.counter("resolver.labeled").add(labels.labeled);
             reg.counter("resolver.unlabeled").add(labels.unlabeled);
             reg.gauge("resolver.ips_peak")
-                .set_max(self.resolver.inner().ip_count() as u64);
-            if let Some(mem) = &self.mem {
-                mem.normalize.publish(reg, "normalize");
-                mem.resolver.publish(reg, "resolver");
-                mem.collect.publish(reg, "collect");
+                .set_max(self.resolver.ip_count() as u64);
+            for m in &self.meters {
+                m.publish(reg);
             }
         }
-        let labels = self.resolver.inner().label_stats();
+        let labels = self.resolver.label_stats();
         self.opts
             .observer
             .stage_flushed(self.opts.day, "normalize", stats.attributed);
@@ -391,35 +422,27 @@ impl<'a> DayPipeline<'a> {
         }
         let track_peak = self.counters.is_some();
         let mut peak = 0u64;
-        let scope = self.mem.is_some().then(AllocScope::begin);
-        self.normalize.time_n(group.len() as u64, |n| {
+        self.meters[NORMALIZE].measure(group.len() as u64, || {
             for (_, event) in group {
-                n.record_lease(event);
+                self.normalize.record_lease(event);
                 if track_peak {
-                    peak = peak.max(n.tracker().open_count() as u64);
+                    peak = peak.max(self.normalize.tracker().open_count() as u64);
                 }
             }
         });
-        if let (Some(s), Some(m)) = (scope, &mut self.mem) {
-            m.normalize.absorb(s.end());
-        }
         if let Some(c) = &self.counters {
             c.tracker_open_peak.set_max(peak);
         }
     }
 
     /// Apply one row-tagged group of DNS queries to the resolver map,
-    /// one timing touch for the whole group.
+    /// one meter touch for the whole group.
     fn apply_dns(&mut self, group: &[(u32, DnsQuery)]) {
-        let scope = self.mem.is_some().then(AllocScope::begin);
-        self.resolver.time_n(group.len() as u64, |r| {
+        self.meters[RESOLVER].measure(group.len() as u64, || {
             for (_, q) in group {
-                r.record(q);
+                self.resolver.record(q);
             }
         });
-        if let (Some(s), Some(m)) = (scope, &mut self.mem) {
-            m.resolver.absorb(s.end());
-        }
     }
 
     /// Drive the batch's raw rows up to `hi` (exclusive) through
@@ -432,22 +455,15 @@ impl<'a> DayPipeline<'a> {
     fn process_rows(&mut self, flows: &mut FlowBatch, hi: usize) {
         flows.set_raw_limit(hi);
         let dev_lo = flows.dev_len();
-        let scope = self.mem.is_some().then(AllocScope::begin);
-        self.normalize.push_batch(flows);
-        if let (Some(s), Some(m)) = (scope, &mut self.mem) {
-            m.normalize.absorb(s.end());
-        }
+        let raw = flows.raw_window().len() as u64;
+        self.meters[NORMALIZE].measure(raw, || self.normalize.push_batch(flows));
         let dev_hi = flows.dev_len();
+        let seg = (dev_hi - dev_lo) as u64;
         if self.opts.labeling {
-            let scope = self.mem.is_some().then(AllocScope::begin);
-            self.resolver.push_batch(flows);
-            if let (Some(s), Some(m)) = (scope, &mut self.mem) {
-                m.resolver.absorb(s.end());
-            }
+            self.meters[RESOLVER].measure(seg, || self.resolver.push_batch(flows));
         } else {
             flows.advance_dev(dev_hi);
         }
-        let seg = (dev_hi - dev_lo) as u64;
         if seg == 0 {
             return;
         }
@@ -456,31 +472,24 @@ impl<'a> DayPipeline<'a> {
         }
         self.collected_total += seg;
         let tally_bytes = self.counters.is_some();
-        let mut seg_bytes = 0u64;
-        let t0 = self.collect_busy.is_some().then(Instant::now);
-        let scope = self.mem.is_some().then(AllocScope::begin);
-        for i in dev_lo..dev_hi {
-            let label = flows.label(i);
-            let lf = LabeledFlow {
-                flow: flows.dev_row(i),
-                domain: (label != NO_LABEL).then_some(DomainId(label)),
-            };
-            if tally_bytes {
-                seg_bytes += lf.flow.total_bytes();
+        self.meters[COLLECT].measure(seg, || {
+            let mut seg_bytes = 0u64;
+            for i in dev_lo..dev_hi {
+                let label = flows.label(i);
+                let lf = LabeledFlow {
+                    flow: flows.dev_row(i),
+                    domain: (label != NO_LABEL).then_some(DomainId(label)),
+                };
+                if tally_bytes {
+                    seg_bytes += lf.flow.total_bytes();
+                }
+                self.collector
+                    .observe_flow(self.opts.ctx, self.opts.table, self.opts.day, &lf);
             }
-            self.collector
-                .observe_flow(self.opts.ctx, self.opts.table, self.opts.day, &lf);
-        }
-        if let Some(c) = &self.counters {
-            c.bytes_collected.add(seg_bytes);
-        }
-        if let (Some(s), Some(m)) = (scope, &mut self.mem) {
-            m.collect.absorb(s.end());
-        }
-        if let (Some((ns, records)), Some(t0)) = (&mut self.collect_busy, t0) {
-            *ns += t0.elapsed().as_nanos() as u64;
-            *records += seg;
-        }
+            if let Some(c) = &self.counters {
+                c.bytes_collected.add(seg_bytes);
+            }
+        });
         if self.opts.live_tick > 0 {
             let since = u64::from(self.since_tick) + seg;
             let tick = u64::from(self.opts.live_tick);
@@ -715,6 +724,8 @@ pub fn process_day(
 mod tests {
     use super::*;
     use campussim::{CampusSim, SimConfig};
+    use lockdown_obs::trace::AttrValue;
+    use std::collections::BTreeSet;
 
     fn sim_1pct() -> CampusSim {
         CampusSim::new(SimConfig {
@@ -1043,5 +1054,104 @@ mod tests {
             0
         );
         assert_eq!(off.volume.device_count(), collector.volume.device_count());
+    }
+
+    const METERED: [&str; 3] = ["normalize", "resolver", "collect"];
+
+    /// The `records` attribute of each `"stage"` span of each metered
+    /// stage in `t`.
+    fn stage_records(t: &lockdown_obs::Trace) -> [Vec<AttrValue>; 3] {
+        METERED.map(|name| {
+            let spans = t
+                .spans
+                .iter()
+                .filter(|s| s.cat == "stage" && s.name == name);
+            let attrs = spans.flat_map(|s| s.attrs.iter().filter(|(k, _)| *k == "records"));
+            attrs.map(|&(_, v)| v).collect()
+        })
+    }
+
+    #[test]
+    fn traced_day_emits_one_stage_span_per_metered_stage() {
+        let sim = sim_1pct();
+        let ctx = PipelineCtx::study();
+        let reg = MetricsRegistry::new();
+        let rec = lockdown_obs::SpanRecorder::new();
+        {
+            let _lane = rec.install(0, "w");
+            let _day = trace::span("day");
+            let opts = PipelineOptions::new(
+                &ctx,
+                sim.directory().table(),
+                Day(10),
+                sim.config().anon_key,
+            )
+            .metrics(&reg);
+            process_day_batched(opts, &mut StudyCollector::new(), &sim);
+        }
+        let snap = reg.snapshot();
+        // Normalize: raw rows plus lease events. Resolver: device rows
+        // plus DNS queries. Collect: collected flows.
+        let collected = snap.counter("pipeline.flows_collected");
+        let expect = [
+            snap.counter("pipeline.flows_in") + snap.counter("normalize.lease_events"),
+            collected + snap.counter("pipeline.dns_queries"),
+            collected,
+        ];
+        assert!(expect.iter().all(|&n| n > 0), "{expect:?}");
+        let expect = expect.map(|n| vec![AttrValue::U64(n)]);
+        assert_eq!(stage_records(&rec.finish()), expect);
+    }
+
+    #[test]
+    fn untraced_construction_never_emits() {
+        let sim = sim_1pct();
+        let ctx = PipelineCtx::study();
+        let day = Day(10);
+        let opts = PipelineOptions::new(&ctx, sim.directory().table(), day, sim.config().anon_key);
+        let mut collector = StudyCollector::new();
+        // Built before any lane exists: the meters stay off for the
+        // whole day, even once a lane appears.
+        let mut pipeline = DayPipeline::new(opts, &mut collector);
+        let rec = lockdown_obs::SpanRecorder::new();
+        {
+            let _lane = rec.install(0, "w");
+            let _day = trace::span("day");
+            let mut batcher = Batcher::new(&mut pipeline, DEFAULT_BATCH_ROWS);
+            sim.stream_day(day, &mut batcher);
+            batcher.finish();
+            pipeline.emit_stage_spans();
+            assert!(pipeline.finish().attributed > 0);
+        }
+        assert_eq!(stage_records(&rec.finish()), [vec![], vec![], vec![]]);
+    }
+
+    #[test]
+    fn track_memory_publishes_exactly_the_metered_stages() {
+        let sim = sim_1pct();
+        let ctx = PipelineCtx::study();
+        let mem_metrics = |track: bool| {
+            let reg = MetricsRegistry::new();
+            let opts = PipelineOptions::new(
+                &ctx,
+                sim.directory().table(),
+                Day(10),
+                sim.config().anon_key,
+            )
+            .metrics(&reg)
+            .track_memory(track);
+            process_day_batched(opts, &mut StudyCollector::new(), &sim);
+            let snap = reg.snapshot();
+            let names = snap.counters.into_keys().chain(snap.gauges.into_keys());
+            names
+                .filter(|k| k.starts_with("mem.stage."))
+                .collect::<Vec<_>>()
+        };
+        // Four counters and the peak gauge for each metered stage.
+        let names = mem_metrics(true);
+        let stages: BTreeSet<&str> = names.iter().filter_map(|k| k.split('.').nth(2)).collect();
+        assert_eq!(stages, BTreeSet::from(METERED));
+        assert_eq!(names.len(), 5 * METERED.len(), "{names:?}");
+        assert!(mem_metrics(false).is_empty());
     }
 }

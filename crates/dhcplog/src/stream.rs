@@ -5,8 +5,8 @@
 //! immutable interval index from a complete day of lease events, it
 //! ingests events as they arrive and answers ownership queries against
 //! the state built *so far*. [`NormalizeStage`] wraps it into a
-//! [`Stage`] that re-keys raw flows to anonymized device identity one
-//! flow at a time.
+//! [`BatchStage`] that re-keys a window of raw flows to anonymized
+//! device identity.
 //!
 //! The two agree exactly whenever queries respect the stream contract:
 //! a flow's lease events are pushed before the flow itself (per device —
@@ -19,9 +19,8 @@
 use crate::lease::{LeaseAction, LeaseEvent};
 use crate::normalize::NormalizeStats;
 use nettrace::batch::{BatchIo, BatchStage, FlowBatch};
-use nettrace::flow::{DeviceFlow, FlowRecord};
+use nettrace::flow::DeviceFlow;
 use nettrace::ip::Ipv4Cidr;
-use nettrace::stage::Stage;
 use nettrace::{DeviceId, FastMap, MacAddr, Timestamp};
 use std::net::Ipv4Addr;
 
@@ -121,21 +120,7 @@ impl LeaseTracker {
 
     /// Who held `ip` at `ts`, given the events seen so far?
     pub fn lookup(&self, ip: Ipv4Addr, ts: Timestamp) -> Option<MacAddr> {
-        if let Some(o) = self.open.get(&ip) {
-            // An open binding owns [start, last_activity + max_lease).
-            if ts >= o.start && ts < o.last_activity.add_secs(self.max_lease_secs) {
-                return Some(o.mac);
-            }
-        }
-        let closed = self.closed.get(&ip)?;
-        // Closed history is start-ordered per IP (events arrive in time
-        // order per device, and an IP's owners are sequential).
-        let idx = closed.partition_point(|c| c.start <= ts);
-        if idx == 0 {
-            return None;
-        }
-        let cand = &closed[idx - 1];
-        (ts < cand.end).then_some(cand.mac)
+        self.lookup_interval(ip, ts).map(|(mac, _, _)| mac)
     }
 
     /// Like [`lookup`](Self::lookup), but also return the half-open
@@ -160,6 +145,8 @@ impl LeaseTracker {
                 return Some((o.mac, o.start, horizon));
             }
         }
+        // Closed history is start-ordered per IP (events arrive in time
+        // order per device, and an IP's owners are sequential).
         let closed = self.closed.get(&ip)?;
         let idx = closed.partition_point(|c| c.start <= ts);
         if idx == 0 {
@@ -180,7 +167,7 @@ impl LeaseTracker {
     }
 }
 
-/// Streaming flow normalizer: the [`Stage`] twin of
+/// Streaming flow normalizer: the batched twin of
 /// [`Normalizer`](crate::Normalizer), attributing flows against a
 /// [`LeaseTracker`] built incrementally from the same stream.
 pub struct NormalizeStage {
@@ -228,53 +215,17 @@ impl NormalizeStage {
     }
 }
 
-impl Stage for NormalizeStage {
-    type In = FlowRecord;
-    type Out = DeviceFlow;
-
-    /// Normalize one flow. The campus side is whichever endpoint lies in
-    /// the residential pool; byte counters are re-oriented device-centric.
-    fn push(&mut self, f: FlowRecord) -> Option<DeviceFlow> {
-        let (local_ip, remote, remote_port, tx, rx) = if self.pool.contains(f.orig) {
-            (f.orig, f.resp, f.resp_port, f.orig_bytes, f.resp_bytes)
-        } else if self.pool.contains(f.resp) {
-            (f.resp, f.orig, f.orig_port, f.resp_bytes, f.orig_bytes)
-        } else {
-            self.stats.foreign += 1;
-            return None;
-        };
-        match self.tracker.lookup(local_ip, f.ts) {
-            Some(mac) => {
-                self.stats.attributed += 1;
-                Some(DeviceFlow {
-                    device: DeviceId::anonymize(mac, self.anon_key),
-                    ts: f.ts,
-                    duration_micros: f.duration_micros,
-                    remote,
-                    remote_port,
-                    proto: f.proto,
-                    tx_bytes: tx,
-                    rx_bytes: rx,
-                })
-            }
-            None => {
-                self.stats.unattributed += 1;
-                None
-            }
-        }
-    }
-}
-
 impl BatchStage for NormalizeStage {
     /// Normalize the batch's raw window in place, appending attributed
-    /// rows to the device half. Row-for-row equivalent to feeding the
-    /// same window through [`Stage::push`]: same stats, same output
-    /// order, same [`DeviceFlow`]s.
+    /// rows to the device half. The campus side is whichever endpoint
+    /// lies in the residential pool; byte counters are re-oriented
+    /// device-centric. Under the stream contract this is row-for-row
+    /// what [`Normalizer`](crate::Normalizer) gives over a
+    /// [`LeaseIndex`](crate::LeaseIndex) of the same lease events: same
+    /// stats, same output order, same [`DeviceFlow`]s.
     ///
-    /// The batched form wins on two counts: the per-record stage
-    /// round-trip disappears, and consecutive flows from the same
-    /// device hit a one-entry lease memo instead of the tracker's hash
-    /// maps. The memo caches the ownership interval from
+    /// Consecutive flows from the same device hit a one-entry lease
+    /// memo instead of the tracker's hash maps. The memo caches the ownership interval from
     /// [`LeaseTracker::lookup_interval`] together with the anonymized
     /// device id; it is sound because the tracker is never mutated
     /// during a window (the driver applies lease events only between
@@ -338,8 +289,8 @@ impl BatchStage for NormalizeStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::normalize::{LeaseIndex, DEFAULT_MAX_LEASE_SECS};
-    use nettrace::flow::Proto;
+    use crate::normalize::{LeaseIndex, Normalizer, DEFAULT_MAX_LEASE_SECS};
+    use nettrace::flow::{FlowRecord, Proto};
 
     const IP: Ipv4Addr = Ipv4Addr::new(10, 40, 3, 7);
     const MAC_A: MacAddr = MacAddr::new(0, 0, 0, 0, 0, 0xa);
@@ -399,6 +350,19 @@ mod tests {
         assert_eq!(t.lookup(IP, Timestamp::from_secs(500)), Some(MAC_B));
     }
 
+    /// The device rows `stage` appends for `flows`, pushed as one window.
+    fn push_window(stage: &mut NormalizeStage, flows: &[FlowRecord]) -> Vec<DeviceFlow> {
+        let mut batch = FlowBatch::default();
+        for f in flows {
+            batch.push_raw(f);
+        }
+        let io = stage.push_batch(&mut batch);
+        assert_eq!(io.records_in, flows.len() as u64);
+        assert_eq!(io.records_out, batch.dev_len() as u64);
+        assert_eq!(batch.raw_window(), flows.len()..flows.len());
+        (0..batch.dev_len()).map(|i| batch.dev_row(i)).collect()
+    }
+
     #[test]
     fn stage_normalizes_like_batch_normalizer() {
         let mut stage = NormalizeStage::new(
@@ -421,18 +385,17 @@ mod tests {
             orig_pkts: 2,
             resp_pkts: 3,
         };
-        let df = stage.push(f).unwrap();
-        assert_eq!(df.device, DeviceId::anonymize(MAC_A, 42));
-        assert_eq!(df.tx_bytes, 100);
-        assert_eq!(df.rx_bytes, 900);
-        // Neither endpoint residential → foreign.
-        assert!(stage
-            .push(FlowRecord {
-                orig: remote,
-                resp: remote,
-                ..f
-            })
-            .is_none());
+        // Neither endpoint of the second row is residential → foreign.
+        let foreign = FlowRecord {
+            orig: remote,
+            resp: remote,
+            ..f
+        };
+        let out = push_window(&mut stage, &[f, foreign]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].device, DeviceId::anonymize(MAC_A, 42));
+        assert_eq!(out[0].tx_bytes, 100);
+        assert_eq!(out[0].rx_bytes, 900);
         let s = stage.stats();
         assert_eq!(s.attributed, 1);
         assert_eq!(s.foreign, 1);
@@ -441,14 +404,20 @@ mod tests {
 
     #[test]
     fn lookup_interval_agrees_with_lookup() {
+        let events = [
+            ev(100, LeaseAction::Assign, IP, MAC_A),
+            ev(5_000, LeaseAction::Release, IP, MAC_A),
+            ev(6_000, LeaseAction::Assign, IP, MAC_B),
+        ];
+        let idx = LeaseIndex::build(&events, 3600);
         let mut t = LeaseTracker::new(3600);
-        t.record(&ev(100, LeaseAction::Assign, IP, MAC_A));
-        t.record(&ev(5_000, LeaseAction::Release, IP, MAC_A));
-        t.record(&ev(6_000, LeaseAction::Assign, IP, MAC_B));
+        for e in &events {
+            t.record(e);
+        }
         for secs in [0, 99, 100, 4_999, 5_000, 5_999, 6_000, 9_599, 9_600] {
             let ts = Timestamp::from_secs(secs);
             let iv = t.lookup_interval(IP, ts);
-            assert_eq!(iv.map(|(m, _, _)| m), t.lookup(IP, ts), "t={secs}");
+            assert_eq!(iv.map(|(m, _, _)| m), idx.lookup(IP, ts), "t={secs}");
             // Every point of a returned interval answers identically.
             if let Some((mac, start, end)) = iv {
                 assert_eq!(t.lookup(IP, start), Some(mac));
@@ -459,15 +428,18 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_matches_per_record_push() {
+    fn push_batch_matches_the_lease_index_normalizer() {
         let pool = nettrace::ip::campus::residential_pool();
-        let mk = |key| NormalizeStage::new(pool, key, DEFAULT_MAX_LEASE_SECS);
-        let mut streaming = mk(42);
-        let mut batched = mk(42);
         let other_ip = Ipv4Addr::new(10, 40, 3, 8);
-        for s in [&mut streaming, &mut batched] {
-            s.record_lease(&ev(0, LeaseAction::Assign, IP, MAC_A));
-            s.record_lease(&ev(0, LeaseAction::Assign, other_ip, MAC_B));
+        let leases = [
+            ev(0, LeaseAction::Assign, IP, MAC_A),
+            ev(0, LeaseAction::Assign, other_ip, MAC_B),
+        ];
+        let index = LeaseIndex::build(&leases, DEFAULT_MAX_LEASE_SECS);
+        let mut reference = Normalizer::new(&index, pool, 42);
+        let mut batched = NormalizeStage::new(pool, 42, DEFAULT_MAX_LEASE_SECS);
+        for e in &leases {
+            batched.record_lease(e);
         }
         let remote = Ipv4Addr::new(1, 2, 3, 4);
         let base = FlowRecord {
@@ -512,16 +484,13 @@ mod tests {
                 ..base
             },
         ];
-        let expect: Vec<DeviceFlow> = flows.iter().filter_map(|f| streaming.push(*f)).collect();
-        let mut batch = FlowBatch::default();
-        for f in &flows {
-            batch.push_raw(f);
-        }
-        let io = batched.push_batch(&mut batch);
-        assert_eq!(io.records_in, flows.len() as u64);
-        assert_eq!(io.records_out, expect.len() as u64);
-        let got: Vec<DeviceFlow> = (0..batch.dev_len()).map(|i| batch.dev_row(i)).collect();
-        assert_eq!(got, expect);
-        assert_eq!(batched.stats(), streaming.stats());
+        let expect: Vec<DeviceFlow> = flows
+            .iter()
+            .filter_map(|f| reference.normalize(f))
+            .collect();
+        assert_eq!(push_window(&mut batched, &flows), expect);
+        assert_eq!(batched.stats(), reference.stats());
+        let s = batched.stats();
+        assert_eq!((s.attributed, s.foreign, s.unattributed), (4, 1, 1));
     }
 }

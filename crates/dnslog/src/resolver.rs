@@ -39,8 +39,8 @@ struct IpHistory {
 ///
 /// The paper's pipeline trusts its domain labels because coverage is
 /// continuously high; a falling hit rate is the first sign the DNS tap
-/// has gapped. Counted on the streaming [`nettrace::Stage`] path only
-/// (the immutable [`ResolverMap::label`] is left uninstrumented).
+/// has gapped. Counted on the [`BatchStage`](nettrace::BatchStage) path
+/// only (the immutable [`ResolverMap::label`] is left uninstrumented).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LabelStats {
     /// Flows labeled with a fresh resolution.
@@ -136,33 +136,13 @@ impl ResolverMap {
     }
 }
 
-/// The resolver map is already incremental, so it *is* a [`Stage`](nettrace::Stage):
-/// feed [`DnsQuery`]s via [`ResolverMap::record`] as they arrive, push
-/// device flows through, and each comes out labeled with the domain its
-/// remote most recently resolved to. Every input produces an output —
-/// a flow with no fresh resolution is labeled `domain: None`, not
-/// dropped.
-impl nettrace::Stage for ResolverMap {
-    type In = DeviceFlow;
-    type Out = LabeledFlow;
-
-    fn push(&mut self, flow: DeviceFlow) -> Option<LabeledFlow> {
-        let labeled = self.label(flow);
-        if labeled.domain.is_some() {
-            self.label_stats.labeled += 1;
-        } else {
-            self.label_stats.unlabeled += 1;
-        }
-        Some(labeled)
-    }
-}
-
-/// The batched twin of the [`Stage`](nettrace::Stage) impl: label the
-/// batch's device window in place by filling the label column
+/// The resolver map is already incremental, so it *is* a stage: feed
+/// [`DnsQuery`]s via [`ResolverMap::record`] as they arrive, and label
+/// the batch's device window in place by filling the label column
 /// ([`DomainId`] index, or [`NO_LABEL`](nettrace::NO_LABEL) when no
-/// resolution is fresh).
-/// Row-for-row equivalent to pushing each [`DeviceFlow`] through
-/// [`nettrace::Stage::push`], including the coverage counters — one
+/// resolution is fresh). Every row gets exactly the domain
+/// [`ResolverMap::label`] gives it (a flow with no fresh resolution is
+/// left unlabeled, not dropped), and the coverage counters take one
 /// state load and one accounting update per window instead of per flow.
 ///
 /// A real `DomainId` cannot collide with the
@@ -269,32 +249,15 @@ mod tests {
         let lf = m.label(flow);
         assert_eq!(lf.domain, Some(a));
         assert_eq!(lf.flow, flow);
-
-        // The Stage view labels identically and never drops a flow.
-        use nettrace::Stage;
-        let staged = m.push(flow).unwrap();
-        assert_eq!(staged, lf);
-        // Coverage counters track the staged path.
-        assert_eq!(m.label_stats().labeled, 1);
-        let mut unknown = flow;
-        unknown.remote = Ipv4Addr::new(203, 0, 113, 9);
-        assert!(m.push(unknown).unwrap().domain.is_none());
-        let stats = m.label_stats();
-        assert_eq!((stats.labeled, stats.unlabeled), (1, 1));
-        assert!((stats.coverage() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn push_batch_labels_like_per_record_push() {
-        use nettrace::{BatchStage, FlowBatch, Stage, NO_LABEL};
+    fn push_batch_labels_like_label() {
+        use nettrace::{BatchStage, FlowBatch, NO_LABEL};
         let mut t = DomainTable::new();
         let a = t.intern_str("zoom.us").unwrap();
-        let mk = |freshness| {
-            let mut m = ResolverMap::with_freshness(freshness);
-            m.record(&q(100, a, IP));
-            m
-        };
-        let (mut streaming, mut batched) = (mk(3600), mk(3600));
+        let mut m = ResolverMap::with_freshness(3600);
+        m.record(&q(100, a, IP));
         let base = DeviceFlow {
             device: DeviceId(7),
             ts: Timestamp::from_secs(120),
@@ -320,12 +283,12 @@ mod tests {
                 ..base
             }, // stale
         ];
-        let expect: Vec<LabeledFlow> = flows.iter().filter_map(|f| streaming.push(*f)).collect();
+        let expect: Vec<LabeledFlow> = flows.iter().map(|f| m.label(*f)).collect();
         let mut batch = FlowBatch::default();
         for f in &flows {
             batch.push_dev(*f);
         }
-        let io = batched.push_batch(&mut batch);
+        let io = m.push_batch(&mut batch);
         assert_eq!((io.records_in, io.records_out), (4, 4));
         let got: Vec<LabeledFlow> = (0..batch.dev_len())
             .map(|i| LabeledFlow {
@@ -334,9 +297,13 @@ mod tests {
             })
             .collect();
         assert_eq!(got, expect);
-        assert_eq!(batched.label_stats(), streaming.label_stats());
+        // Coverage counters track the batched path: one of four labeled.
+        let stats = m.label_stats();
+        assert_eq!((stats.labeled, stats.unlabeled), (1, 3));
+        assert!((stats.coverage() - 0.25).abs() < 1e-12);
         // The window is consumed; re-pushing is a no-op.
-        assert_eq!(batched.push_batch(&mut batch).records_in, 0);
+        assert_eq!(m.push_batch(&mut batch).records_in, 0);
+        assert_eq!(m.label_stats(), stats);
     }
 
     #[test]

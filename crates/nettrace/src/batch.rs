@@ -1,13 +1,13 @@
 //! Struct-of-arrays flow batches: the wide seam of the hot path.
 //!
-//! The per-record [`Stage`](crate::Stage) abstraction keeps pipeline
-//! state incremental, but paying a full stage round-trip per record
-//! puts a floor under ns/flow: every push re-loads stage state, every
+//! Pipeline stages keep incrementally-built state (lease tables,
+//! resolver maps), but paying a stage round-trip per record puts a
+//! floor under ns/flow: every call re-loads stage state, every
 //! observability touch is per-record, and nothing amortizes. A
-//! [`FlowBatch`] is the batched alternative: a reusable,
-//! struct-of-arrays buffer that carries a *run* of raw flow records
-//! through the whole pipeline at once, so each stage loads its state
-//! once per run and instrumentation costs once per batch.
+//! [`FlowBatch`] is a reusable, struct-of-arrays buffer that carries a
+//! *run* of raw flow records through the whole pipeline at once, so
+//! each [`BatchStage`] loads its state once per run and instrumentation
+//! costs once per batch.
 //!
 //! The batch has two halves, mirroring the pipeline's two flow shapes:
 //!
@@ -284,9 +284,8 @@ impl FlowBatch {
     }
 }
 
-/// What one [`BatchStage::push_batch`] call consumed and produced.
-/// Wrappers (timers, counters) use this to amortize per-record
-/// accounting to one update per batch.
+/// What one [`BatchStage::push_batch`] call consumed and produced, so
+/// a caller accounts for a whole window in one update.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BatchIo {
     /// Rows the stage consumed from its input window.
@@ -297,60 +296,28 @@ pub struct BatchIo {
 
 /// A pipeline stage that processes a [`FlowBatch`] window in place.
 ///
-/// The batched twin of [`Stage`](crate::Stage): state still builds
-/// incrementally, but the unit of work is a window of rows instead of
-/// one record, so stage dispatch, state loads, and instrumentation all
-/// amortize. Existing per-record stages join the seam through the
-/// [`PerRecord`] adapter; hot stages implement `BatchStage` directly
-/// and scan the columns.
+/// State builds incrementally, but the unit of work is a window of rows
+/// instead of one record, so stage dispatch, state loads, and
+/// instrumentation all amortize.
+///
+/// The contract mirrors the paper's tap: events arrive in timestamp
+/// order *per device* (the global stream may interleave devices
+/// arbitrarily), and a stage must produce identical cumulative results
+/// under any device interleaving and any window boundaries, which is
+/// what makes day-level parallelism, collector merging and every batch
+/// size deterministic.
 pub trait BatchStage {
     /// Consume this stage's input window of `batch` (raw or device
     /// rows, by stage kind), produce output rows or labels in place,
     /// and advance the matching cursor. Returns the consumed/produced
     /// row counts for amortized accounting.
     fn push_batch(&mut self, batch: &mut FlowBatch) -> BatchIo;
-
-    /// Signal end-of-stream, as [`Stage::flush`](crate::Stage::flush).
-    fn flush_batch(&mut self) {}
-}
-
-/// Adapter running a per-record attribution [`Stage`](crate::Stage)
-/// (raw [`FlowRecord`] in, [`DeviceFlow`] out) over a batch window, so
-/// existing stage implementations keep working behind the batch seam
-/// without a rewrite.
-pub struct PerRecord<S>(pub S);
-
-impl<S> BatchStage for PerRecord<S>
-where
-    S: crate::Stage<In = FlowRecord, Out = DeviceFlow>,
-{
-    fn push_batch(&mut self, batch: &mut FlowBatch) -> BatchIo {
-        let w = batch.raw_window();
-        let mut out = 0u64;
-        for i in w.clone() {
-            let f = batch.raw_row(i);
-            if let Some(df) = self.0.push(f) {
-                batch.push_dev(df);
-                out += 1;
-            }
-        }
-        batch.advance_raw(w.end);
-        BatchIo {
-            records_in: (w.end - w.start) as u64,
-            records_out: out,
-        }
-    }
-
-    fn flush_batch(&mut self) {
-        self.0.flush();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mac::DeviceId;
-    use crate::Stage;
 
     fn raw(i: u32) -> FlowRecord {
         FlowRecord {
@@ -417,49 +384,5 @@ mod tests {
         assert_eq!(b.label(0), 3);
         b.advance_dev(1);
         assert_eq!(b.dev_window(), 1..1);
-    }
-
-    /// Attributes even-second flows to a fixed device, drops the rest.
-    struct EvenOnly;
-    impl Stage for EvenOnly {
-        type In = FlowRecord;
-        type Out = DeviceFlow;
-        fn push(&mut self, f: FlowRecord) -> Option<DeviceFlow> {
-            (f.ts.secs() % 2 == 0).then_some(DeviceFlow {
-                device: DeviceId(1),
-                ts: f.ts,
-                duration_micros: f.duration_micros,
-                remote: f.resp,
-                remote_port: f.resp_port,
-                proto: f.proto,
-                tx_bytes: f.orig_bytes,
-                rx_bytes: f.resp_bytes,
-            })
-        }
-    }
-
-    #[test]
-    fn per_record_adapter_matches_the_stage() {
-        let mut b = FlowBatch::default();
-        for i in 0..5 {
-            b.push_raw(&raw(i));
-        }
-        let mut adapted = PerRecord(EvenOnly);
-        let io = adapted.push_batch(&mut b);
-        assert_eq!(
-            io,
-            BatchIo {
-                records_in: 5,
-                records_out: 3
-            }
-        );
-        assert_eq!(b.dev_len(), 3);
-        let mut plain = EvenOnly;
-        let expect: Vec<DeviceFlow> = (0..5).filter_map(|i| plain.push(raw(i))).collect();
-        let got: Vec<DeviceFlow> = (0..b.dev_len()).map(|i| b.dev_row(i)).collect();
-        assert_eq!(got, expect);
-        // The window is consumed; a second call is a no-op.
-        assert_eq!(adapted.push_batch(&mut b).records_in, 0);
-        adapted.flush_batch();
     }
 }

@@ -43,18 +43,16 @@ pub mod ipv4;
 pub mod mac;
 pub mod packet;
 pub mod pcap;
-pub mod stage;
 pub mod tcp;
 pub mod time;
 pub mod udp;
 pub mod zeek;
 
-pub use batch::{BatchIo, BatchStage, FlowBatch, PerRecord, NO_LABEL};
+pub use batch::{BatchIo, BatchStage, FlowBatch, NO_LABEL};
 pub use error::{Error, Result};
 pub use fasthash::{FastMap, FastSet};
 pub use flow::{FlowKey, FlowRecord, Proto};
 pub use mac::{DeviceId, MacAddr, Oui};
-pub use stage::Stage;
 pub use time::{Day, Month, Phase, StudyCalendar, Timestamp};
 
 /// This crate's version, for provenance manifests.

@@ -116,8 +116,38 @@ pub fn write_conn_log<'a, I: IntoIterator<Item = &'a FlowRecord>>(flows: I) -> S
     out
 }
 
+/// Parse a `ts` column: whole seconds, a dot, and exactly six digits of
+/// microseconds (what [`write_conn_log`] and Zeek write), within the
+/// range an `i64` of microseconds can hold.
+fn parse_ts(s: &str) -> Option<Timestamp> {
+    let (secs, micros) = s.split_once('.')?;
+    if micros.len() != 6 || !micros.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let secs: i64 = secs.parse().ok()?;
+    let micros: i64 = micros.parse().ok()?;
+    secs.checked_mul(1_000_000)?
+        .checked_add(micros)
+        .map(Timestamp::from_micros)
+}
+
+/// Parse a `duration` column (fractional seconds) into microseconds:
+/// finite, not negative, and within `i64` microseconds.
+fn parse_duration(s: &str) -> Option<i64> {
+    let secs: f64 = s.parse().ok()?;
+    if !(secs.is_finite() && secs >= 0.0) {
+        return None;
+    }
+    let micros = (secs * 1e6).round();
+    // `i64::MAX as f64` rounds up to 2^63, which is itself out of range.
+    (micros < i64::MAX as f64).then_some(micros as i64)
+}
+
 /// Parse a `conn.log` produced by [`write_conn_log`] (or by Zeek with at
-/// least our field set, in our column order).
+/// least our field set, in our column order). Rows whose values do not
+/// fit a [`FlowRecord`] (a timestamp outside `i64` microseconds, a
+/// fraction that is not six digits, a duration that is not a finite,
+/// non-negative `i64` of microseconds) are rejected, never wrapped.
 pub fn parse_conn_log(text: &str) -> Result<Vec<FlowRecord>> {
     let bad = |detail| Error::Malformed {
         what: "conn.log",
@@ -132,22 +162,20 @@ pub fn parse_conn_log(text: &str) -> Result<Vec<FlowRecord>> {
         if cols.len() < FIELDS.len() {
             return Err(bad("row has too few columns"));
         }
-        let (secs, micros) = cols[0].split_once('.').ok_or(bad("ts not s.us"))?;
-        let secs: i64 = secs.parse().map_err(|_| bad("bad seconds"))?;
-        let micros: u32 = micros.parse().map_err(|_| bad("bad microseconds"))?;
+        let ts = parse_ts(cols[0]).ok_or(bad("ts not s.uuuuuu in the i64 microsecond range"))?;
         let orig: Ipv4Addr = cols[2].parse().map_err(|_| bad("bad orig_h"))?;
         let orig_port: u16 = cols[3].parse().map_err(|_| bad("bad orig_p"))?;
         let resp: Ipv4Addr = cols[4].parse().map_err(|_| bad("bad resp_h"))?;
         let resp_port: u16 = cols[5].parse().map_err(|_| bad("bad resp_p"))?;
         let proto = parse_proto(cols[6])?;
-        let duration: f64 = cols[7].parse().map_err(|_| bad("bad duration"))?;
+        let duration_micros = parse_duration(cols[7]).ok_or(bad("bad duration"))?;
         let orig_bytes: u64 = cols[8].parse().map_err(|_| bad("bad orig_bytes"))?;
         let resp_bytes: u64 = cols[9].parse().map_err(|_| bad("bad resp_bytes"))?;
         let orig_pkts: u32 = cols[10].parse().map_err(|_| bad("bad orig_pkts"))?;
         let resp_pkts: u32 = cols[11].parse().map_err(|_| bad("bad resp_pkts"))?;
         out.push(FlowRecord {
-            ts: Timestamp::from_secs_micros(secs, micros),
-            duration_micros: (duration * 1e6).round() as i64,
+            ts,
+            duration_micros,
             orig,
             orig_port,
             resp,
@@ -221,6 +249,33 @@ mod tests {
         assert!(parse_conn_log("1.0\tC\tbad").is_err());
         assert!(parse_conn_log("notts\tC\t1.2.3.4\t1\t5.6.7.8\t2\ttcp\t0.1\t1\t2\t3\t4").is_err());
         assert!(parse_conn_log("1.0\tC\t1.2.3.4\t1\t5.6.7.8\t2\tsctp\t0.1\t1\t2\t3\t4").is_err());
+        // Hostile timestamps and durations are rejected, not wrapped,
+        // saturated or misread.
+        let row = |ts: &str, duration: &str| {
+            format!("{ts}\tC\t1.2.3.4\t1\t5.6.7.8\t2\ttcp\t{duration}\t1\t2\t3\t4")
+        };
+        let ok = parse_conn_log(&row("-1.500000", "0.000001")).unwrap();
+        assert_eq!(ok[0].ts, Timestamp::from_micros(-500_000));
+        assert_eq!(ok[0].duration_micros, 1);
+        for (ts, duration) in [
+            ("9223372036854775807.000000", "0.1"), // seconds overflow i64 µs
+            ("-9223372036855.000000", "0.1"),      // and underflow it
+            ("9223372036854.775808", "0.1"),       // fraction tips it over
+            ("1580515200.5", "0.1"),               // not six digits
+            ("1580515200.4294967295", "0.1"),
+            ("1580515200.+12345", "0.1"),
+            ("1580515200", "0.1"),
+            ("1580515200.000000", "NaN"),
+            ("1580515200.000000", "inf"),
+            ("1580515200.000000", "1e300"),
+            ("1580515200.000000", "9223372036854.775807"),
+            ("1580515200.000000", "-5"),
+        ] {
+            assert!(
+                parse_conn_log(&row(ts, duration)).is_err(),
+                "accepted ts {ts} duration {duration}"
+            );
+        }
         // Comments-only is fine.
         assert_eq!(parse_conn_log("#close\n").unwrap().len(), 0);
     }

@@ -10,8 +10,6 @@
 //!   fixed-bucket histograms. Handles ([`Counter`], [`Gauge`],
 //!   [`Histogram`]) are acquired once per stage and are then pure
 //!   `Relaxed` atomics on the hot path.
-//! * [`StageTimer`] — wraps any [`nettrace::Stage`] and records
-//!   per-record latency plus per-push record/byte counts.
 //! * [`RunObserver`] — progress events (`day_started`, `day_finished`,
 //!   `stage_flushed`, `worker_idle`) plus live-publication hooks
 //!   (`day_tick`, `day_metrics`), with a no-op [`NullObserver`], a
@@ -37,7 +35,7 @@
 //! * [`alloc`] — [`TrackingAlloc`], a counting `GlobalAlloc` wrapper
 //!   (live/peak bytes, alloc/dealloc/realloc counts) with per-thread
 //!   [`AllocScope`]s that attribute allocation deltas to the same
-//!   day/stage seams the timers already instrument. Near-zero cost
+//!   day/stage seams the trace spans already instrument. Near-zero cost
 //!   when tracking is off: one `Relaxed` load and a branch per
 //!   allocator call.
 //!
@@ -69,7 +67,6 @@ pub mod metrics;
 pub mod observer;
 pub mod prom;
 pub mod serve;
-pub mod timer;
 pub mod trace;
 
 pub use alloc::{AllocScope, AllocStats, ScopeDelta, TrackingAlloc};
@@ -81,7 +78,6 @@ pub use manifest::{
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use observer::{CountingObserver, Fanout, JsonlSink, NullObserver, RunObserver, TextProgress};
 pub use serve::TelemetryServer;
-pub use timer::{BytesOf, StageTimer};
 pub use trace::{SpanRecorder, Trace};
 
 /// This crate's version, for provenance manifests.

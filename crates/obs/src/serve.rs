@@ -12,25 +12,28 @@
 //!
 //! The server never touches pipeline state — it reads the publisher's
 //! coarse snapshots, so a scrape can never slow a worker down.
-//! Connections are handled serially on the accept thread with short
-//! read/write timeouts: the expected clients are `curl`, a Prometheus
+//! Connections are handled serially on the accept thread, each within
+//! one short deadline: the expected clients are `curl`, a Prometheus
 //! scraper, or `repro watch`, one request at a time. Shutdown is
 //! explicit ([`TelemetryServer::shutdown`]) or on drop, and unblocks
 //! the accept loop with a self-connection.
 
 use crate::live::LivePublisher;
 use crate::prom;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Per-connection socket timeout: telemetry clients are local and
-/// tiny; anything slower is stuck and must not wedge the accept loop.
+/// Deadline for one whole connection, reading the request through
+/// writing the response: telemetry clients are local and tiny, and
+/// anything slower is stuck and must not wedge the accept loop, however
+/// it paces its bytes.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Largest request head we will read before answering 400.
+/// Largest request head we will read; a head that fills it without
+/// ending gets 400.
 const MAX_REQUEST_BYTES: usize = 8192;
 
 /// A running telemetry endpoint bound to a local address.
@@ -102,58 +105,106 @@ fn accept_loop(listener: TcpListener, live: LivePublisher, stop: Arc<AtomicBool>
     }
 }
 
-/// Read the request head (start line + headers) up to the size cap.
-fn read_request_head(conn: &mut TcpStream) -> std::io::Result<String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        let n = conn.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() >= MAX_REQUEST_BYTES {
-            break;
-        }
+/// Time left before `deadline`, or `TimedOut` once it has passed.
+fn remaining(deadline: Instant) -> io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        Err(io::ErrorKind::TimedOut.into())
+    } else {
+        Ok(left)
     }
-    Ok(String::from_utf8_lossy(&buf).into_owned())
 }
 
-fn write_response(
-    conn: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write!(
-        conn,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
+/// Read the request head (start line + headers, through the blank line
+/// that ends it) before `deadline`. `None` when the head fills
+/// [`MAX_REQUEST_BYTES`] or the client stops sending before it ends;
+/// an error when the deadline passes first.
+fn read_request_head(conn: &mut TcpStream, deadline: Instant) -> io::Result<Option<String>> {
+    let mut buf = Vec::with_capacity(512);
+    let mut chunk = [0u8; 512];
+    while buf.len() < MAX_REQUEST_BYTES {
+        conn.set_read_timeout(Some(remaining(deadline)?))?;
+        let want = chunk.len().min(MAX_REQUEST_BYTES - buf.len());
+        let n = match conn.read(&mut chunk[..want]) {
+            Ok(0) => return Ok(None),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        buf.extend_from_slice(&chunk[..n]);
+        if buf.windows(4).any(|w| w == b"\r\n\r\n") {
+            return Ok(Some(String::from_utf8_lossy(&buf).into_owned()));
+        }
+    }
+    Ok(None)
+}
+
+/// Write all of `bytes` before `deadline`.
+fn write_all_by(conn: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
+    while !bytes.is_empty() {
+        conn.set_write_timeout(Some(remaining(deadline)?))?;
+        match conn.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     conn.flush()
 }
 
-fn handle_conn(mut conn: TcpStream, live: &LivePublisher) -> std::io::Result<()> {
-    conn.set_read_timeout(Some(IO_TIMEOUT))?;
-    conn.set_write_timeout(Some(IO_TIMEOUT))?;
-    let head = read_request_head(&mut conn)?;
+fn handle_conn(mut conn: TcpStream, live: &LivePublisher) -> io::Result<()> {
+    let deadline = Instant::now() + IO_TIMEOUT;
+    let head = read_request_head(&mut conn, deadline)?;
+    let (status, content_type, body) = match &head {
+        Some(head) => route(head, live),
+        None => (
+            "400 Bad Request",
+            "text/plain",
+            "request head too large or incomplete\n".to_string(),
+        ),
+    };
+    let response = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    write_all_by(&mut conn, response.as_bytes(), deadline)?;
+    if head.is_none() {
+        // Closing with unread input would reset the connection, which
+        // can discard the 400 before the client reads it. Signal the
+        // end of the response and discard input until the client
+        // closes or the deadline passes.
+        conn.shutdown(Shutdown::Write)?;
+        let mut sink = [0u8; 512];
+        loop {
+            conn.set_read_timeout(Some(remaining(deadline)?))?;
+            if conn.read(&mut sink)? == 0 {
+                break;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Answer one well-formed request head: `(status, content type, body)`.
+fn route(head: &str, live: &LivePublisher) -> (&'static str, &'static str, String) {
     let mut start = head.lines().next().unwrap_or("").split_ascii_whitespace();
     let (method, path) = (start.next().unwrap_or(""), start.next().unwrap_or(""));
     if method != "GET" {
-        return write_response(
-            &mut conn,
+        return (
             "405 Method Not Allowed",
             "text/plain",
-            "telemetry endpoints are GET-only\n",
+            "telemetry endpoints are GET-only\n".to_string(),
         );
     }
     // Strip any query string; the endpoints take no parameters.
     let path = path.split('?').next().unwrap_or("");
     match path {
-        "/metrics" => {
-            let body = prom::render(&live.exposition_metrics());
-            write_response(&mut conn, "200 OK", prom::CONTENT_TYPE, &body)
-        }
+        "/metrics" => (
+            "200 OK",
+            prom::CONTENT_TYPE,
+            prom::render(&live.exposition_metrics()),
+        ),
         "/healthz" => {
             let p = live.progress();
             let status = if live.is_finished() {
@@ -167,19 +218,15 @@ fn handle_conn(mut conn: TcpStream, live: &LivePublisher) -> std::io::Result<()>
                 "{{\"status\":\"{status}\",\"degraded_days\":{},\"days_completed\":{},\"days_total\":{},\"uptime_ns\":{}}}",
                 p.degraded_days, p.days_completed, p.days_total, p.elapsed_ns
             );
-            write_response(&mut conn, "200 OK", "application/json", &body)
+            ("200 OK", "application/json", body)
         }
-        "/progress" => {
-            let body = live.progress().to_json();
-            write_response(&mut conn, "200 OK", "application/json", &body)
-        }
-        "/" => write_response(
-            &mut conn,
+        "/progress" => ("200 OK", "application/json", live.progress().to_json()),
+        "/" => (
             "200 OK",
             "text/plain",
-            "live telemetry endpoints: /metrics /healthz /progress\n",
+            "live telemetry endpoints: /metrics /healthz /progress\n".to_string(),
         ),
-        _ => write_response(&mut conn, "404 Not Found", "text/plain", "not found\n"),
+        _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     }
 }
 
@@ -290,5 +337,73 @@ mod tests {
         server.shutdown();
         // After shutdown the port no longer answers.
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+    }
+
+    /// Send `request` raw, half-close, and return the status code of
+    /// the answer.
+    fn raw_status(addr: SocketAddr, request: &[u8]) -> u16 {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.write_all(request).expect("write");
+        conn.shutdown(Shutdown::Write).expect("half-close");
+        let mut raw = String::new();
+        conn.read_to_string(&mut raw).expect("read");
+        raw.split_ascii_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("no status in {raw:?}"))
+    }
+
+    #[test]
+    fn oversized_and_unterminated_heads_get_400() {
+        let server = TelemetryServer::bind("127.0.0.1:0", publisher_with_state()).expect("bind");
+        let mut big = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        big.resize(9_000, b'a');
+        assert_eq!(raw_status(server.addr(), &big), 400);
+        // A head that ends before its blank line.
+        assert_eq!(raw_status(server.addr(), b"GET /healthz HTTP/1.1\r\n"), 400);
+        assert_eq!(raw_status(server.addr(), b""), 400);
+        // The cap admits a head that ends exactly at it.
+        let mut full = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        full.resize(MAX_REQUEST_BYTES - 4, b'a');
+        full.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(raw_status(server.addr(), &full), 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_dribbling_client_cannot_hold_the_accept_loop() {
+        let server = TelemetryServer::bind("127.0.0.1:0", publisher_with_state()).expect("bind");
+        let addr = server.addr();
+        // One byte every 500 ms: each read finishes well inside
+        // IO_TIMEOUT, so only a whole-connection deadline cuts it off.
+        let stop = Arc::new(AtomicBool::new(false));
+        let dribbler = {
+            let stop = Arc::clone(&stop);
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            std::thread::spawn(move || {
+                for &b in b"GET /healthz HTTP/1.1\r\nX-Slow: aaaaaaaaaaaaaaaaaaaa".iter() {
+                    if stop.load(Ordering::Acquire) || conn.write_all(&[b]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(500));
+                }
+            })
+        };
+        // Connected after the dribbler, so queued behind it.
+        let t0 = Instant::now();
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(4 * IO_TIMEOUT)).unwrap();
+        write!(conn, "GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        conn.read_to_string(&mut raw).expect("healthz answered");
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        assert!(
+            t0.elapsed() < IO_TIMEOUT + Duration::from_secs(1),
+            "healthz waited {:?} behind the slow client",
+            t0.elapsed()
+        );
+        stop.store(true, Ordering::Release);
+        dribbler.join().unwrap();
+        server.shutdown();
     }
 }
