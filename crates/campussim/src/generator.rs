@@ -419,9 +419,8 @@ impl<'a> DeviceDayCtx<'a> {
 
     /// Sample a start timestamp from a diurnal profile.
     fn sample_start(&mut self, kind: DiurnalKind) -> Timestamp {
-        let weights: Vec<f64> = (0..24)
-            .map(|h| model::diurnal_weight(kind, self.post, self.weekend, h))
-            .collect();
+        let weights: [f64; 24] =
+            std::array::from_fn(|h| model::diurnal_weight(kind, self.post, self.weekend, h as u32));
         let total: f64 = weights.iter().sum();
         let mut u = self.srng.f64() * total;
         let mut hour = 23;

@@ -29,10 +29,78 @@ pub struct LabeledFlow {
     pub domain: Option<DomainId>,
 }
 
-#[derive(Debug, Default)]
+/// One remote IP's resolutions.
+///
+/// While every entry names one domain, `entries` stays in arrival order
+/// and a lookup needs only `earliest`: the newest resolution at or before
+/// `ts` is no older than `earliest`, so it is fresh whenever `earliest`
+/// is. The first record of a second domain stable-sorts `entries` by time
+/// once, which leaves equal times in arrival order exactly as sorted
+/// insertion would; from then on records insert sorted and lookups
+/// binary-search.
+#[derive(Debug)]
 struct IpHistory {
-    // (resolution time, domain), sorted by time.
+    /// (resolution time, domain): in arrival order while `!many`, sorted
+    /// by time (ties in arrival order) once `many`.
     entries: Vec<(Timestamp, DomainId)>,
+    /// The earliest resolution time in `entries`.
+    earliest: Timestamp,
+    /// `entries` names more than one domain.
+    many: bool,
+}
+
+impl IpHistory {
+    fn new(ts: Timestamp) -> Self {
+        IpHistory {
+            entries: Vec::new(),
+            earliest: ts,
+            many: false,
+        }
+    }
+
+    fn record(&mut self, ts: Timestamp, domain: DomainId) {
+        self.earliest = self.earliest.min(ts);
+        if !self.many {
+            self.entries.push((ts, domain));
+            if self.entries[0].1 != domain {
+                self.many = true;
+                self.entries.sort_by_key(|&(t, _)| t);
+            }
+            return;
+        }
+        match self.entries.last() {
+            Some(&(last_ts, _)) if last_ts > ts => {
+                let pos = self.entries.partition_point(|&(t, _)| t <= ts);
+                self.entries.insert(pos, (ts, domain));
+            }
+            _ => self.entries.push((ts, domain)),
+        }
+    }
+
+    fn lookup(&self, ts: Timestamp, freshness_secs: i64) -> Option<DomainId> {
+        if ts < self.earliest {
+            return None;
+        }
+        let (t, dom) = if self.many {
+            // `earliest <= ts`, so at least one entry precedes the cut.
+            self.entries[self.entries.partition_point(|&(t, _)| t <= ts) - 1]
+        } else {
+            let dom = self.entries[0].1;
+            if ts.delta_secs(self.earliest) <= freshness_secs {
+                return Some(dom);
+            }
+            // Past the horizon from `earliest`: only the newest entry at
+            // or before `ts` can still be fresh.
+            let newest = self
+                .entries
+                .iter()
+                .map(|&(t, _)| t)
+                .filter(|&t| t <= ts)
+                .max()?;
+            (newest, dom)
+        };
+        (ts.delta_secs(t) <= freshness_secs).then_some(dom)
+    }
 }
 
 /// Label-coverage counters for a [`ResolverMap`] used as a stage.
@@ -89,32 +157,23 @@ impl ResolverMap {
         self.label_stats
     }
 
-    /// Record one DNS answer set. Queries must be fed roughly in time
-    /// order; exact order is restored lazily at lookup time if needed.
+    /// Record one DNS answer set. Queries may arrive in any time order:
+    /// an IP that has resolved to one domain only appends, and the first
+    /// answer naming a second domain sorts that IP's history once.
     pub fn record(&mut self, q: &DnsQuery) {
         for &ip in &q.answers {
-            let h = self.by_ip.entry(ip).or_default();
-            // Common case: appended in order. Otherwise insert sorted.
-            match h.entries.last() {
-                Some(&(last_ts, _)) if last_ts > q.ts => {
-                    let pos = h.entries.partition_point(|&(t, _)| t <= q.ts);
-                    h.entries.insert(pos, (q.ts, q.qname));
-                }
-                _ => h.entries.push((q.ts, q.qname)),
-            }
+            self.by_ip
+                .entry(ip)
+                .or_insert_with(|| IpHistory::new(q.ts))
+                .record(q.ts, q.qname);
         }
     }
 
     /// The domain `ip` most recently resolved to at or before `ts`,
-    /// within the freshness horizon.
+    /// within the freshness horizon. Equal-time resolutions resolve to
+    /// the one recorded last.
     pub fn lookup(&self, ip: Ipv4Addr, ts: Timestamp) -> Option<DomainId> {
-        let h = self.by_ip.get(&ip)?;
-        let idx = h.entries.partition_point(|&(t, _)| t <= ts);
-        if idx == 0 {
-            return None;
-        }
-        let (t, dom) = h.entries[idx - 1];
-        (ts.delta_secs(t) <= self.freshness_secs).then_some(dom)
+        self.by_ip.get(&ip)?.lookup(ts, self.freshness_secs)
     }
 
     /// Label a flow with its service domain.
@@ -228,6 +287,52 @@ mod tests {
         assert_eq!(m.lookup(IP, Timestamp::from_secs(150)), Some(a));
         assert_eq!(m.lookup(IP, Timestamp::from_secs(250)), Some(b));
         assert_eq!(m.resolution_count(), 2);
+    }
+
+    #[test]
+    fn second_domain_keeps_equal_time_tie_order() {
+        let mut t = DomainTable::new();
+        let a = t.intern_str("a.example.com").unwrap();
+        let b = t.intern_str("b.example.com").unwrap();
+        let mut m = ResolverMap::new();
+        // One domain, appended out of time order.
+        m.record(&q(300, a, IP));
+        m.record(&q(100, a, IP));
+        // The first record of a second domain ties with a@100 and, as
+        // sorted insertion would, ranks after it.
+        m.record(&q(100, b, IP));
+        assert_eq!(m.lookup(IP, Timestamp::from_secs(99)), None);
+        assert_eq!(m.lookup(IP, Timestamp::from_secs(100)), Some(b));
+        assert_eq!(m.lookup(IP, Timestamp::from_secs(299)), Some(b));
+        assert_eq!(m.lookup(IP, Timestamp::from_secs(300)), Some(a));
+        // Later ties insert after the existing ones too.
+        m.record(&q(100, a, IP));
+        assert_eq!(m.lookup(IP, Timestamp::from_secs(150)), Some(a));
+        m.record(&q(300, b, IP));
+        assert_eq!(m.lookup(IP, Timestamp::from_secs(300)), Some(b));
+        assert_eq!(m.resolution_count(), 5);
+    }
+
+    #[test]
+    fn single_domain_lookup_past_the_horizon_finds_the_newest_resolution() {
+        let mut t = DomainTable::new();
+        let a = t.intern_str("a.example.com").unwrap();
+        let mut m = ResolverMap::with_freshness(3600);
+        for ts in [10_000, 0, 5_000] {
+            m.record(&q(ts, a, IP));
+        }
+        let at = |s| m.lookup(IP, Timestamp::from_secs(s));
+        // Within the horizon of the earliest resolution.
+        assert_eq!(at(3600), Some(a));
+        // Past it: the newest resolution at or before the probe decides.
+        assert_eq!(at(3601), None);
+        assert_eq!(at(8_000), Some(a));
+        assert_eq!(at(8_600), Some(a));
+        assert_eq!(at(8_601), None);
+        assert_eq!(at(9_999), None);
+        assert_eq!(at(10_000), Some(a));
+        assert_eq!(at(13_600), Some(a));
+        assert_eq!(at(13_601), None);
     }
 
     #[test]

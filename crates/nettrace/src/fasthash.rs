@@ -8,8 +8,17 @@
 //! ids, none of them attacker-controlled, so the hardening buys nothing.
 //!
 //! [`FastHasher`] is an fxhash-style multiply-rotate hasher: a couple of
-//! instructions per word, fixed seed, identical output on every run and
-//! platform. Determinism is *stronger* than the default (`RandomState`
+//! instructions per word, fixed seed, identical output on every run.
+//! std's `HashMap` mixes nothing itself: it takes the bucket index from
+//! the hash's low bits. A multiply carries a key's entropy only upward,
+//! so the raw product's low `k` bits depend on the key's low `k` bits
+//! alone, and an [`Ipv4Addr`](std::net::Ipv4Addr) (hashed as one
+//! native-endian `u32`, leading octets lowest on little-endian hosts)
+//! would put a whole /16 on one probe chain. `finish` therefore rotates
+//! the product's well-mixed high bits down; a rotation is bijective, so
+//! it adds no collisions.
+//!
+//! Determinism is *stronger* than the default (`RandomState`
 //! reseeds per process), and the repo's byte-identical-output guarantees
 //! never depend on map iteration order anyway — the audit samples by a
 //! keyed hash and every f64 reduction is either sorted first or
@@ -40,7 +49,8 @@ impl FastHasher {
 impl Hasher for FastHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        // std's `HashMap` buckets on the low bits (see the module doc).
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -115,12 +125,30 @@ mod tests {
             h.write_u64(n);
             h.finish()
         };
-        // Sequential ids must not collide in the low bits (HashMap uses
-        // the low bits for bucket selection after its own mixing).
+        // Sequential ids must not collide.
         let mut seen = FastSet::default();
         for i in 0..10_000u64 {
             assert!(seen.insert(h(i)), "collision at {i}");
         }
+    }
+
+    #[test]
+    fn ipv4_keys_spread_over_low_bits() {
+        use std::hash::BuildHasher;
+        use std::net::Ipv4Addr;
+        // Distinct bucket positions `n` consecutive addresses from `base`
+        // reach in a 2,048-bucket table.
+        fn spread(base: Ipv4Addr, n: u32) -> usize {
+            let low: FastSet<u64> = (0..n)
+                .map(|i| Ipv4Addr::from(u32::from(base) + i))
+                .map(|ip| FastBuildHasher::default().hash_one(ip) & 0x7ff)
+                .collect();
+            low.len()
+        }
+        let campus = spread(Ipv4Addr::new(10, 40, 0, 0), 4096);
+        assert!(campus >= 1024, "10.40.0.0/16 reaches {campus} buckets");
+        let remote = spread(Ipv4Addr::new(151, 101, 0, 0), 1024);
+        assert!(remote >= 1024, "a remote /22 reaches {remote} buckets");
     }
 
     #[test]
