@@ -6,6 +6,14 @@
 //! [`PipelineCtx`], then merge. Classification and population
 //! segmentation happen once, at finalize time, exactly as the paper's
 //! pipeline classifies devices over the full dataset.
+//!
+//! Every accumulator numbers its devices densely and holds columns only
+//! for the days that saw bytes (see [`crate::matrix`]), so a collector
+//! fed one day holds one day per device, and merging it into the study
+//! adds one slot per accumulator per device. The flow stream arrives
+//! device by device, so the collector resolves the current device's
+//! slots once and indexes directly for the rest of its flows; the day's
+//! month and figure-3 week are resolved once per day.
 
 use crate::matrix::{HourWeekMatrix, SparseDaily, VolumeMatrix};
 use appsig::{App, MatchCache, SessionStitcher, SignatureSet};
@@ -14,8 +22,9 @@ use dnslog::{DistinctSiteCounter, DomainId, DomainTable, LabeledFlow};
 use geoloc::{GeoDb, MidpointAccumulator};
 use nettrace::ip::PrefixSet;
 use nettrace::time::{Day, Month, StudyCalendar};
-use nettrace::{DeviceId, FastMap, Oui};
+use nettrace::{DeviceId, DeviceMap, FastMap, FastSet, Oui};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Immutable context shared by all collection workers.
 pub struct PipelineCtx {
@@ -55,6 +64,31 @@ pub fn social_index(app: App) -> Option<usize> {
     }
 }
 
+/// The calendar facts of the day being streamed.
+#[derive(Debug, Clone, Copy)]
+struct DayFacts {
+    day: Day,
+    month: Month,
+    /// Figure-3 week, if the day is in one.
+    week: Option<usize>,
+}
+
+/// The device of the previous flow and its slot in each accumulator it
+/// has touched (`None` until the device's first flow that needs it).
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    device: DeviceId,
+    volume: usize,
+    profile: usize,
+    switch: usize,
+    hours: Option<usize>,
+    zoom: Option<usize>,
+    steam: Option<usize>,
+    gameplay: Option<usize>,
+    midpoint: Option<usize>,
+    sites: Option<usize>,
+}
+
 /// Everything accumulated over the study.
 #[derive(Default)]
 pub struct StudyCollector {
@@ -65,31 +99,38 @@ pub struct StudyCollector {
     /// Per-device hourly bytes in the four Figure 3 weeks.
     pub hourweek: HourWeekMatrix,
     /// Per-device Steam usage by month.
-    pub steam: FastMap<DeviceId, SteamMonthly>,
+    pub steam: DeviceMap<SteamMonthly>,
     /// Per-device social-app session durations by month.
-    pub social_hours: FastMap<DeviceId, SocialHours>,
+    pub social_hours: DeviceMap<SocialHours>,
     /// Per-device daily Switch *gameplay* bytes (update domains filtered).
     pub switch_gameplay: SparseDaily,
     /// Classification evidence per device.
-    pub profiles: FastMap<DeviceId, DeviceProfile>,
+    pub profiles: DeviceMap<DeviceProfile>,
     /// Nintendo-traffic-fraction Switch detection.
     pub switch_detect: SwitchDetector,
     /// February destination midpoints (CDNs excluded).
-    pub midpoints: FastMap<DeviceId, MidpointAccumulator>,
+    pub midpoints: DeviceMap<MidpointAccumulator>,
     /// Distinct registered domains per device per month.
     pub sites: DistinctSiteCounter,
     /// Domain classification memo (worker-local, not merged).
     cache: MatchCache,
     /// Domain → IoT-backend verdict memo (worker-local, not merged;
     /// the interned table is append-only so entries never go stale).
-    iot_memo: nettrace::FastMap<DomainId, bool>,
+    iot_memo: FastMap<DomainId, bool>,
     /// Remote IP → February geolocation memo: `None` for CDN-excluded
     /// or unlocatable addresses (worker-local, not merged).
-    geo_memo: nettrace::FastMap<Ipv4Addr, Option<(f64, f64)>>,
+    geo_memo: FastMap<Ipv4Addr, Option<(f64, f64)>>,
+    /// User-Agent strings handed out so far (worker-local, not merged).
+    ua_memo: FastSet<Arc<str>>,
     /// Open social sessions for the day currently being streamed
     /// (worker-local; drained by [`finish_day`](Self::finish_day),
     /// never merged).
     stitcher: SessionStitcher,
+    /// The day being streamed (worker-local).
+    facts: Option<DayFacts>,
+    /// The current device's slots (worker-local; cleared by
+    /// [`finish_day`](Self::finish_day) and [`merge`](Self::merge)).
+    cursor: Option<Cursor>,
 }
 
 impl StudyCollector {
@@ -101,7 +142,7 @@ impl StudyCollector {
     /// Record hardware metadata for a device (from the DHCP stage, where
     /// the pipeline still sees the raw MAC before anonymization).
     pub fn observe_device_meta(&mut self, device: DeviceId, oui: Oui, locally_administered: bool) {
-        let p = self.profiles.entry(device).or_default();
+        let p = self.profiles.entry(device);
         if p.oui.is_none() {
             p.oui = Some(oui);
         }
@@ -110,9 +151,53 @@ impl StudyCollector {
 
     /// Record a User-Agent sighting.
     pub fn observe_ua(&mut self, device: DeviceId, ua: &str) {
-        let p = self.profiles.entry(device).or_default();
-        if !p.user_agents.iter().any(|u| u == ua) && p.user_agents.len() < 16 {
-            p.user_agents.push(ua.to_string());
+        let p = self.profiles.entry(device);
+        if !p.user_agents.iter().any(|u| **u == *ua) && p.user_agents.len() < 16 {
+            let shared = match self.ua_memo.get(ua) {
+                Some(s) => Arc::clone(s),
+                None => {
+                    let s: Arc<str> = ua.into();
+                    self.ua_memo.insert(Arc::clone(&s));
+                    s
+                }
+            };
+            p.user_agents.push(shared);
+        }
+    }
+
+    /// The calendar facts of `day`, resolved once per day.
+    fn day_facts(&mut self, day: Day) -> DayFacts {
+        match self.facts {
+            Some(f) if f.day == day => f,
+            _ => {
+                let f = DayFacts {
+                    day,
+                    month: day.month(),
+                    week: HourWeekMatrix::week_of(day),
+                };
+                self.facts = Some(f);
+                f
+            }
+        }
+    }
+
+    /// The slots of `device`, reused while consecutive flows come from
+    /// it.
+    fn cursor(&mut self, device: DeviceId) -> Cursor {
+        match self.cursor {
+            Some(c) if c.device == device => c,
+            _ => Cursor {
+                device,
+                volume: self.volume.slot(device),
+                profile: self.profiles.slot(device),
+                switch: self.switch_detect.slot(device),
+                hours: None,
+                zoom: None,
+                steam: None,
+                gameplay: None,
+                midpoint: None,
+                sites: None,
+            },
         }
     }
 
@@ -129,34 +214,44 @@ impl StudyCollector {
         day: Day,
         lf: &LabeledFlow,
     ) {
-        let month = day.month();
-        let week = HourWeekMatrix::week_of(day);
+        let DayFacts { month, week, .. } = self.day_facts(day);
         let f = &lf.flow;
+        let dev = f.device;
         let bytes = f.total_bytes();
         let app = ctx.signatures.classify_flow(lf, table, &mut self.cache);
+        let mut cur = self.cursor(dev);
 
-        self.volume.add(f.device, day, bytes);
-        self.hourweek.add_in_week(f.device, week, f.ts, bytes);
-
-        if app == Some(App::Zoom) {
-            self.zoom.add(f.device, day, bytes);
+        self.volume.add_at(cur.volume, day, bytes);
+        if let Some(week) = week {
+            let s = *cur.hours.get_or_insert_with(|| self.hourweek.slot(dev));
+            self.hourweek.add_at(s, week, f.ts, bytes);
         }
 
-        // Steam usage (Figure 7): bytes and connection counts.
-        if app == Some(App::Steam) {
-            let e = self.steam.entry(f.device).or_default();
-            e[month.index()].0 += bytes;
-            e[month.index()].1 += 1;
+        match app {
+            Some(App::Zoom) => {
+                let s = *cur.zoom.get_or_insert_with(|| self.zoom.slot(dev));
+                self.zoom.add_at(s, day, bytes);
+            }
+            // Steam usage (Figure 7): bytes and connection counts.
+            Some(App::Steam) => {
+                let s = *cur.steam.get_or_insert_with(|| self.steam.slot(dev));
+                let e = &mut self.steam.at_mut(s)[month.index()];
+                e.0 += bytes;
+                e.1 += 1;
+            }
+            // Switch gameplay (Figure 8): update/download domains filtered.
+            Some(App::SwitchGameplay) => {
+                let s = *cur
+                    .gameplay
+                    .get_or_insert_with(|| self.switch_gameplay.slot(dev));
+                self.switch_gameplay.add_at(s, day, bytes);
+            }
+            _ => {}
         }
-
-        // Switch gameplay (Figure 8): update/download domains filtered.
-        if app == Some(App::SwitchGameplay) {
-            self.switch_gameplay.add(f.device, day, bytes);
-        }
-        self.switch_detect.observe(f.device, f.ts, app, bytes);
+        self.switch_detect.observe_at(cur.switch, f.ts, app, bytes);
 
         // Classification evidence.
-        let profile = self.profiles.entry(f.device).or_default();
+        let profile = self.profiles.at_mut(cur.profile);
         profile.total_bytes += bytes;
         if matches!(app, Some(App::SwitchGameplay | App::SwitchServices)) {
             profile.console_bytes += bytes;
@@ -182,22 +277,22 @@ impl StudyCollector {
                 }
             });
             if let Some((lat, lon)) = geo {
-                self.midpoints
-                    .entry(f.device)
-                    .or_default()
-                    .add(lat, lon, bytes as f64);
+                let s = *cur.midpoint.get_or_insert_with(|| self.midpoints.slot(dev));
+                self.midpoints.at_mut(s).add(lat, lon, bytes as f64);
             }
         }
 
         // Distinct sites.
         if let Some(dom) = lf.domain {
-            self.sites.record(f.device, month, dom, table);
+            let s = *cur.sites.get_or_insert_with(|| self.sites.slot(dev));
+            self.sites.record_at(s, month, dom, table);
         }
 
         // Social session stitching (Figure 6).
         if let Some(a @ (App::Facebook | App::Instagram | App::TikTok)) = app {
-            self.stitcher.push(f.device, a, f.ts, f.end(), bytes);
+            self.stitcher.push(dev, a, f.ts, f.end(), bytes);
         }
+        self.cursor = Some(cur);
     }
 
     /// Close out the day's streaming state: sessions still open in the
@@ -205,6 +300,7 @@ impl StudyCollector {
     /// Must be called once after each day's flows (and before handing
     /// this collector to [`merge`](Self::merge)).
     pub fn finish_day(&mut self) {
+        self.cursor = None;
         for session in std::mem::take(&mut self.stitcher).finish() {
             let Some(ai) = social_index(session.app) else {
                 continue;
@@ -212,8 +308,7 @@ impl StudyCollector {
             let Some(m) = StudyCalendar::month_of(session.start) else {
                 continue;
             };
-            self.social_hours.entry(session.device).or_default()[ai][m.index()] +=
-                session.duration_hours();
+            self.social_hours.entry(session.device)[ai][m.index()] += session.duration_hours();
         }
     }
 
@@ -233,39 +328,41 @@ impl StudyCollector {
         self.finish_day();
     }
 
-    /// Merge a worker's collector into this one.
+    /// Merge a worker's collector into this one: each accumulator maps
+    /// the other's devices into its own slots once and adds what they
+    /// hold — for a one-day collector, one day per device. Per-device
+    /// `f64` partial sums (social hours, midpoints) add in merge order,
+    /// so merging days in calendar order is deterministic.
     pub fn merge(&mut self, other: StudyCollector) {
         debug_assert_eq!(
             other.stitcher.open_count(),
             0,
             "merge before finish_day: open social sessions would be lost"
         );
+        self.cursor = None;
         self.volume.merge(other.volume);
         self.zoom.merge(other.zoom);
         self.hourweek.merge(other.hourweek);
-        for (dev, months) in other.steam {
-            let mine = self.steam.entry(dev).or_default();
-            for (i, (b, c)) in months.into_iter().enumerate() {
-                mine[i].0 += b;
-                mine[i].1 += c;
+        self.steam.merge_with(other.steam, |mine, months| {
+            for (m, (b, c)) in mine.iter_mut().zip(months) {
+                m.0 += b;
+                m.1 += c;
             }
-        }
-        for (dev, apps) in other.social_hours {
-            let mine = self.social_hours.entry(dev).or_default();
-            for (ai, months) in apps.into_iter().enumerate() {
-                for (mi, h) in months.into_iter().enumerate() {
-                    mine[ai][mi] += h;
+        });
+        self.social_hours
+            .merge_with(other.social_hours, |mine, apps| {
+                for (m, a) in mine.iter_mut().zip(apps) {
+                    for (h, x) in m.iter_mut().zip(a) {
+                        *h += x;
+                    }
                 }
-            }
-        }
+            });
         self.switch_gameplay.merge(other.switch_gameplay);
-        for (dev, p) in other.profiles {
-            self.profiles.entry(dev).or_default().merge(p);
-        }
+        self.profiles
+            .merge_with(other.profiles, DeviceProfile::merge);
         self.switch_detect.merge(other.switch_detect);
-        for (dev, acc) in other.midpoints {
-            self.midpoints.entry(dev).or_default().merge(acc);
-        }
+        self.midpoints
+            .merge_with(other.midpoints, MidpointAccumulator::merge);
         self.sites.merge(other.sites);
     }
 }

@@ -147,7 +147,7 @@ pub fn figure2(c: &StudyCollector, s: &StudySummary) -> Fig2 {
         median: [vec![0.0; nd], vec![0.0; nd], vec![0.0; nd], vec![0.0; nd]],
     };
     // Bucket device rows once.
-    let mut by_bucket: [Vec<&[u64; StudyCalendar::NUM_DAYS as usize]>; 4] = Default::default();
+    let mut by_bucket: [Vec<[u64; StudyCalendar::NUM_DAYS as usize]>; 4] = Default::default();
     for &dev in &s.resident {
         if let Some(row) = c.volume.row(dev) {
             by_bucket[s.buckets[&dev].index()].push(row);

@@ -21,8 +21,9 @@
 use crate::iot::{IotScore, SAIDI_THRESHOLD};
 use crate::oui::OuiDb;
 use crate::types::DeviceType;
-use crate::useragent;
+use crate::useragent::{self, UserAgents};
 use nettrace::Oui;
+use std::sync::Arc;
 
 /// Everything the pipeline observed about one device.
 #[derive(Debug, Clone, Default)]
@@ -32,8 +33,10 @@ pub struct DeviceProfile {
     /// True when the MAC had the locally-administered bit set (randomized
     /// address); the OUI heuristic is then meaningless.
     pub locally_administered: bool,
-    /// Deduplicated User-Agent strings observed in HTTP metadata.
-    pub user_agents: Vec<String>,
+    /// Deduplicated User-Agent strings observed in HTTP metadata, in
+    /// first-seen order. Shared: a campus has few distinct strings, so
+    /// collectors hand out one allocation per string.
+    pub user_agents: UserAgents,
     /// Saidi-style IoT backend traffic score.
     pub iot: IotScore,
     /// Bytes to console (Nintendo et al.) servers.
@@ -56,9 +59,9 @@ impl DeviceProfile {
     pub fn merge(&mut self, other: DeviceProfile) {
         self.oui = self.oui.or(other.oui);
         self.locally_administered |= other.locally_administered;
-        for ua in other.user_agents {
-            if !self.user_agents.contains(&ua) {
-                self.user_agents.push(ua);
+        for ua in other.user_agents.iter() {
+            if !self.user_agents.contains(ua) {
+                self.user_agents.push(Arc::clone(ua));
             }
         }
         self.iot.merge(other.iot);
@@ -93,7 +96,7 @@ impl Classifier {
     /// Classify one device profile.
     pub fn classify(&self, p: &DeviceProfile) -> DeviceType {
         // 1. User-Agent evidence.
-        if let Some(t) = useragent::vote(&p.user_agents) {
+        if let Some(t) = useragent::vote(p.user_agents.as_slice()) {
             return t;
         }
         // 2. IoT backend fraction.
@@ -143,7 +146,7 @@ mod tests {
     fn ua_beats_everything() {
         let c = Classifier::new();
         let mut p = profile();
-        p.user_agents.push(IPHONE_UA.to_string());
+        p.user_agents.push(IPHONE_UA.into());
         // Heavy IoT traffic too — UA still wins (a phone controlling
         // smart-home gear must not become an IoT device).
         p.iot.add(1000, true);
@@ -208,8 +211,8 @@ mod tests {
     fn profile_merge_accumulates() {
         let mut a = profile();
         let mut b = profile();
-        a.user_agents.push(IPHONE_UA.to_string());
-        b.user_agents.push(IPHONE_UA.to_string()); // duplicate dedupes
+        a.user_agents.push(IPHONE_UA.into());
+        b.user_agents.push(IPHONE_UA.into()); // duplicate dedupes
         b.iot.add(10, true);
         b.total_bytes = 10;
         b.console_bytes = 3;

@@ -7,7 +7,7 @@
 //! toward detection; only gameplay counts in Figure 8).
 
 use appsig::App;
-use nettrace::{Day, DeviceId, FastMap, StudyCalendar, Timestamp};
+use nettrace::{Day, DeviceId, DeviceMap, StudyCalendar, Timestamp};
 
 /// The detection threshold (fraction of total bytes to Nintendo servers).
 pub const SWITCH_THRESHOLD: f64 = 0.5;
@@ -21,10 +21,26 @@ struct SwitchScore {
     last_seen: Option<Timestamp>,
 }
 
-/// Streaming Switch detector over classified flows.
+impl SwitchScore {
+    fn merge(&mut self, s: SwitchScore) {
+        self.nintendo_bytes += s.nintendo_bytes;
+        self.total_bytes += s.total_bytes;
+        self.first_seen = match (self.first_seen, s.first_seen) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.last_seen = match (self.last_seen, s.last_seen) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
+    }
+}
+
+/// Streaming Switch detector over classified flows: one score per device
+/// in dense slots.
 #[derive(Debug, Default)]
 pub struct SwitchDetector {
-    scores: FastMap<DeviceId, SwitchScore>,
+    scores: DeviceMap<SwitchScore>,
 }
 
 impl SwitchDetector {
@@ -36,7 +52,19 @@ impl SwitchDetector {
     /// Record a flow: `app` is the signature classification (or `None`),
     /// `bytes` the flow's total bytes.
     pub fn observe(&mut self, device: DeviceId, ts: Timestamp, app: Option<App>, bytes: u64) {
-        let s = self.scores.entry(device).or_default();
+        let slot = self.slot(device);
+        self.observe_at(slot, ts, app, bytes);
+    }
+
+    /// The device's slot for [`observe_at`](Self::observe_at), assigned on
+    /// first sight; it stays valid as the detector grows and merges.
+    pub fn slot(&mut self, device: DeviceId) -> usize {
+        self.scores.slot(device)
+    }
+
+    /// [`observe`](Self::observe) for the device at `slot`.
+    pub fn observe_at(&mut self, slot: usize, ts: Timestamp, app: Option<App>, bytes: u64) {
+        let s = self.scores.at_mut(slot);
         s.total_bytes += bytes;
         if matches!(app, Some(App::SwitchGameplay | App::SwitchServices)) {
             s.nintendo_bytes += bytes;
@@ -89,19 +117,7 @@ impl SwitchDetector {
 
     /// Merge another detector (parallel reduction).
     pub fn merge(&mut self, other: SwitchDetector) {
-        for (dev, s) in other.scores {
-            let mine = self.scores.entry(dev).or_default();
-            mine.nintendo_bytes += s.nintendo_bytes;
-            mine.total_bytes += s.total_bytes;
-            mine.first_seen = match (mine.first_seen, s.first_seen) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            mine.last_seen = match (mine.last_seen, s.last_seen) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-        }
+        self.scores.merge_with(other.scores, SwitchScore::merge);
     }
 
     /// Number of devices observed (Switch or not).

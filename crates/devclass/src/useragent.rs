@@ -5,6 +5,62 @@
 //! which maps directly onto the mobile/desktop split the study needs.
 
 use crate::types::DeviceType;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// The User-Agent strings seen from one device, in first-seen order; it
+/// reads as a slice. Most devices show one string, which is held inline,
+/// so a profile with one User-Agent owns no buffer of its own: a study
+/// builds and merges a profile per device per day, and none of them
+/// allocates or frees one.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct UserAgents(Repr);
+
+#[derive(Clone, Default, PartialEq, Eq)]
+enum Repr {
+    #[default]
+    None,
+    One(Arc<str>),
+    Many(Vec<Arc<str>>),
+}
+
+impl UserAgents {
+    /// The strings, in first-seen order.
+    pub fn as_slice(&self) -> &[Arc<str>] {
+        match &self.0 {
+            Repr::None => &[],
+            Repr::One(ua) => std::slice::from_ref(ua),
+            Repr::Many(uas) => uas,
+        }
+    }
+
+    /// Append `ua` (callers skip strings already present).
+    pub fn push(&mut self, ua: Arc<str>) {
+        self.0 = match std::mem::take(&mut self.0) {
+            Repr::None => Repr::One(ua),
+            Repr::One(first) => Repr::Many(vec![first, ua]),
+            Repr::Many(mut uas) => {
+                uas.push(ua);
+                Repr::Many(uas)
+            }
+        };
+    }
+}
+
+impl Deref for UserAgents {
+    type Target = [Arc<str>];
+
+    fn deref(&self) -> &[Arc<str>] {
+        self.as_slice()
+    }
+}
+
+impl fmt::Debug for UserAgents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
 
 /// Operating-system families recognizable from a User-Agent string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,14 +137,14 @@ pub fn parse_os(ua: &str) -> Option<OsFamily> {
 
 /// Combine several observed UAs into one verdict by majority vote over
 /// the implied device types; ties and empty evidence abstain.
-pub fn vote(uas: &[String]) -> Option<DeviceType> {
+pub fn vote<S: AsRef<str>>(uas: &[S]) -> Option<DeviceType> {
     let mut counts: [(DeviceType, usize); 3] = [
         (DeviceType::Mobile, 0),
         (DeviceType::LaptopDesktop, 0),
         (DeviceType::Iot, 0),
     ];
     for ua in uas {
-        if let Some(os) = parse_os(ua) {
+        if let Some(os) = parse_os(ua.as_ref()) {
             let t = os.implied_type();
             for slot in &mut counts {
                 if slot.0 == t {
@@ -152,8 +208,23 @@ mod tests {
         assert_eq!(vote(&uas), Some(DeviceType::Mobile));
         let tie = vec![IPHONE.to_string(), WINDOWS.to_string()];
         assert_eq!(vote(&tie), None);
-        assert_eq!(vote(&[]), None);
+        assert_eq!(vote::<String>(&[]), None);
         let unknown = vec!["curl/7.68.0".to_string()];
         assert_eq!(vote(&unknown), None);
+    }
+
+    #[test]
+    fn user_agents_read_as_a_slice_in_first_seen_order() {
+        let mut uas = UserAgents::default();
+        assert!(uas.is_empty());
+        uas.push(IPHONE.into());
+        assert_eq!(uas.len(), 1);
+        assert_eq!(vote(uas.as_slice()), Some(DeviceType::Mobile));
+        uas.push(WINDOWS.into());
+        uas.push("curl/7.68.0".into());
+        let strs: Vec<&str> = uas.iter().map(|u| &**u).collect();
+        assert_eq!(strs, [IPHONE, WINDOWS, "curl/7.68.0"]);
+        assert!(uas.contains(&Arc::from(WINDOWS)));
+        assert_eq!(format!("{uas:?}"), format!("{strs:?}"));
     }
 }

@@ -91,6 +91,8 @@ impl FromStr for LeaseEvent {
         if micros >= 1_000_000 {
             return Err(bad("microseconds out of range"));
         }
+        let ts = Timestamp::checked_from_secs_micros(secs, micros)
+            .ok_or(bad("timestamp out of range"))?;
         let action: LeaseAction = parts.next().ok_or(bad("missing action"))?.parse()?;
         let ip: Ipv4Addr = parts
             .next()
@@ -102,7 +104,7 @@ impl FromStr for LeaseEvent {
             return Err(bad("trailing fields"));
         }
         Ok(LeaseEvent {
-            ts: Timestamp::from_secs_micros(secs, micros),
+            ts,
             action,
             ip,
             mac,
@@ -181,5 +183,19 @@ mod tests {
         assert!("1.9999999 ASSIGN 10.0.0.1 aa:bb:cc:dd:ee:ff"
             .parse::<LeaseEvent>()
             .is_err());
+        // Seconds whose microseconds overflow an i64 are rejected, not
+        // wrapped; the largest representable instant is accepted.
+        for ts in [
+            "9223372036854775807.0",
+            "-9223372036854775808.0",
+            "9223372036854.775808",
+        ] {
+            let line = format!("{ts} ASSIGN 10.40.0.1 00:11:22:33:44:55");
+            assert!(line.parse::<LeaseEvent>().is_err(), "accepted {ts}");
+        }
+        let last: LeaseEvent = "9223372036854.775807 ASSIGN 10.40.0.1 00:11:22:33:44:55"
+            .parse()
+            .unwrap();
+        assert_eq!(last.ts, Timestamp::from_micros(i64::MAX));
     }
 }

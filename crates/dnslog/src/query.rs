@@ -67,6 +67,8 @@ pub fn parse_log(text: &str, table: &mut DomainTable) -> Result<Vec<DnsQuery>> {
         if micros >= 1_000_000 {
             return Err(bad("microseconds out of range"));
         }
+        let ts = Timestamp::checked_from_secs_micros(secs, micros)
+            .ok_or(bad("timestamp out of range"))?;
         let dev_str = parts.next().ok_or(bad("missing device"))?;
         let dev_hex = dev_str
             .strip_prefix("dev:")
@@ -86,7 +88,7 @@ pub fn parse_log(text: &str, table: &mut DomainTable) -> Result<Vec<DnsQuery>> {
             return Err(bad("trailing fields"));
         }
         out.push(DnsQuery {
-            ts: Timestamp::from_secs_micros(secs, micros),
+            ts,
             device,
             qname,
             answers,
@@ -135,6 +137,18 @@ mod tests {
         assert!(parse_log("1.0 dev:1 zoom.us 1.2.3.999", &mut t).is_err());
         assert!(parse_log("1.0 dev:1 zoom.us", &mut t).is_err());
         assert!(parse_log("nots dev:1 zoom.us 1.2.3.4", &mut t).is_err());
+        // Seconds whose microseconds overflow an i64 are rejected, not
+        // wrapped; the largest representable instant is accepted.
+        for ts in [
+            "9223372036854775807.0",
+            "-9223372036854775808.0",
+            "9223372036854.775808",
+        ] {
+            let line = format!("{ts} dev:1 zoom.us 1.2.3.4");
+            assert!(parse_log(&line, &mut t).is_err(), "accepted {ts}");
+        }
+        let last = parse_log("9223372036854.775807 dev:1 zoom.us 1.2.3.4", &mut t).unwrap();
+        assert_eq!(last[0].ts, Timestamp::from_micros(i64::MAX));
         // Comments and blanks are fine.
         assert_eq!(parse_log("# hi\n\n", &mut t).unwrap().len(), 0);
     }

@@ -11,7 +11,7 @@
 //! thousands of sites — 64-bit hash collisions are negligible.)
 
 use crate::domain::{DomainId, DomainTable};
-use nettrace::{DeviceId, FastMap, FastSet, Month};
+use nettrace::{DeviceId, DeviceIndex, FastMap, FastSet, Month};
 
 /// FNV-1a over a string, used as the site key.
 pub fn site_key(registered_domain: &str) -> u64 {
@@ -23,13 +23,60 @@ pub fn site_key(registered_domain: &str) -> u64 {
     h
 }
 
+/// Site ids below this live in per-(device, month) bitsets, one cache
+/// line each; the rest in one hash set.
+const HEAD_SITES: u32 = 512;
+
+/// Words in a head bitset.
+const HEAD_WORDS: usize = HEAD_SITES as usize / 64;
+
+/// Marks a (device, month) without a head bitset.
+const NO_ROW: u32 = u32::MAX;
+
 /// Streaming per-device, per-month distinct registered-domain counter.
+///
+/// Sites get dense ids in the order their domains appear in the
+/// [`DomainTable`], so counters recording against one table agree on
+/// every id. The first 512 ids are bits in a 64-byte row per (device
+/// slot, month) that saw any; later ids go into one set of packed
+/// `(slot, month, site id)` entries. A dense per-slot table counts each
+/// month's distinct sites. Recording allocates nothing per device, and a
+/// merge maps the other counter's devices once and ORs their rows in,
+/// translating site ids only when the two counters numbered sites
+/// differently.
 #[derive(Debug, Default)]
 pub struct DistinctSiteCounter {
-    per_device: FastMap<DeviceId, [FastSet<u64>; 4]>,
-    /// `DomainId` → site key memo (worker-local; dropped on merge — the
-    /// interned table is append-only so memoized entries never go stale).
-    key_memo: FastMap<DomainId, u64>,
+    index: DeviceIndex,
+    /// Distinct sites per slot and month.
+    counts: Vec<[u32; 4]>,
+    /// Per slot and month, its row in `head`, or [`NO_ROW`].
+    rows: Vec<[u32; 4]>,
+    /// Bitsets over the head site ids.
+    head: Vec<[u64; HEAD_WORDS]>,
+    /// [`pack`]ed `(slot, month, site id)` of sites past the head.
+    tail: FastSet<u64>,
+    /// Site key of each site id.
+    sites: Vec<u64>,
+    /// Site key → site id.
+    site_ids: FastMap<u64, u32>,
+    /// Site id of every `DomainId` below its length, numbered in table
+    /// order (worker-local; dropped on merge — the interned table is
+    /// append-only, so entries never go stale).
+    site_of: Vec<u32>,
+}
+
+/// One `tail` entry: 30 bits of device slot, 2 of month, 32 of site id.
+fn pack(slot: usize, month: usize, site: u32) -> u64 {
+    debug_assert!(slot < 1 << 30, "device slot {slot} overflows the site key");
+    (slot as u64) << 34 | (month as u64) << 32 | u64::from(site)
+}
+
+fn unpack(entry: u64) -> (usize, usize, u32) {
+    (
+        (entry >> 34) as usize,
+        (entry >> 32 & 3) as usize,
+        entry as u32,
+    )
 }
 
 impl DistinctSiteCounter {
@@ -46,18 +93,72 @@ impl DistinctSiteCounter {
         domain: DomainId,
         table: &DomainTable,
     ) {
-        let key = *self
-            .key_memo
-            .entry(domain)
-            .or_insert_with(|| site_key(table.name(domain).registered_domain()));
-        self.per_device.entry(device).or_default()[month.index()].insert(key);
+        let slot = self.slot(device);
+        self.record_at(slot, month, domain, table);
+    }
+
+    /// The device's slot for [`record_at`](Self::record_at), assigned on
+    /// first sight; it stays valid as the counter grows and merges.
+    pub fn slot(&mut self, device: DeviceId) -> usize {
+        let s = self.index.intern(device);
+        if s == self.counts.len() {
+            self.counts.push([0; 4]);
+            self.rows.push([NO_ROW; 4]);
+        }
+        s
+    }
+
+    /// [`record`](Self::record) for the device at `slot`.
+    pub fn record_at(&mut self, slot: usize, month: Month, domain: DomainId, table: &DomainTable) {
+        let d = domain.0 as usize;
+        while self.site_of.len() <= d {
+            let name = table.name(DomainId(self.site_of.len() as u32));
+            let id = self.site_id(site_key(name.registered_domain()));
+            self.site_of.push(id);
+        }
+        self.insert(slot, month.index(), self.site_of[d]);
+    }
+
+    /// The dense id of a site key, assigned on first sight.
+    fn site_id(&mut self, key: u64) -> u32 {
+        let next = self.sites.len() as u32;
+        let id = *self.site_ids.entry(key).or_insert(next);
+        if id == next {
+            self.sites.push(key);
+        }
+        id
+    }
+
+    /// The head bitset of (`slot`, `month`), created on first use.
+    fn head_row(&mut self, slot: usize, month: usize) -> &mut [u64; HEAD_WORDS] {
+        let row = &mut self.rows[slot][month];
+        if *row == NO_ROW {
+            *row = self.head.len() as u32;
+            self.head.push([0; HEAD_WORDS]);
+        }
+        &mut self.head[*row as usize]
+    }
+
+    fn insert(&mut self, slot: usize, month: usize, site: u32) {
+        let new = if site < HEAD_SITES {
+            let word = &mut self.head_row(slot, month)[site as usize / 64];
+            let bit = 1 << (site % 64);
+            let new = *word & bit == 0;
+            *word |= bit;
+            new
+        } else {
+            self.tail.insert(pack(slot, month, site))
+        };
+        if new {
+            self.counts[slot][month] += 1;
+        }
     }
 
     /// Distinct sites `device` visited in `month`.
     pub fn count(&self, device: DeviceId, month: Month) -> usize {
-        self.per_device
-            .get(&device)
-            .map_or(0, |m| m[month.index()].len())
+        self.index
+            .get(device)
+            .map_or(0, |s| self.counts[s][month.index()] as usize)
     }
 
     /// Mean distinct sites per device over `devices` for `month`.
@@ -82,17 +183,55 @@ impl DistinctSiteCounter {
 
     /// Merge another counter into this one (parallel reduction).
     pub fn merge(&mut self, other: DistinctSiteCounter) {
-        for (dev, months) in other.per_device {
-            let mine = self.per_device.entry(dev).or_default();
-            for (i, set) in months.into_iter().enumerate() {
-                mine[i].extend(set);
+        let slots = self.index.remap(&other.index);
+        self.counts.resize(self.index.len(), [0; 4]);
+        self.rows.resize(self.index.len(), [NO_ROW; 4]);
+        let sites: Vec<u32> = other.sites.iter().map(|&k| self.site_id(k)).collect();
+        // Counters fed from one table number sites alike, and their rows
+        // OR in as they are.
+        let same = sites.iter().enumerate().all(|(i, &s)| s as usize == i);
+        for (&slot, rows) in slots.iter().zip(&other.rows) {
+            for (month, &r) in rows.iter().enumerate() {
+                if r == NO_ROW {
+                    continue;
+                }
+                let theirs = &other.head[r as usize];
+                let row = if same {
+                    *theirs
+                } else {
+                    let mut row = [0u64; HEAD_WORDS];
+                    for (w, &bits) in theirs.iter().enumerate() {
+                        let mut bits = bits;
+                        while bits != 0 {
+                            let site = sites[w * 64 + bits.trailing_zeros() as usize];
+                            if site < HEAD_SITES {
+                                row[site as usize / 64] |= 1 << (site % 64);
+                            } else {
+                                self.insert(slot, month, site);
+                            }
+                            bits &= bits - 1;
+                        }
+                    }
+                    row
+                };
+                let mine = self.head_row(slot, month);
+                let mut added = 0;
+                for (a, b) in mine.iter_mut().zip(row) {
+                    added += (b & !*a).count_ones();
+                    *a |= b;
+                }
+                self.counts[slot][month] += added;
             }
+        }
+        for entry in other.tail {
+            let (slot, month, site) = unpack(entry);
+            self.insert(slots[slot], month, sites[site as usize]);
         }
     }
 
     /// Devices with any recorded activity.
     pub fn device_count(&self) -> usize {
-        self.per_device.len()
+        self.index.len()
     }
 }
 
@@ -142,6 +281,38 @@ mod tests {
         c1.merge(c2);
         assert_eq!(c1.count(DeviceId(1), Month::May), 2);
         assert_eq!(c1.device_count(), 1);
+    }
+
+    #[test]
+    fn sites_past_the_head_count_and_merge_alike() {
+        let mut t = DomainTable::new();
+        let domains: Vec<DomainId> = (0..HEAD_SITES + 40)
+            .map(|i| t.intern_str(&format!("www.site{i}.com")).unwrap())
+            .collect();
+        // A second table interning the same names in reverse numbers
+        // every site differently, so merging translates each one.
+        let mut t2 = DomainTable::new();
+        let reversed: Vec<DomainId> = (0..HEAD_SITES + 40)
+            .rev()
+            .map(|i| t2.intern_str(&format!("www.site{i}.com")).unwrap())
+            .collect();
+        let (dev, other) = (DeviceId(1), DeviceId(2));
+        let mut a = DistinctSiteCounter::new();
+        let mut b = DistinctSiteCounter::new();
+        for &d in &domains {
+            a.record(dev, Month::Mar, d, &t);
+        }
+        for &d in &reversed {
+            b.record(dev, Month::Mar, d, &t2);
+            b.record(other, Month::Apr, d, &t2);
+        }
+        let n = domains.len();
+        assert_eq!(a.count(dev, Month::Mar), n);
+        a.merge(b);
+        assert_eq!(a.count(dev, Month::Mar), n);
+        assert_eq!(a.count(other, Month::Apr), n);
+        assert_eq!(a.count(other, Month::Mar), 0);
+        assert_eq!(a.device_count(), 2);
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! * [`fasthash`] — the deterministic fxhash-style hasher behind every
 //!   hot-path map (device ids and interned ids are trusted keys; SipHash
 //!   hardening is wasted on them).
+//! * [`devmap`] — dense per-device slots, the index behind the study's
+//!   column-oriented accumulators.
 //!
 //! The crate is deliberately free of I/O beyond `pcap` and free of
 //! dependencies; everything above it (DHCP normalization,
@@ -34,6 +36,7 @@
 
 pub mod assembler;
 pub mod batch;
+pub mod devmap;
 pub mod error;
 pub mod ethernet;
 pub mod fasthash;
@@ -49,6 +52,7 @@ pub mod udp;
 pub mod zeek;
 
 pub use batch::{BatchIo, BatchStage, FlowBatch, NO_LABEL};
+pub use devmap::{DeviceIndex, DeviceMap};
 pub use error::{Error, Result};
 pub use fasthash::{FastMap, FastSet};
 pub use flow::{FlowKey, FlowRecord, Proto};

@@ -40,6 +40,18 @@ impl Timestamp {
         Timestamp(secs * 1_000_000 + micros as i64)
     }
 
+    /// [`from_secs_micros`](Self::from_secs_micros) for untrusted input:
+    /// `None` when the instant does not fit an `i64` of microseconds.
+    pub const fn checked_from_secs_micros(secs: i64, micros: u32) -> Option<Self> {
+        match secs.checked_mul(1_000_000) {
+            Some(us) => match us.checked_add(micros as i64) {
+                Some(us) => Some(Timestamp(us)),
+                None => None,
+            },
+            None => None,
+        }
+    }
+
     /// Construct from raw microseconds since the epoch.
     pub const fn from_micros(micros: i64) -> Self {
         Timestamp(micros)
@@ -465,6 +477,22 @@ mod tests {
         assert_eq!(t.secs(), 1_580_515_200);
         assert_eq!(t.subsec_micros(), 250_000);
         assert!((t.as_f64_secs() - 1_580_515_200.25).abs() < 1e-6);
+    }
+
+    #[test]
+    fn checked_from_secs_micros_rejects_overflow() {
+        let max = i64::MAX / 1_000_000;
+        assert_eq!(
+            Timestamp::checked_from_secs_micros(max, 775_807),
+            Some(Timestamp::from_micros(i64::MAX))
+        );
+        assert_eq!(Timestamp::checked_from_secs_micros(max, 775_808), None);
+        assert_eq!(Timestamp::checked_from_secs_micros(i64::MAX, 0), None);
+        assert_eq!(Timestamp::checked_from_secs_micros(i64::MIN, 0), None);
+        assert_eq!(
+            Timestamp::checked_from_secs_micros(-2, 500_000),
+            Some(Timestamp::from_micros(-1_500_000))
+        );
     }
 
     #[test]

@@ -124,11 +124,7 @@ fn parse_ts(s: &str) -> Option<Timestamp> {
     if micros.len() != 6 || !micros.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
-    let secs: i64 = secs.parse().ok()?;
-    let micros: i64 = micros.parse().ok()?;
-    secs.checked_mul(1_000_000)?
-        .checked_add(micros)
-        .map(Timestamp::from_micros)
+    Timestamp::checked_from_secs_micros(secs.parse().ok()?, micros.parse().ok()?)
 }
 
 /// Parse a `duration` column (fractional seconds) into microseconds:
@@ -257,8 +253,12 @@ mod tests {
         let ok = parse_conn_log(&row("-1.500000", "0.000001")).unwrap();
         assert_eq!(ok[0].ts, Timestamp::from_micros(-500_000));
         assert_eq!(ok[0].duration_micros, 1);
+        // The largest representable instant is accepted.
+        let last = parse_conn_log(&row("9223372036854.775807", "0.0")).unwrap();
+        assert_eq!(last[0].ts, Timestamp::from_micros(i64::MAX));
         for (ts, duration) in [
             ("9223372036854775807.000000", "0.1"), // seconds overflow i64 µs
+            ("-9223372036854775808.000000", "0.1"), // i64::MIN seconds
             ("-9223372036855.000000", "0.1"),      // and underflow it
             ("9223372036854.775808", "0.1"),       // fraction tips it over
             ("1580515200.5", "0.1"),               // not six digits

@@ -42,7 +42,7 @@ fn main() {
         *confusion
             .entry((kind.true_type(), predicted.figure_bucket()))
             .or_default() += 1;
-        if devclass::useragent::vote(&profile.user_agents).is_some() {
+        if devclass::useragent::vote(profile.user_agents.as_slice()).is_some() {
             evidence_counts[0] += 1;
         } else if profile.iot.is_iot(devclass::SAIDI_THRESHOLD) {
             evidence_counts[1] += 1;
