@@ -2,7 +2,9 @@
 //!
 //! The repro harness writes one file per figure so results can be
 //! compared against the paper (EXPERIMENTS.md) or re-plotted elsewhere.
+//! [`FIGURE_FILES`] names those files and pairs each with its exporter.
 
+use crate::digest::DigestFigures;
 use crate::figures::{Fig1, Fig2, Fig3, Fig4, Fig4Series, Fig5, Fig6, Fig7, Fig8};
 use crate::stats::BoxStats;
 use devclass::FigureBucket;
@@ -28,6 +30,23 @@ impl fmt::Display for ExportError {
 }
 
 impl std::error::Error for ExportError {}
+
+/// Renders one figure file's contents from a run's figures.
+pub type FigureExporter = fn(&DigestFigures) -> Result<String, ExportError>;
+
+/// The eight figure files of a run, in report order: each file's name
+/// and the exporter that renders it. Exact and digest runs write the
+/// same files from the same [`DigestFigures`].
+pub const FIGURE_FILES: [(&str, FigureExporter); 8] = [
+    ("fig1.csv", |f| Ok(fig1_csv(&f.fig1))),
+    ("fig2.csv", |f| Ok(fig2_csv(&f.fig2))),
+    ("fig3.csv", |f| Ok(fig3_csv(&f.fig3))),
+    ("fig4.csv", |f| Ok(fig4_csv(&f.fig4))),
+    ("fig5.csv", |f| Ok(fig5_csv(&f.fig5))),
+    ("fig6.json", |f| fig6_json(&f.fig6)),
+    ("fig7.json", |f| fig7_json(&f.fig7)),
+    ("fig8.csv", |f| Ok(fig8_csv(&f.fig8))),
+];
 
 /// CSV for Figure 1: day, per-bucket counts, total.
 pub fn fig1_csv(f: &Fig1) -> String {

@@ -108,9 +108,12 @@
 //! failures and scenario-file errors), 2 usage error (including an
 //! unknown built-in scenario name).
 
+use analysis::export::FIGURE_FILES;
+use analysis::DigestFigures;
 use campussim::{FaultProfile, Scenario, SimConfig};
 use lockdown_bench::http;
-use lockdown_core::{report, Study, StudyError, StudyRun};
+use lockdown_core::report::{self, RunView};
+use lockdown_core::{DegradedReport, Study, StudyError};
 use lockdown_obs::{
     json, trace, LivePublisher, SpanRecorder, TelemetryServer, TextProgress, TrackingAlloc,
 };
@@ -938,32 +941,6 @@ fn run(args: &Args) -> Result<(), StudyError> {
         .map(|rec| rec.install(trace::MAIN_LANE, "main"));
     let t0 = std::time::Instant::now();
 
-    let builder = |cfg: SimConfig| {
-        let mut b = Study::builder(cfg)
-            .threads(args.threads)
-            .strict(args.strict)
-            .track_memory(args.mem);
-        if let ShardsArg::Fixed(k) = args.shards {
-            b = b.shards(k);
-        }
-        if let Some(budget) = args.mem_budget {
-            b = b.mem_budget(budget);
-        }
-        if let Some(rec) = &recorder {
-            b = b.trace(rec);
-        }
-        if args.progress {
-            b = b.observer(TextProgress::stderr());
-        }
-        if let Some((live, _)) = &telemetry {
-            b = b.live(live);
-        }
-        if let Some(fault) = &args.fault {
-            b = b.fault_profile(fault.clone());
-        }
-        b
-    };
-
     let target = match &args.command {
         Command::Metrics => "metrics",
         Command::Run { target } => target.as_str(),
@@ -971,107 +948,87 @@ fn run(args: &Args) -> Result<(), StudyError> {
         _ => "all",
     };
 
-    if args.shards == ShardsArg::Auto {
+    let mut b = Study::builder(cfg)
+        .threads(args.threads)
+        .strict(args.strict)
+        .track_memory(args.mem);
+    if let ShardsArg::Fixed(k) = args.shards {
+        b = b.shards(k);
+    }
+    if let Some(budget) = args.mem_budget {
+        b = b.mem_budget(budget);
+    }
+    if let Some(rec) = &recorder {
+        b = b.trace(rec);
+    }
+    if args.progress {
+        b = b.observer(TextProgress::stderr());
+    }
+    if let Some((live, _)) = &telemetry {
+        b = b.live(live);
+    }
+    if let Some(fault) = &args.fault {
+        b = b.fault_profile(fault.clone());
+    }
+    // The full report (`all`) also runs the 2019 counterfactual:
+    // cohort-matched in exact mode, a second digest ladder in digest
+    // mode.
+    if target == "all" {
+        b = b.with_counterfactual();
+    }
+
+    // The modes differ in their runner, their `all` report, and the
+    // classification audit `stats` adds in exact mode (digest mode
+    // keeps no device table to audit); everything after reads one view.
+    let (exact, digest);
+    let (run, text, audit) = if args.shards == ShardsArg::Auto {
         // Digest mode: shard count derives from the memory budget and
-        // the pipeline streams per-shard digests. The full report
-        // (`all`) also streams the counterfactual as a second digest
-        // ladder; only the classification audit is skipped.
+        // the pipeline streams per-shard digests.
         let budget = args.mem_budget.unwrap_or(DEFAULT_MEM_BUDGET);
         eprintln!(
             "sharded digest mode: memory budget {:.0} MiB",
             budget as f64 / (1 << 20) as f64
         );
-        let mut b = builder(cfg).mem_budget(budget);
-        if target == "all" {
-            b = b.with_counterfactual();
-        }
-        let d = b.run_digest()?;
+        digest = b.mem_budget(budget).run_digest()?;
         eprintln!(
             "digest study done in {:.1}s ({} shards, merge depth {})",
             t0.elapsed().as_secs_f64(),
-            d.sharding().shards,
-            d.sharding().merge_depth,
+            digest.sharding().shards,
+            digest.sharding().merge_depth,
         );
-        if !d.degraded().is_empty() {
-            eprintln!(
-                "degraded run: {} day(s) recovered on retry, {} day(s) dropped",
-                d.degraded().recovered.len(),
-                d.degraded().failed.len()
-            );
-        }
-        match target {
-            "all" => println!("{}", report::digest_text_report(&d)),
-            "metrics" => println!("{}", d.metrics().to_json()),
-            "stats" => println!("{:#?}", d.headline()),
-            cmd => print_one_digest(&d, cmd)?,
-        }
-        if let Some(dir) = &args.out {
-            let written = report::write_digest_figure_files(&d, dir)?;
-            eprintln!("{written} figure files written to {}", dir.display());
-        }
-        drop(main_lane);
-        let trace_data = recorder.map(|rec| rec.finish());
-        if let Some(t) = &trace_data {
-            if let Some(path) = &args.trace {
-                write_text(path, &t.to_chrome_json(), "chrome trace")?;
-            }
-            if let Some(path) = &args.flame {
-                write_text(path, &t.to_collapsed(), "collapsed stacks")?;
-            }
-        }
-        if args.out.is_some() || args.trace.is_some() || args.flame.is_some() {
-            let mut manifest = report::digest_manifest(&d, args.threads);
-            if let Some(t) = &trace_data {
-                manifest.record_trace(t);
-            }
-            if manifest.wall_ns == 0 {
-                manifest.wall_ns = t0.elapsed().as_nanos() as u64;
-            }
-            manifest.serve_addr = telemetry
-                .as_ref()
-                .map(|(_, server)| server.addr().to_string());
-            for path in manifest_targets(args) {
-                manifest.write(&path).map_err(|source| StudyError::Io {
-                    path: path.clone(),
-                    source,
-                })?;
-                eprintln!("manifest written to {}", path.display());
+        let text = (target == "all").then(|| report::digest_text_report(&digest));
+        (RunView::digest(&digest), text, None)
+    } else {
+        exact = b.run()?;
+        eprintln!(
+            "{} done in {:.1}s",
+            if exact.counterfactual.is_some() {
+                "study + counterfactual"
+            } else {
+                "study"
+            },
+            t0.elapsed().as_secs_f64()
+        );
+        let text =
+            (target == "all").then(|| report::text_report(&exact.study, exact.growth_vs_2019()));
+        let audit = (target == "stats").then(|| exact.classification_audit(100));
+        (RunView::exact(&exact), text, audit)
+    };
+    report_degradation(run.degraded);
+    match (target, text) {
+        (_, Some(text)) => println!("{text}"),
+        ("metrics", None) => println!("{}", run.metrics.to_json()),
+        ("stats", None) => {
+            println!("{:#?}", run.figures.headline);
+            if let Some(audit) = audit {
+                println!("{audit:#?}");
             }
         }
-        return Ok(());
+        (cmd, None) => print_one(run.figures, cmd)?,
     }
 
-    let study = match target {
-        "all" => {
-            let run = builder(cfg).with_counterfactual().run()?;
-            eprintln!(
-                "study + counterfactual done in {:.1}s",
-                t0.elapsed().as_secs_f64()
-            );
-            report_degradation(&run);
-            println!("{}", report::text_report(&run.study, run.growth_vs_2019()));
-            run.into_study()
-        }
-        "metrics" => {
-            let run = builder(cfg).run()?;
-            eprintln!("study done in {:.1}s", t0.elapsed().as_secs_f64());
-            report_degradation(&run);
-            let study = run.into_study();
-            println!("{}", report::metrics_report_json(&study));
-            study
-        }
-        cmd => {
-            let run = builder(cfg).run()?;
-            eprintln!("study done in {:.1}s", t0.elapsed().as_secs_f64());
-            report_degradation(&run);
-            let study = run.into_study();
-            print_one(&study, cmd)?;
-            study
-        }
-    };
-
     if let Some(dir) = &args.out {
-        let written = report::write_figure_files(&study, dir)?;
+        let written = report::write_figures(run.figures, dir)?;
         eprintln!("{written} figure files written to {}", dir.display());
     }
 
@@ -1088,14 +1045,7 @@ fn run(args: &Args) -> Result<(), StudyError> {
         }
     }
     if args.out.is_some() || args.trace.is_some() || args.flame.is_some() {
-        let mut manifest = report::run_manifest(&study, args.threads, trace_data.as_ref());
-        // The exact `all` target above ran with the cohort-matched
-        // counterfactual; record that in the accuracy contract.
-        if target == "all" {
-            if let Some(acc) = manifest.accuracy.as_mut() {
-                acc.counterfactual = "cohort-exact".to_string();
-            }
-        }
+        let mut manifest = report::run_manifest(&run, args.threads, trace_data.as_ref());
         if manifest.wall_ns == 0 {
             manifest.wall_ns = t0.elapsed().as_nanos() as u64;
         }
@@ -1131,9 +1081,9 @@ fn manifest_targets(args: &Args) -> Vec<PathBuf> {
     targets
 }
 
-/// One stderr line summarizing how the run degraded, if it did.
-fn report_degradation(run: &StudyRun) {
-    let d = run.study.degraded();
+/// One stderr line summarizing how the run degraded, if it did, and
+/// one per affected day.
+fn report_degradation(d: &DegradedReport) {
     if !d.is_empty() {
         eprintln!(
             "degraded run: {} day(s) recovered on retry, {} day(s) dropped",
@@ -1146,52 +1096,16 @@ fn report_degradation(run: &StudyRun) {
     }
 }
 
-fn print_one(study: &Study, cmd: &str) -> Result<(), StudyError> {
-    use analysis::export;
-    use analysis::figures as f;
-    let c = &study.collector;
-    let s = &study.summary;
-    match cmd {
-        "fig1" => print!("{}", export::fig1_csv(&f::figure1(c, s))),
-        "fig2" => print!("{}", export::fig2_csv(&f::figure2(c, s))),
-        "fig3" => print!("{}", export::fig3_csv(&f::figure3(c, s))),
-        "fig4" => print!("{}", export::fig4_csv(&f::figure4(c, s))),
-        "fig5" => print!("{}", export::fig5_csv(&f::figure5(c, s))),
-        "fig6" => print!("{}", export::fig6_json(&f::figure6(c, s))?),
-        "fig7" => print!("{}", export::fig7_json(&f::figure7(c, s))?),
-        "fig8" => print!("{}", export::fig8_csv(&f::figure8(c, s))),
-        "stats" => {
-            let h = study.headline();
-            println!("{h:#?}");
-            let audit = study.classification_audit(100);
-            println!("{audit:#?}");
-        }
-        other => {
-            eprintln!("unknown subcommand {other}; see --help");
-            std::process::exit(2);
-        }
-    }
-    Ok(())
-}
-
-/// Digest-mode twin of [`print_one`], rendering from the merged shard
-/// digests. `stats` is handled by the caller.
-fn print_one_digest(d: &lockdown_core::DigestStudy, cmd: &str) -> Result<(), StudyError> {
-    use analysis::export;
-    let f = &d.figures;
-    match cmd {
-        "fig1" => print!("{}", export::fig1_csv(&f.fig1)),
-        "fig2" => print!("{}", export::fig2_csv(&f.fig2)),
-        "fig3" => print!("{}", export::fig3_csv(&f.fig3)),
-        "fig4" => print!("{}", export::fig4_csv(&f.fig4)),
-        "fig5" => print!("{}", export::fig5_csv(&f.fig5)),
-        "fig6" => print!("{}", export::fig6_json(&f.fig6)?),
-        "fig7" => print!("{}", export::fig7_json(&f.fig7)?),
-        "fig8" => print!("{}", export::fig8_csv(&f.fig8)),
-        other => {
-            eprintln!("unknown subcommand {other}; see --help");
-            std::process::exit(2);
-        }
-    }
+/// Print the figure file `cmd` names (`fig3` prints `fig3.csv`), byte
+/// for byte what `--out` writes.
+fn print_one(figures: &DigestFigures, cmd: &str) -> Result<(), StudyError> {
+    let Some((_, export)) = FIGURE_FILES
+        .iter()
+        .find(|(file, _)| file.split('.').next() == Some(cmd))
+    else {
+        eprintln!("unknown subcommand {cmd}; see --help");
+        std::process::exit(2);
+    };
+    print!("{}", export(figures)?);
     Ok(())
 }

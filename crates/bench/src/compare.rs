@@ -18,6 +18,8 @@
 //! scale-invariant headline ratios drift across scales — the artifact
 //! behind `results/BENCH_convergence.json` and the CI convergence gate.
 
+use analysis::accuracy::FIGURE_CLASSES;
+use analysis::export::FIGURE_FILES;
 use lockdown_core::{Study, StudyError};
 use lockdown_obs::json::{self, quoted, Value};
 use std::fmt::Write as _;
@@ -29,19 +31,19 @@ const RATIO_EPS: f64 = 1e-9;
 /// Relative-delta floor: denominators are clamped to this.
 const REL_EPS: f64 = 1e-12;
 
-/// The figure files a run directory carries, with the per-file quantile
-/// tolerance that applies when either side of a comparison is a digest
-/// run. Exact-vs-exact comparisons use 1.0 (equality) everywhere.
-pub const FIGURE_FILES: [(&str, f64); 8] = [
-    ("fig1.csv", 1.0),
-    ("fig2.csv", 2.0),
-    ("fig3.csv", 4.0),
-    ("fig4.csv", 2.0),
-    ("fig5.csv", 1.0),
-    ("fig6.json", 2.0),
-    ("fig7.json", 2.0),
-    ("fig8.csv", 1.0),
-];
+/// The quantile tolerance that applies to figure file `file` when
+/// either side of a comparison is a digest run: the loosest bound of the
+/// accuracy classes the file holds (`fig2.csv` holds `fig2.mean` and
+/// `fig2.median`). Exact-vs-exact comparisons use 1.0 (equality)
+/// everywhere.
+fn digest_tolerance(file: &str) -> f64 {
+    let figure = file.split('.').next();
+    FIGURE_CLASSES
+        .iter()
+        .filter(|c| c.figure.split('.').next() == figure)
+        .map(|c| c.bound)
+        .fold(1.0, f64::max)
+}
 
 /// Numeric accumulator shared by the CSV and JSON walkers.
 #[derive(Debug, Default, Clone)]
@@ -403,8 +405,12 @@ pub fn compare_dirs(a: &Path, b: &Path) -> Result<CompareReport, String> {
 
     let figures = FIGURE_FILES
         .iter()
-        .map(|&(file, digest_tol)| {
-            let tolerance = if digest_involved { digest_tol } else { 1.0 };
+        .map(|&(file, _)| {
+            let tolerance = if digest_involved {
+                digest_tolerance(file)
+            } else {
+                1.0
+            };
             diff_figure_file(&a.join(file), &b.join(file), file, tolerance)
         })
         .collect();
@@ -743,6 +749,7 @@ pub fn check_convergence(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockdown_core::report::RunView;
 
     /// A minimal synthetic run directory: manifest with an accuracy
     /// section plus one CSV and one JSON figure file; the rest missing.
@@ -799,6 +806,12 @@ mod tests {
     }
 
     #[test]
+    fn digest_tolerances_follow_the_accuracy_contract() {
+        let tolerances = FIGURE_FILES.map(|(file, _)| digest_tolerance(file));
+        assert_eq!(tolerances, [1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 2.0, 1.0]);
+    }
+
+    #[test]
     fn digest_tolerance_allows_bounded_and_rejects_unbounded_drift() {
         let a = fake_run_dir("tol-a", 1.5);
         let b = fake_run_dir("tol-b", 2.9); // ratio ≈1.93 < 2×
@@ -849,7 +862,7 @@ mod tests {
             .run_digest()
             .expect("digest study");
         lockdown_core::report::write_digest_figure_files(&d, &dir).expect("figure files");
-        let manifest = lockdown_core::report::digest_manifest(&d, 2);
+        let manifest = lockdown_core::run_manifest(&RunView::digest(&d), 2, None);
         manifest
             .write(&dir.join("manifest.json"))
             .expect("manifest");

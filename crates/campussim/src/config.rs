@@ -163,14 +163,6 @@ impl SimConfig {
         self.scenario.validate().map_err(ConfigError::Scenario)?;
         Ok(())
     }
-
-    /// The scenario this config runs. Kept as the single resolution
-    /// point the generator and population code call (historically this
-    /// interpreted the legacy `pandemic` boolean; today the scenario
-    /// field is authoritative).
-    pub fn resolved_scenario(&self) -> Scenario {
-        self.scenario.clone()
-    }
 }
 
 #[cfg(test)]
@@ -241,14 +233,6 @@ mod tests {
         let dbg = format!("{cf:?}");
         assert!(dbg.contains("pandemic: false"));
         assert!(dbg.contains("scenario: \"baseline-2019\""));
-    }
-
-    #[test]
-    fn resolved_scenario_is_the_attached_scenario() {
-        let c = SimConfig::default();
-        assert_eq!(c.resolved_scenario().name, "paper-2020");
-        let cf = Scenario::counterfactual_of(&c);
-        assert_eq!(cf.resolved_scenario().name, "baseline-2019");
     }
 
     #[test]

@@ -152,9 +152,6 @@ impl DaySink for DayTrace {
 /// The synthetic campus — the whole of it, or one population shard.
 pub struct CampusSim {
     cfg: SimConfig,
-    /// The resolved scenario, cached once so the per-flow hot path
-    /// never re-resolves it.
-    scenario: Scenario,
     /// Effective year-over-year growth (scenario override or config knob).
     yoy: f64,
     population: Population,
@@ -179,11 +176,9 @@ impl CampusSim {
         population: Population,
         directory: Arc<ServiceDirectory>,
     ) -> Self {
-        let scenario = cfg.resolved_scenario();
-        let yoy = scenario.effective_yoy(cfg.yoy_growth);
+        let yoy = cfg.scenario.effective_yoy(cfg.yoy_growth);
         CampusSim {
             cfg,
-            scenario,
             yoy,
             population,
             directory,
@@ -201,9 +196,9 @@ impl CampusSim {
         &self.cfg
     }
 
-    /// The resolved scenario this campus runs.
+    /// The scenario this campus runs.
     pub fn scenario(&self) -> &Scenario {
-        &self.scenario
+        &self.cfg.scenario
     }
 
     /// The population (ground truth).
@@ -312,7 +307,7 @@ impl CampusSim {
             day.0 as u64,
             device.index as u64,
         );
-        let post = self.scenario.post_shutdown(day);
+        let post = self.cfg.scenario.post_shutdown(day);
         let weekday = day.weekday();
         if srng.f64() >= model::active_probability(device.kind, weekday, post) {
             return;
@@ -489,7 +484,7 @@ impl<'a> DeviceDayCtx<'a> {
         } else {
             self.sim.directory.background_us()
         };
-        let breadth = self.sim.scenario.web_breadth(self.day).min(pool.len());
+        let breadth = self.sim.cfg.scenario.web_breadth(self.day).min(pool.len());
         // Quadratic skew: low ranks dominate (zipf-like popularity).
         let rank = ((self.srng.f64().powi(2)) * breadth as f64) as usize;
         let base = rng::mix(&[
@@ -503,7 +498,7 @@ impl<'a> DeviceDayCtx<'a> {
     /// Background web browsing/streaming.
     fn background_web(&mut self, out: &mut DayTrace) {
         let subpop = self.student.subpop;
-        let mult = self.sim.scenario.leisure_multiplier(subpop, self.day)
+        let mult = self.sim.cfg.scenario.leisure_multiplier(subpop, self.day)
             * model::weekend_volume_factor(self.day.weekday())
             * self.sim.yoy
             * self.student.leisure_factor;
@@ -589,6 +584,7 @@ impl<'a> DeviceDayCtx<'a> {
             );
             let monthly_hours = self
                 .sim
+                .cfg
                 .scenario
                 .social_monthly_hours(app, subpop, escalator, month)
                 * engagement;
@@ -707,8 +703,8 @@ impl<'a> DeviceDayCtx<'a> {
 
     /// Zoom classes (Figure 5 material).
     fn zoom(&mut self, out: &mut DayTrace) {
-        let mut hours =
-            self.sim.scenario.zoom_hours(self.day) * rng::lognormal_med(&mut self.srng, 1.0, 0.4);
+        let mut hours = self.sim.cfg.scenario.zoom_hours(self.day)
+            * rng::lognormal_med(&mut self.srng, 1.0, 0.4);
         // Not every student attends everything.
         if self.srng.f64() < 0.12 {
             return;
@@ -756,7 +752,7 @@ impl<'a> DeviceDayCtx<'a> {
         }
         let subpop = self.student.subpop;
         let month = self.day.month();
-        let sm = self.sim.scenario.steam_month(subpop, month);
+        let sm = self.sim.cfg.scenario.steam_month(subpop, month);
         let active_month = rng::unit_hash(
             self.seed(),
             Stream::Engagement,
@@ -831,7 +827,7 @@ impl<'a> DeviceDayCtx<'a> {
 
     /// Nintendo Switch (Figure 8 material).
     fn switch_console(&mut self, out: &mut DayTrace) {
-        let mult = self.sim.scenario.switch_multiplier(self.day);
+        let mult = self.sim.cfg.scenario.switch_multiplier(self.day);
         let hours = model::SWITCH_GAMEPLAY_HOURS
             * mult
             * self.device.volume_factor.min(4.0)
@@ -866,7 +862,7 @@ impl<'a> DeviceDayCtx<'a> {
             .directory
             .app_services(App::SwitchServices)
             .to_vec();
-        let is_launch_day = self.sim.scenario.policy.console_launch_day == Some(self.day.0);
+        let is_launch_day = self.sim.cfg.scenario.policy.console_launch_day == Some(self.day.0);
         let fresh_console = self.device.acquired == Some(self.day);
         let update_p = if is_launch_day {
             0.5

@@ -16,7 +16,7 @@
 
 use crate::config::SimConfig;
 use crate::rng::{self, SmallRng, Stream};
-use crate::scenario::{Scenario, WaveSpec};
+use crate::scenario::{PolicySpec, WaveSpec};
 use devclass::{DeviceType, OuiDb, VendorClass};
 use geoloc::SubPop;
 use nettrace::time::Day;
@@ -208,7 +208,7 @@ const STAYER: Prevalence = Prevalence {
 pub(crate) struct PopulationEnv {
     seed: u64,
     anon_key: u64,
-    scenario: Scenario,
+    policy: PolicySpec,
     intl_fraction: f64,
     domestic_stay_rate: f64,
     intl_stay_rate: f64,
@@ -226,7 +226,7 @@ pub(crate) struct PopulationEnv {
 
 impl PopulationEnv {
     pub(crate) fn new(cfg: &SimConfig) -> PopulationEnv {
-        let scenario = cfg.resolved_scenario();
+        let scenario = &cfg.scenario;
         let intl_fraction = scenario
             .population
             .intl_fraction
@@ -271,7 +271,7 @@ impl PopulationEnv {
             nintendo_ouis,
             n_residents,
             n_visitors,
-            scenario,
+            policy: scenario.policy.clone(),
         }
     }
 
@@ -291,7 +291,7 @@ impl PopulationEnv {
     /// identical attribute values whether built monolithically or
     /// inside a shard. Returned devices are in emit order.
     pub(crate) fn realize_resident(&self, s: usize, device_base: u32) -> (Student, Vec<Device>) {
-        let policy = &self.scenario.policy;
+        let policy = &self.policy;
         let mut rng = rng::rng_for(self.seed, Stream::Population, s as u64, 0);
         let subpop = if rng.f64() < self.intl_fraction {
             SubPop::International
@@ -568,7 +568,7 @@ impl PopulationEnv {
         // lock-down banned visitors, so every window ends at the
         // scenario's visitor cut-off (the stay-at-home order in the
         // paper timeline).
-        let policy = &self.scenario.policy;
+        let policy = &self.policy;
         let mut rng = rng::rng_for(self.seed, Stream::Population, v as u64, 1);
         let arrive = Day(rng.gen_range(0..42));
         let stay_days: u16 = 1 + rng.gen_range(0..6);
@@ -635,7 +635,7 @@ impl PopulationEnv {
 impl Population {
     /// Build the whole population for `cfg`. Deterministic in `cfg.seed`.
     ///
-    /// Population structure is driven by the resolved [`Scenario`]: its
+    /// Population structure is driven by the config's [`Scenario`]: its
     /// policy block decides whether departures happen at all, which
     /// wave(s) students leave in and whether they come back, the console
     /// acquisition window, and the visitor cut-off; its population block

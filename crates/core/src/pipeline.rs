@@ -57,22 +57,22 @@ pub struct PipelineOptions<'a> {
     pub day: Day,
     /// Secret key for MAC anonymization (§3).
     pub anon_key: u64,
-    labeling: bool,
     metrics: Option<&'a MetricsRegistry>,
     observer: &'a dyn RunObserver,
     fault: Option<&'a FaultProfile>,
     attempt: u32,
     worker: usize,
     shard: u32,
-    live_tick: u32,
     batch_rows: usize,
     track_memory: bool,
 }
 
-/// Default number of collected flows between two
-/// [`RunObserver::day_tick`] publications. Coarse enough that the tick
-/// is invisible next to per-record work, fine enough that a live view
-/// refreshes several times per day even at small scales.
+/// Number of collected flows between two [`RunObserver::day_tick`]
+/// publications, coarse enough that the tick is invisible next to
+/// per-record work. A day at the default scale 0.05 collects about
+/// 20,000 flows on average, so a live view refreshes about twice
+/// mid-day; at scale 0.01 (about 4,400) most days publish only at
+/// their boundaries.
 pub const DEFAULT_LIVE_TICK: u32 = 8192;
 
 /// Default number of flow rows per [`FlowBatch`] on the batched path
@@ -83,44 +83,27 @@ pub const DEFAULT_LIVE_TICK: u32 = 8192;
 pub const DEFAULT_BATCH_ROWS: usize = 4096;
 
 impl<'a> PipelineOptions<'a> {
-    /// Options with labeling on and observability off — the exact
-    /// behaviour of the pre-options pipeline.
+    /// Options with observability off.
     pub fn new(ctx: &'a PipelineCtx, table: &'a DomainTable, day: Day, anon_key: u64) -> Self {
         PipelineOptions {
             ctx,
             table,
             day,
             anon_key,
-            labeling: true,
             metrics: None,
             observer: &NullObserver,
             fault: None,
             attempt: 0,
             worker: 0,
             shard: 0,
-            live_tick: DEFAULT_LIVE_TICK,
             batch_rows: DEFAULT_BATCH_ROWS,
             track_memory: false,
         }
     }
 
-    /// Toggle DNS labeling. Off skips the resolver stage entirely: flows
-    /// pass through with `domain: None` (device-level analyses still
-    /// run; service-level ones see only unlabeled traffic).
-    pub fn labeling(mut self, on: bool) -> Self {
-        self.labeling = on;
-        self
-    }
-
     /// Record per-stage counters into `registry`.
     pub fn metrics(mut self, registry: &'a MetricsRegistry) -> Self {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// Record per-stage counters into `registry` if one is given.
-    pub fn metrics_opt(mut self, registry: Option<&'a MetricsRegistry>) -> Self {
-        self.metrics = registry;
         self
     }
 
@@ -160,14 +143,6 @@ impl<'a> PipelineOptions<'a> {
     /// single-population fault stream exactly.
     pub fn shard(mut self, shard: u32) -> Self {
         self.shard = shard;
-        self
-    }
-
-    /// Collected flows between two [`RunObserver::day_tick`]
-    /// publications (default [`DEFAULT_LIVE_TICK`]). `0` disables
-    /// mid-day ticks entirely.
-    pub fn live_tick(mut self, every: u32) -> Self {
-        self.live_tick = every;
         self
     }
 
@@ -459,11 +434,7 @@ impl<'a> DayPipeline<'a> {
         self.meters[NORMALIZE].measure(raw, || self.normalize.push_batch(flows));
         let dev_hi = flows.dev_len();
         let seg = (dev_hi - dev_lo) as u64;
-        if self.opts.labeling {
-            self.meters[RESOLVER].measure(seg, || self.resolver.push_batch(flows));
-        } else {
-            flows.advance_dev(dev_hi);
-        }
+        self.meters[RESOLVER].measure(seg, || self.resolver.push_batch(flows));
         if seg == 0 {
             return;
         }
@@ -490,20 +461,18 @@ impl<'a> DayPipeline<'a> {
                 c.bytes_collected.add(seg_bytes);
             }
         });
-        if self.opts.live_tick > 0 {
-            let since = u64::from(self.since_tick) + seg;
-            let tick = u64::from(self.opts.live_tick);
-            if since >= tick {
-                self.since_tick = (since % tick) as u32;
-                self.opts.observer.day_tick(
-                    self.opts.worker,
-                    self.opts.day,
-                    self.collected_total,
-                    self.opts.metrics,
-                );
-            } else {
-                self.since_tick = since as u32;
-            }
+        let since = u64::from(self.since_tick) + seg;
+        let tick = u64::from(DEFAULT_LIVE_TICK);
+        if since >= tick {
+            self.since_tick = (since % tick) as u32;
+            self.opts.observer.day_tick(
+                self.opts.worker,
+                self.opts.day,
+                self.collected_total,
+                self.opts.metrics,
+            );
+        } else {
+            self.since_tick = since as u32;
         }
     }
 }
@@ -675,14 +644,7 @@ pub fn process_day(
     let mut labeled: Vec<LabeledFlow> = Vec::with_capacity(trace.flows.len());
     for f in &trace.flows {
         if let Some(df) = normalizer.normalize(f) {
-            labeled.push(if opts.labeling {
-                resolver.label(df)
-            } else {
-                LabeledFlow {
-                    flow: df,
-                    domain: None,
-                }
-            });
+            labeled.push(resolver.label(df));
         }
     }
 
@@ -979,7 +941,9 @@ mod tests {
 
     #[test]
     fn day_tick_publishes_at_the_configured_interval() {
-        let sim = sim_1pct();
+        // Twice the usual test campus, so a February day collects at
+        // least one tick interval of flows.
+        let sim = CampusSim::new(SimConfig::at_scale(0.02));
         let ctx = PipelineCtx::study();
         let day = Day(10);
         let obs = lockdown_obs::CountingObserver::new();
@@ -988,25 +952,16 @@ mod tests {
         let opts = PipelineOptions::new(&ctx, sim.directory().table(), day, sim.config().anon_key)
             .observer(&obs)
             .worker(3)
-            .live_tick(100)
             .batch_rows(1);
         let mut collector = StudyCollector::new();
         let stats = process_day_batched(opts, &mut collector, &sim);
-        assert!(stats.attributed >= 100, "need enough flows to tick");
-        assert_eq!(obs.ticks(), stats.attributed / 100);
-
-        // live_tick(0) disables mid-day publication entirely.
-        let quiet = lockdown_obs::CountingObserver::new();
-        let opts = PipelineOptions::new(&ctx, sim.directory().table(), day, sim.config().anon_key)
-            .observer(&quiet)
-            .live_tick(0);
-        let mut collector = StudyCollector::new();
-        process_day_batched(opts, &mut collector, &sim);
-        assert_eq!(quiet.ticks(), 0);
+        let tick = u64::from(DEFAULT_LIVE_TICK);
+        assert!(stats.attributed >= tick, "need enough flows to tick");
+        assert_eq!(obs.ticks(), stats.attributed / tick);
     }
 
     #[test]
-    fn metrics_and_labeling_options_are_honored() {
+    fn metrics_options_are_honored() {
         let sim = sim_1pct();
         let ctx = PipelineCtx::study();
         let day = Day(10);
@@ -1034,26 +989,6 @@ mod tests {
             snap.counter("normalize.lease_events")
         );
         assert!(snap.gauge("resolver.ips_peak") > 0);
-
-        // Labeling off: same flow universe, no resolver traffic.
-        let reg_off = MetricsRegistry::new();
-        let opts_off =
-            PipelineOptions::new(&ctx, sim.directory().table(), day, sim.config().anon_key)
-                .metrics(&reg_off)
-                .labeling(false);
-        let mut off = StudyCollector::new();
-        let stats_off = process_day_batched(opts_off, &mut off, &sim);
-        assert_eq!(stats_off, stats);
-        let snap_off = reg_off.snapshot();
-        assert_eq!(
-            snap_off.counter("pipeline.flows_collected"),
-            stats.attributed
-        );
-        assert_eq!(
-            snap_off.counter("resolver.labeled") + snap_off.counter("resolver.unlabeled"),
-            0
-        );
-        assert_eq!(off.volume.device_count(), collector.volume.device_count());
     }
 
     const METERED: [&str; 3] = ["normalize", "resolver", "collect"];

@@ -1,40 +1,77 @@
 //! Human-readable study reports, figure-file output, and the run
 //! provenance manifest.
+//!
+//! Exact and digest runs render their figures into one
+//! [`DigestFigures`] (an exact [`Study`] through [`Study::figures`]),
+//! so every job after the run — figure files, `repro run figN`, the
+//! manifest — has one body for both modes, reading a [`RunView`]. Only
+//! the text reports differ by mode, around a shared figure body.
 
-use crate::error::StudyError;
-use crate::study::{DigestStudy, MatrixRun, ShardingReport, Study};
+use crate::error::{DegradedReport, StudyError};
+use crate::study::{DigestStudy, MatrixRun, ShardingReport, Study, StudyRun};
 use analysis::ascii;
-use analysis::export;
+use analysis::export::FIGURE_FILES;
+use analysis::figures::Fig4Series;
 use analysis::figures::HeadlineStats;
-use analysis::figures::{self, Fig4Series};
 use analysis::DigestFigures;
+use campussim::SimConfig;
 use devclass::FigureBucket;
 use lockdown_obs::manifest::{
     fnv1a_64, AccuracySection, DegradedEntry, FigureContract, MemorySection, RunManifest,
     ShardingSection, StageMemory,
 };
-use lockdown_obs::{trace, Trace};
+use lockdown_obs::{trace, MetricsSnapshot, Trace};
 use std::fmt::Write as _;
 use std::path::Path;
+
+/// What the jobs after a run read of it, whichever mode produced it.
+pub struct RunView<'a> {
+    /// The configuration the run executed.
+    pub cfg: &'a SimConfig,
+    /// The rendered figures and headline statistics.
+    pub figures: &'a DigestFigures,
+    /// Run-level merged metrics.
+    pub metrics: &'a MetricsSnapshot,
+    /// Days that failed and were retried or dropped.
+    pub degraded: &'a DegradedReport,
+    /// Shard partition and merge summary; its `mode` names the run's
+    /// mode.
+    pub sharding: &'a ShardingReport,
+    /// Whether the 2019 counterfactual ran beside the study.
+    pub counterfactual: bool,
+}
+
+impl<'a> RunView<'a> {
+    /// An exact run, its figures rendered on first use.
+    pub fn exact(run: &'a StudyRun) -> Self {
+        RunView {
+            cfg: run.sim.config(),
+            figures: run.figures(),
+            metrics: run.metrics(),
+            degraded: run.degraded(),
+            sharding: run.sharding(),
+            counterfactual: run.counterfactual.is_some(),
+        }
+    }
+
+    /// A digest run.
+    pub fn digest(d: &'a DigestStudy) -> Self {
+        RunView {
+            cfg: &d.cfg,
+            figures: &d.figures,
+            metrics: d.metrics(),
+            degraded: d.degraded(),
+            sharding: d.sharding(),
+            counterfactual: d.counterfactual.is_some(),
+        }
+    }
+}
 
 /// Render the full text report: every figure as terminal graphics plus
 /// the headline statistics, with the paper's values alongside.
 pub fn text_report(study: &Study, growth_vs_2019: Option<f64>) -> String {
     let _span = trace::span("report.text");
-    let c = &study.collector;
-    let s = &study.summary;
-    let figs = DigestFigures {
-        fig1: figures::figure1(c, s),
-        fig2: figures::figure2(c, s),
-        fig3: figures::figure3(c, s),
-        fig4: figures::figure4(c, s),
-        fig5: figures::figure5(c, s),
-        fig6: figures::figure6(c, s),
-        fig7: figures::figure7(c, s),
-        fig8: figures::figure8(c, s),
-        headline: study.headline(),
-    };
-    let mut out = figures_text(&figs, study.sim.config().scale, growth_vs_2019);
+    let mut out = figures_text(study.figures(), study.sim.config().scale, growth_vs_2019);
     let audit = study.classification_audit(100);
     let _ = writeln!(
         out,
@@ -287,85 +324,39 @@ fn figures_text(figs: &DigestFigures, scale: f64, growth_vs_2019: Option<f64>) -
     out
 }
 
-/// Write every figure's machine-readable data into `dir`, creating the
+/// Write the figure files of [`FIGURE_FILES`] into `dir`, creating the
 /// directory if it does not exist. Returns the number of files written;
 /// every failure mode (serialization, directory creation, file write)
 /// surfaces as a typed [`StudyError`] naming the path involved.
-pub fn write_figure_files(study: &Study, dir: &Path) -> Result<usize, StudyError> {
+pub fn write_figures(figures: &DigestFigures, dir: &Path) -> Result<usize, StudyError> {
     let span = trace::span("report.figures");
     std::fs::create_dir_all(dir).map_err(|source| StudyError::Io {
         path: dir.to_path_buf(),
         source,
     })?;
-    let c = &study.collector;
-    let s = &study.summary;
-    let files: [(&str, String); 8] = [
-        ("fig1.csv", export::fig1_csv(&figures::figure1(c, s))),
-        ("fig2.csv", export::fig2_csv(&figures::figure2(c, s))),
-        ("fig3.csv", export::fig3_csv(&figures::figure3(c, s))),
-        ("fig4.csv", export::fig4_csv(&figures::figure4(c, s))),
-        ("fig5.csv", export::fig5_csv(&figures::figure5(c, s))),
-        ("fig6.json", export::fig6_json(&figures::figure6(c, s))?),
-        ("fig7.json", export::fig7_json(&figures::figure7(c, s))?),
-        ("fig8.csv", export::fig8_csv(&figures::figure8(c, s))),
-    ];
-    let mut written = 0;
-    for (name, content) in files {
+    for (name, export) in FIGURE_FILES {
         let path = dir.join(name);
-        std::fs::write(&path, content).map_err(|source| StudyError::Io { path, source })?;
-        written += 1;
+        std::fs::write(&path, export(figures)?)
+            .map_err(|source| StudyError::Io { path, source })?;
     }
-    span.set_attr("files", written as u64);
-    Ok(written)
+    span.set_attr("files", FIGURE_FILES.len() as u64);
+    Ok(FIGURE_FILES.len())
 }
 
-/// Write a digest run's figure files into `dir` — same names and
-/// formats as [`write_figure_files`], rendered from the merged shard
-/// digests. Returns the number of files written.
+/// [`write_figures`] for an exact study.
+pub fn write_figure_files(study: &Study, dir: &Path) -> Result<usize, StudyError> {
+    write_figures(study.figures(), dir)
+}
+
+/// [`write_figures`] for a digest run.
 pub fn write_digest_figure_files(d: &DigestStudy, dir: &Path) -> Result<usize, StudyError> {
-    let span = trace::span("report.figures");
-    std::fs::create_dir_all(dir).map_err(|source| StudyError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let f = &d.figures;
-    let files: [(&str, String); 8] = [
-        ("fig1.csv", export::fig1_csv(&f.fig1)),
-        ("fig2.csv", export::fig2_csv(&f.fig2)),
-        ("fig3.csv", export::fig3_csv(&f.fig3)),
-        ("fig4.csv", export::fig4_csv(&f.fig4)),
-        ("fig5.csv", export::fig5_csv(&f.fig5)),
-        ("fig6.json", export::fig6_json(&f.fig6)?),
-        ("fig7.json", export::fig7_json(&f.fig7)?),
-        ("fig8.csv", export::fig8_csv(&f.fig8)),
-    ];
-    let mut written = 0;
-    for (name, content) in files {
-        let path = dir.join(name);
-        std::fs::write(&path, content).map_err(|source| StudyError::Io { path, source })?;
-        written += 1;
-    }
-    span.set_attr("files", written as u64);
-    Ok(written)
+    write_figures(&d.figures, dir)
 }
 
 /// Render the run's per-stage counters as an aligned text block, with a
 /// one-line attribution/labeling summary on top. Empty-run safe.
 pub fn metrics_report(study: &Study) -> String {
-    metrics_text(study.metrics(), study.degraded(), study.sharding())
-}
-
-/// Digest twin of [`metrics_report`]: same counters and quantile lines,
-/// from a sharded digest run.
-pub fn digest_metrics_report(d: &DigestStudy) -> String {
-    metrics_text(d.metrics(), d.degraded(), d.sharding())
-}
-
-fn metrics_text(
-    m: &lockdown_obs::MetricsSnapshot,
-    degraded: &crate::error::DegradedReport,
-    sharding: &ShardingReport,
-) -> String {
+    let (m, degraded, sharding) = (study.metrics(), study.degraded(), study.sharding());
     let flows = m.counter("pipeline.flows_in");
     let attributed = m.counter("normalize.attributed");
     let labeled = m.counter("resolver.labeled");
@@ -452,26 +443,21 @@ fn metrics_text(
     out
 }
 
-/// The run's per-stage counters as a JSON object (see
-/// [`lockdown_obs::MetricsSnapshot::to_json`]).
-pub fn metrics_report_json(study: &Study) -> String {
-    study.metrics().to_json()
-}
-
-/// Build the provenance manifest for a completed run: config hash,
-/// seed/scale/threads, the version of every pipeline crate, the metrics
-/// snapshot, and — when the run was traced — wall time and span totals
-/// from `trace`. Written alongside figures so the artifact directory is
+/// Build the provenance manifest for a completed run of either mode:
+/// config hash, seed/scale/threads, the version of every pipeline
+/// crate, degraded days, the metrics snapshot and its memory section,
+/// the shard layout, the accuracy contract with the headline values,
+/// and — when the run was traced — wall time and span totals from
+/// `trace`. Written alongside figures so the artifact directory is
 /// self-describing.
-pub fn run_manifest(study: &Study, threads: usize, trace: Option<&Trace>) -> RunManifest {
-    let cfg = study.sim.config();
+pub fn run_manifest(run: &RunView<'_>, threads: usize, trace: Option<&Trace>) -> RunManifest {
+    let cfg = run.cfg;
     let mut m = RunManifest::new("repro");
     // The full config Debug rendering covers every knob, so any config
     // change yields a different fingerprint.
     m.config_hash_hex = format!("{:016x}", fnv1a_64(format!("{cfg:?}").as_bytes()));
-    let scenario = study.scenario();
-    m.scenario = Some(scenario.name.clone());
-    m.scenario_hash_hex = Some(scenario.content_hash_hex());
+    m.scenario = Some(cfg.scenario.name.clone());
+    m.scenario_hash_hex = Some(cfg.scenario.content_hash_hex());
     m.seed = cfg.seed;
     m.scale = cfg.scale;
     m.threads = threads;
@@ -492,7 +478,7 @@ pub fn run_manifest(study: &Study, threads: usize, trace: Option<&Trace>) -> Run
     if let Some(t) = trace {
         m.record_trace(t);
     }
-    let degraded = study.degraded();
+    let degraded = run.degraded;
     for (list, recovered) in [(&degraded.recovered, true), (&degraded.failed, false)] {
         for f in list.iter() {
             m.degraded.push(DegradedEntry {
@@ -504,93 +490,32 @@ pub fn run_manifest(study: &Study, threads: usize, trace: Option<&Trace>) -> Run
             });
         }
     }
-    let metrics = study.metrics();
+    let metrics = run.metrics;
     if !(metrics.counters.is_empty() && metrics.gauges.is_empty() && metrics.histograms.is_empty())
     {
         m.metrics = Some(metrics.clone());
     }
     m.memory = memory_section(metrics);
-    m.sharding = sharding_section(study.sharding());
-    // The caller flips `counterfactual` to "cohort-exact" when it ran
-    // one — the study itself doesn't carry that request.
+    m.sharding = sharding_section(run.sharding);
     m.accuracy = Some(accuracy_section(
-        "exact",
-        "not-requested",
-        &study.headline(),
-    ));
-    m
-}
-
-/// Build the provenance manifest for a completed digest run — the
-/// digest twin of [`run_manifest`], with a `sharding` section always
-/// present (a digest run is sharded by construction).
-pub fn digest_manifest(d: &DigestStudy, threads: usize) -> RunManifest {
-    let mut m = RunManifest::new("repro");
-    m.config_hash_hex = format!("{:016x}", fnv1a_64(format!("{:?}", d.cfg).as_bytes()));
-    m.scenario = Some(d.cfg.scenario.name.clone());
-    m.scenario_hash_hex = Some(d.cfg.scenario.content_hash_hex());
-    m.seed = d.cfg.seed;
-    m.scale = d.cfg.scale;
-    m.threads = threads;
-    for (name, version) in [
-        ("lockdown-core", crate::VERSION),
-        ("lockdown-obs", lockdown_obs::VERSION),
-        ("nettrace", nettrace::VERSION),
-        ("campussim", campussim::VERSION),
-        ("analysis", analysis::VERSION),
-        ("dhcplog", dhcplog::VERSION),
-        ("dnslog", dnslog::VERSION),
-        ("devclass", devclass::VERSION),
-        ("geoloc", geoloc::VERSION),
-        ("appsig", appsig::VERSION),
-    ] {
-        m.crate_version(name, version);
-    }
-    let degraded = d.degraded();
-    for (list, recovered) in [(&degraded.recovered, true), (&degraded.failed, false)] {
-        for f in list.iter() {
-            m.degraded.push(DegradedEntry {
-                day: f.day,
-                stage: f.stage.clone(),
-                error: f.error.clone(),
-                attempt: f.attempt,
-                recovered,
-            });
-        }
-    }
-    let metrics = d.metrics();
-    if !(metrics.counters.is_empty() && metrics.gauges.is_empty() && metrics.histograms.is_empty())
-    {
-        m.metrics = Some(metrics.clone());
-    }
-    m.memory = memory_section(metrics);
-    let sh = d.sharding();
-    m.sharding = Some(ShardingSection {
-        shards: sh.shards,
-        mode: sh.mode.to_string(),
-        merge_depth: sh.merge_depth,
-        per_shard_peak_bytes: peak_list(sh),
-        per_shard_flows: sh.per_shard_flows.clone(),
-        per_shard_bytes: sh.per_shard_bytes.clone(),
-        per_shard_wall_ns: sh.per_shard_wall_ns.clone(),
-    });
-    m.accuracy = Some(accuracy_section(
-        "digest",
-        if d.counterfactual.is_some() {
-            "aggregate-digest"
-        } else {
-            "not-requested"
-        },
-        d.headline(),
+        run.sharding.mode,
+        run.counterfactual,
+        &run.figures.headline,
     ));
     m
 }
 
 /// Build the manifest `accuracy` section: the producing mode's error
-/// contract per figure plus the run's (always exact) headline values,
-/// so two manifests alone suffice for a cross-run drift check.
-fn accuracy_section(mode: &str, counterfactual: &str, h: &HeadlineStats) -> AccuracySection {
+/// contract per figure, how the counterfactual (if one ran) was
+/// compared, and the run's (always exact) headline values, so two
+/// manifests alone suffice for a cross-run drift check.
+fn accuracy_section(mode: &str, counterfactual: bool, h: &HeadlineStats) -> AccuracySection {
     let exact = mode == "exact";
+    let counterfactual = match (counterfactual, exact) {
+        (false, _) => "not-requested",
+        (true, true) => "cohort-exact",
+        (true, false) => "aggregate-digest",
+    };
     let figures: Vec<FigureContract> = analysis::accuracy::FIGURE_CLASSES
         .iter()
         .map(|c| FigureContract {
@@ -639,7 +564,8 @@ fn sharding_line(sh: &ShardingReport) -> String {
 }
 
 /// Manifest `sharding` section from a run's report; `None` unless the
-/// run is partitioned, so one-shard exact manifests stay unsharded.
+/// run is partitioned, so one-shard exact manifests stay unsharded (a
+/// digest run always is).
 fn sharding_section(sh: &ShardingReport) -> Option<ShardingSection> {
     if !sh.is_partitioned() {
         return None;
@@ -667,7 +593,7 @@ fn peak_list(sh: &ShardingReport) -> Vec<u64> {
 
 /// Harvest the manifest `memory` section from a run's `mem.*` metrics;
 /// `None` when the run did not track allocation.
-fn memory_section(m: &lockdown_obs::MetricsSnapshot) -> Option<MemorySection> {
+fn memory_section(m: &MetricsSnapshot) -> Option<MemorySection> {
     if !m.gauges.contains_key("mem.peak_bytes") {
         return None;
     }
@@ -752,8 +678,9 @@ pub fn write_matrix_files(
     let mut written = 0;
     for cell in &matrix.cells {
         let cell_dir = dir.join(&cell.scenario_name);
-        written += write_figure_files(&cell.run, &cell_dir)?;
-        let manifest = run_manifest(&cell.run, threads, None);
+        let run = RunView::exact(&cell.run);
+        written += write_figures(run.figures, &cell_dir)?;
+        let manifest = run_manifest(&run, threads, None);
         let path = cell_dir.join("manifest.json");
         manifest
             .write(&path)
@@ -771,7 +698,6 @@ pub fn write_matrix_files(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campussim::SimConfig;
 
     #[test]
     fn report_renders_and_files_write() {
@@ -794,7 +720,6 @@ mod tests {
         assert!(metrics.contains("normalize.attributed"));
         assert!(metrics.contains("Day durations:"), "{metrics}");
         assert!(metrics.contains("p95"), "{metrics}");
-        assert!(metrics_report_json(&study).contains("\"counters\""));
 
         let base = std::env::temp_dir().join("lockdown_report_test");
         // The directory is created on demand, even nested.
@@ -802,18 +727,40 @@ mod tests {
         let dir = base.join("nested");
         let written = write_figure_files(&study, &dir).unwrap();
         assert_eq!(written, 8);
-        for f in [
-            "fig1.csv",
-            "fig2.csv",
-            "fig3.csv",
-            "fig4.csv",
-            "fig5.csv",
-            "fig6.json",
-            "fig7.json",
-            "fig8.csv",
-        ] {
+        for (f, _) in FIGURE_FILES {
             assert!(dir.join(f).exists(), "{f}");
         }
         std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn manifest_names_the_counterfactual_the_run_ran() {
+        let cfg = SimConfig {
+            scale: 0.01,
+            ..Default::default()
+        };
+        let label = |m: RunManifest| m.accuracy.expect("accuracy section").counterfactual;
+        let exact = Study::builder(cfg.clone())
+            .threads(2)
+            .with_counterfactual()
+            .run()
+            .unwrap();
+        let manifest = run_manifest(&RunView::exact(&exact), 2, None);
+        assert_eq!(label(manifest), "cohort-exact");
+        let digest = Study::builder(cfg.clone())
+            .threads(2)
+            .shards(2)
+            .with_counterfactual()
+            .run_digest()
+            .unwrap();
+        let manifest = run_manifest(&RunView::digest(&digest), 2, None);
+        assert_eq!(label(manifest), "aggregate-digest");
+        let digest = Study::builder(cfg)
+            .threads(2)
+            .shards(2)
+            .run_digest()
+            .unwrap();
+        let manifest = run_manifest(&RunView::digest(&digest), 2, None);
+        assert_eq!(label(manifest), "not-requested");
     }
 }

@@ -18,8 +18,9 @@
 //!
 //! Runs are configured through [`StudyBuilder`] (see
 //! [`Study::builder`]): thread count, an optional [`RunObserver`] for
-//! progress events, per-stage metrics collection, the 2019
-//! counterfactual, a seeded [`FaultProfile`], and strict mode.
+//! progress events, the 2019 counterfactual, a seeded
+//! [`FaultProfile`], and strict mode. Every run collects per-stage
+//! metrics.
 //!
 //! ## The shard × day grid
 //!
@@ -61,9 +62,10 @@
 
 use crate::error::{panic_message, DayFailure, DegradedReport, StudyError};
 use crate::pipeline::{process_day_batched, PipelineOptions};
+use analysis::accuracy::exact_figures;
 use analysis::collect::{PipelineCtx, StudyCollector};
 use analysis::digest::{DigestFigures, ShardDigest};
-use analysis::figures::{self, StudySummary};
+use analysis::figures::StudySummary;
 use analysis::HeadlineStats;
 use campussim::{
     CampusSim, FaultProfile, Population, PopulationPlan, Scenario, ServiceDirectory, Shard,
@@ -74,7 +76,7 @@ use dhcplog::NormalizeStats;
 use geoloc::SubPop;
 use lockdown_obs::{
     alloc, trace, AllocScope, Fanout, LivePublisher, MetricsRegistry, MetricsSnapshot,
-    NullObserver, RunObserver, SpanRecorder, TelemetryServer,
+    NullObserver, RunObserver, SpanRecorder,
 };
 use nettrace::time::{Day, Month, StudyCalendar};
 use nettrace::DeviceId;
@@ -235,7 +237,6 @@ struct Drained<P> {
     main: Pass<P>,
     counterfactual: Option<Pass<P>>,
     degraded: DegradedReport,
-    telemetry: Option<TelemetryServer>,
 }
 
 /// Relative growth of `traffic` over `baseline` (0 for an empty
@@ -253,7 +254,6 @@ fn growth(traffic: f64, baseline: f64) -> f64 {
 struct RunShared {
     ctx: PipelineCtx,
     observer: Box<dyn RunObserver>,
-    collect_metrics: bool,
     strict: bool,
     degraded: Mutex<DegradedReport>,
     abort: AtomicBool,
@@ -303,8 +303,7 @@ pub struct ShardingReport {
     pub per_shard_peak_bytes: Vec<u64>,
     /// Flows attributed per shard over the run, in shard-id order.
     pub per_shard_flows: Vec<u64>,
-    /// Flow payload bytes collected per shard, in shard-id order
-    /// (zeros when the run did not collect metrics).
+    /// Flow payload bytes collected per shard, in shard-id order.
     pub per_shard_bytes: Vec<u64>,
     /// Worker wall time spent on each shard's days, nanoseconds, in
     /// shard-id order.
@@ -512,9 +511,7 @@ impl<'a, S: RunSink> Grid<'a, S> {
                     observer.shard_day_finished(shard, day, out.stats.attributed, out.duration_ns);
                 }
                 // Fold the day into the shard's load tallies before the
-                // outcome moves into the reduction. Bytes stay zero when
-                // metrics are off, exactly like `peak_bytes` when memory
-                // tracking is off.
+                // outcome moves into the reduction.
                 slot.flows
                     .fetch_add(out.stats.attributed, Ordering::Relaxed);
                 slot.bytes.fetch_add(
@@ -552,20 +549,18 @@ impl<'a, S: RunSink> Grid<'a, S> {
         worker: usize,
         attempt: u32,
     ) -> Result<DayOutcome, String> {
-        let registry = run.collect_metrics.then(MetricsRegistry::new);
+        let registry = MetricsRegistry::new();
         let mut collector = StudyCollector::new();
         // Sample run-wide concurrency into the day's registry: gauges
         // merge by max, so the final value is the run's peak
         // days-in-flight.
         let inflight = run.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(reg) = &registry {
-            reg.gauge("study.days_inflight").set_max(inflight);
-        }
+        registry.gauge("study.days_inflight").set_max(inflight);
         // The day-level allocation scope opens before the isolation
         // boundary and closes after it on the same thread (the panic is
         // caught, so `end` always runs), covering everything the day
         // allocates — generation, stages, collection.
-        let mem_scope = (self.track_memory && registry.is_some()).then(AllocScope::begin);
+        let mem_scope = self.track_memory.then(AllocScope::begin);
         let t0 = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let day_span = trace::span(if attempt == 0 { "day" } else { "day.retry" })
@@ -582,7 +577,7 @@ impl<'a, S: RunSink> Grid<'a, S> {
                 sim.config().anon_key,
             )
             .observer(run.observer.as_ref())
-            .metrics_opt(registry.as_ref())
+            .metrics(&registry)
             .fault(self.fault)
             .attempt(attempt)
             .worker(worker)
@@ -597,21 +592,22 @@ impl<'a, S: RunSink> Grid<'a, S> {
         let mem_delta = mem_scope.map(AllocScope::end);
         match result {
             Ok(stats) => {
-                if let Some(reg) = &registry {
-                    reg.histogram("study.day_duration_ns").record(duration_ns);
-                    if let Some(d) = mem_delta {
-                        reg.counter("mem.day.alloc_bytes").add(d.alloc_bytes);
-                        reg.counter("mem.day.freed_bytes").add(d.freed_bytes);
-                        reg.counter("mem.day.allocs").add(d.allocs);
-                        reg.counter("mem.day.deallocs").add(d.deallocs);
-                        reg.gauge("mem.day.peak_net_bytes")
-                            .set_max(d.peak_net_bytes);
-                    }
+                registry
+                    .histogram("study.day_duration_ns")
+                    .record(duration_ns);
+                if let Some(d) = mem_delta {
+                    registry.counter("mem.day.alloc_bytes").add(d.alloc_bytes);
+                    registry.counter("mem.day.freed_bytes").add(d.freed_bytes);
+                    registry.counter("mem.day.allocs").add(d.allocs);
+                    registry.counter("mem.day.deallocs").add(d.deallocs);
+                    registry
+                        .gauge("mem.day.peak_net_bytes")
+                        .set_max(d.peak_net_bytes);
                 }
                 Ok(DayOutcome {
                     collector,
                     stats,
-                    metrics: registry.map(|r| r.snapshot()).unwrap_or_default(),
+                    metrics: registry.snapshot(),
                     duration_ns,
                 })
             }
@@ -683,6 +679,9 @@ pub struct Study {
     metrics: MetricsSnapshot,
     degraded: DegradedReport,
     sharding: ShardingReport,
+    /// The rendered figures, built on first request (never inside
+    /// [`StudyBuilder::run`]).
+    figures: OnceLock<DigestFigures>,
     /// Lazily materialized ground-truth views (built once on first
     /// request, then borrowed — callers used to pay a full-population
     /// clone per call).
@@ -720,6 +719,7 @@ impl Study {
             metrics: pass.metrics,
             degraded,
             sharding: pass.sharding,
+            figures: OnceLock::new(),
             truth_types: OnceLock::new(),
             truth_subpop: OnceLock::new(),
         }
@@ -727,8 +727,7 @@ impl Study {
 
     /// Run-level per-stage counters (sessions generated, flows
     /// assembled, leases normalized, labels resolved, …), folded
-    /// together from the per-worker registries. Empty if the run was
-    /// built with [`StudyBuilder::metrics`]`(false)`.
+    /// together from the per-worker registries.
     pub fn metrics(&self) -> &MetricsSnapshot {
         &self.metrics
     }
@@ -745,13 +744,23 @@ impl Study {
         &self.sharding
     }
 
-    /// The paper's headline statistics for this run.
-    pub fn headline(&self) -> HeadlineStats {
-        figures::headline_stats(&self.collector, &self.summary)
+    /// The paper's eight figures and headline statistics, rendered
+    /// from the collector on first call and cached, so the text report,
+    /// the figure files and the manifest all read one rendering.
+    pub fn figures(&self) -> &DigestFigures {
+        self.figures.get_or_init(|| {
+            let _span = trace::span("report.render");
+            exact_figures(&self.collector, &self.summary)
+        })
     }
 
-    /// The resolved scenario this study ran (the config's scenario;
-    /// for a counterfactual run, the scenario's no-event twin).
+    /// The paper's headline statistics for this run.
+    pub fn headline(&self) -> HeadlineStats {
+        self.figures().headline.clone()
+    }
+
+    /// The scenario this study ran (the config's scenario; for a
+    /// counterfactual run, the scenario's no-event twin).
     pub fn scenario(&self) -> &Scenario {
         self.sim.scenario()
     }
@@ -852,20 +861,18 @@ pub struct StudyBuilder {
     threads: usize,
     observer: Box<dyn RunObserver>,
     counterfactual: bool,
-    collect_metrics: bool,
     trace: Option<SpanRecorder>,
     fault: Option<FaultProfile>,
     strict: bool,
     live: Option<LivePublisher>,
-    serve_addr: Option<String>,
     track_memory: bool,
     shards: u32,
     mem_budget: Option<u64>,
 }
 
 impl StudyBuilder {
-    /// Defaults: sequential, silent observer, metrics on, no tracing,
-    /// no counterfactual, no fault injection, graceful (non-strict)
+    /// Defaults: sequential, silent observer, no tracing, no
+    /// counterfactual, no fault injection, graceful (non-strict)
     /// degradation, one population shard.
     pub fn new(cfg: SimConfig) -> Self {
         StudyBuilder {
@@ -873,12 +880,10 @@ impl StudyBuilder {
             threads: 1,
             observer: Box::new(NullObserver),
             counterfactual: false,
-            collect_metrics: true,
             trace: None,
             fault: None,
             strict: false,
             live: None,
-            serve_addr: None,
             track_memory: false,
             shards: 0,
             mem_budget: None,
@@ -928,11 +933,9 @@ impl StudyBuilder {
     /// Requires the binary to have registered
     /// [`lockdown_obs::TrackingAlloc`] as its `#[global_allocator]`
     /// (like `repro` does); otherwise the enable probe fails and the
-    /// run silently proceeds untracked. Also requires
-    /// [`StudyBuilder::metrics`] to stay on — with metrics off there is
-    /// nowhere to record. Tracking is observation-only: figures,
-    /// non-`mem.*` metrics, and config hashes are byte-identical with
-    /// it on or off.
+    /// run silently proceeds untracked. Tracking is observation-only:
+    /// figures, non-`mem.*` metrics, and config hashes are
+    /// byte-identical with it on or off.
     pub fn track_memory(mut self, on: bool) -> Self {
         self.track_memory = on;
         self
@@ -954,13 +957,6 @@ impl StudyBuilder {
     /// Receive progress events ([`RunObserver`]) during the run.
     pub fn observer(mut self, observer: impl RunObserver + 'static) -> Self {
         self.observer = Box::new(observer);
-        self
-    }
-
-    /// Toggle per-stage metrics collection (on by default; the off
-    /// path costs one branch per record).
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.collect_metrics = on;
         self
     }
 
@@ -1000,40 +996,19 @@ impl StudyBuilder {
 
     /// Feed live run state into `publisher` (a cheap clone of shared
     /// state): day boundaries, periodic mid-day snapshots, and — when
-    /// the run completes — the exact final merged metrics. Use this
-    /// when the caller owns the [`TelemetryServer`] (e.g. to learn the
-    /// bound port before the run starts); [`StudyBuilder::serve`] is
-    /// the one-call convenience that does both.
+    /// the run completes — the exact final merged metrics. To serve it
+    /// over HTTP, bind a [`lockdown_obs::TelemetryServer`] on the same
+    /// publisher before the run. Publication is observation-only:
+    /// results are bit-identical with or without a publisher attached.
     pub fn live(mut self, publisher: &LivePublisher) -> Self {
         self.live = Some(publisher.clone());
         self
     }
 
-    /// Serve live telemetry (`/metrics`, `/healthz`, `/progress`) on
-    /// `addr` for the duration of the run. The bound server rides in
-    /// [`StudyRun::telemetry`], so with `"127.0.0.1:0"` the real port
-    /// is only discoverable after the run — bind a
-    /// [`TelemetryServer`] yourself and use [`StudyBuilder::live`] if
-    /// you need it earlier. Publication is observation-only: results
-    /// are bit-identical with or without a server attached.
-    pub fn serve(mut self, addr: impl Into<String>) -> Self {
-        self.serve_addr = Some(addr.into());
-        self
-    }
-
-    /// Run a specific [`Scenario`] instead of the config's (the
-    /// built-in `paper-2020` by default): replaces `cfg.scenario`.
-    /// Combine with [`StudyBuilder::with_counterfactual`] to also run
-    /// the scenario's no-event twin.
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.cfg.scenario = scenario;
-        self
-    }
-
     /// Run every scenario in `scenarios` as its own full study — same
-    /// seed, scale, thread count, shard settings, memory tracking,
-    /// strictness, and metrics toggle for every cell — and collect the
-    /// per-cell results for cross-scenario comparison. Cells run
+    /// seed, scale, thread count, shard settings, memory tracking and
+    /// strictness for every cell — and collect the per-cell results
+    /// for cross-scenario comparison. Cells run
     /// sequentially; each cell fans its grid out over this builder's
     /// worker pool exactly like [`StudyBuilder::run`], so the
     /// work-stealing runner and ordered reduction keep every cell
@@ -1049,7 +1024,6 @@ impl StudyBuilder {
         let StudyBuilder {
             cfg,
             threads,
-            collect_metrics,
             strict,
             track_memory,
             shards,
@@ -1062,7 +1036,6 @@ impl StudyBuilder {
             cell_cfg.scenario = scenario.clone();
             let mut cell = StudyBuilder::new(cell_cfg)
                 .threads(threads)
-                .metrics(collect_metrics)
                 .strict(strict)
                 .track_memory(track_memory)
                 .shards(shards);
@@ -1131,12 +1104,10 @@ impl StudyBuilder {
             threads,
             observer,
             counterfactual,
-            collect_metrics,
             trace: trace_rec,
             fault,
             strict,
             live,
-            serve_addr,
             track_memory,
             ..
         } = self;
@@ -1146,18 +1117,8 @@ impl StudyBuilder {
         // directory and every shard's population count toward the
         // run's peak. `enable` probes for a registered tracker; without
         // one the run proceeds untracked.
-        let mem_on = track_memory && collect_metrics && alloc::enable();
+        let mem_on = track_memory && alloc::enable();
         let mem_base = mem_on.then(alloc::stats);
-        // A serve address implies a publisher even if the caller didn't
-        // attach one explicitly.
-        let live = live.or_else(|| serve_addr.as_ref().map(|_| LivePublisher::new()));
-        let telemetry = match (&live, serve_addr) {
-            (Some(live), Some(addr)) => Some(
-                TelemetryServer::bind(&addr, live.clone())
-                    .map_err(|source| StudyError::Serve { addr, source })?,
-            ),
-            _ => None,
-        };
         // The caller's observer and the live publisher both hear every
         // event; without a publisher the original box rides unchanged.
         let observer: Box<dyn RunObserver> = match &live {
@@ -1191,7 +1152,6 @@ impl StudyBuilder {
         let run = RunShared {
             ctx,
             observer,
-            collect_metrics,
             strict,
             degraded: Mutex::default(),
             abort: AtomicBool::new(false),
@@ -1278,20 +1238,18 @@ impl StudyBuilder {
         // work and the last worker finishing (the join barrier). The
         // observer's `worker_idle` event marks *that* a worker went
         // idle; this histogram records *how long* it sat idle.
-        let idle_registry = collect_metrics.then(MetricsRegistry::new);
-        if let Some(reg) = &idle_registry {
-            if let Some(latest) = finished.iter().copied().max() {
-                let idle = reg.histogram("study.worker_idle_ns");
-                for done in &finished {
-                    idle.record(latest.duration_since(*done).as_nanos() as u64);
-                }
+        let reg = MetricsRegistry::new();
+        if let Some(latest) = finished.iter().copied().max() {
+            let idle = reg.histogram("study.worker_idle_ns");
+            for done in &finished {
+                idle.record(latest.duration_since(*done).as_nanos() as u64);
             }
         }
 
         // Run-wide memory accounting: counters as the delta since the
         // run's base snapshot (so back-to-back runs in one process stay
         // comparable), peak/live as the tracker's absolute values.
-        if let (Some(reg), Some(base)) = (&idle_registry, mem_base.as_ref()) {
+        if let Some(base) = mem_base.as_ref() {
             let now = alloc::stats();
             let d = now.since(base);
             reg.counter("mem.alloc_bytes").add(d.alloc_bytes);
@@ -1307,9 +1265,7 @@ impl StudyBuilder {
         degraded.sort();
 
         let mut main = main.into_pass();
-        if let Some(reg) = &idle_registry {
-            main.metrics.merge(&reg.snapshot());
-        }
+        main.metrics.merge(&reg.snapshot());
         let counterfactual = cf.map(Grid::into_pass);
         // The live view ends on the exact final merged metrics (a
         // superset of everything published mid-run, so the view stays
@@ -1326,7 +1282,6 @@ impl StudyBuilder {
             main,
             counterfactual,
             degraded,
-            telemetry,
         });
         if let (Some(live), Some(metrics)) = (&live, &final_metrics) {
             live.finish(metrics);
@@ -1357,7 +1312,6 @@ impl RunSink for StudyRun {
             main,
             counterfactual,
             degraded,
-            telemetry,
         } = run;
         let study = Study::from_pass(main, &directory, degraded);
         let counterfactual = counterfactual.map(|cf| {
@@ -1378,7 +1332,6 @@ impl RunSink for StudyRun {
         StudyRun {
             study,
             counterfactual,
-            telemetry,
         }
     }
 }
@@ -1404,7 +1357,6 @@ impl RunSink for DigestStudy {
             main,
             counterfactual,
             degraded,
-            telemetry,
             ..
         } = run;
         // The streamed counterfactual: same digest contract as the main
@@ -1427,7 +1379,6 @@ impl RunSink for DigestStudy {
             degraded,
             sharding: main.sharding,
             counterfactual,
-            telemetry,
         }
     }
 }
@@ -1454,9 +1405,6 @@ pub struct DigestStudy {
     /// The streamed 2019 counterfactual, if
     /// [`StudyBuilder::with_counterfactual`] was requested.
     pub counterfactual: Option<DigestCounterfactual>,
-    /// The live telemetry server, still serving the run's final state,
-    /// if [`StudyBuilder::serve`] was requested.
-    pub telemetry: Option<TelemetryServer>,
 }
 
 /// The digest-mode 2019 counterfactual: the no-pandemic twin's rendered
@@ -1516,10 +1464,6 @@ pub struct StudyRun {
     /// The 2019 counterfactual, if [`StudyBuilder::with_counterfactual`]
     /// was requested.
     pub counterfactual: Option<Counterfactual>,
-    /// The live telemetry server, still serving the run's final state,
-    /// if [`StudyBuilder::serve`] was requested. Dropping the run shuts
-    /// it down.
-    pub telemetry: Option<TelemetryServer>,
 }
 
 impl StudyRun {
@@ -1570,7 +1514,7 @@ impl MatrixRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockdown_obs::CountingObserver;
+    use lockdown_obs::{CountingObserver, TelemetryServer};
     use std::sync::Arc;
 
     fn tiny() -> SimConfig {
@@ -1645,7 +1589,11 @@ mod tests {
             .run()
             .unwrap()
             .into_study();
+        // Figures render on first use, never inside the run, and the
+        // headline is read from that one rendering.
+        assert!(s.figures.get().is_none(), "run rendered the figures");
         let h = s.headline();
+        assert_eq!(h, s.figures().headline);
         // Population declines into shutdown.
         assert!(h.peak_active > 2 * h.trough_active, "{h:?}");
         // Some post-shutdown users exist and some are international.
@@ -1688,12 +1636,11 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_day_and_metrics_can_be_disabled() {
+    fn observer_sees_every_day() {
         let obs = Arc::new(CountingObserver::new());
         let run = Study::builder(tiny())
             .threads(2)
             .observer(Arc::clone(&obs))
-            .metrics(false)
             .run()
             .unwrap();
         let days = StudyCalendar::days().count() as u64;
@@ -1702,8 +1649,6 @@ mod tests {
         assert_eq!(obs.days_failed(), 0);
         assert_eq!(obs.workers_idled(), 2);
         assert_eq!(obs.flows(), run.study.norm_stats.attributed);
-        // metrics(false) leaves the snapshot empty.
-        assert!(run.study.metrics().counters.is_empty());
     }
 
     #[test]
@@ -1760,11 +1705,9 @@ mod tests {
     #[test]
     fn serving_telemetry_does_not_change_results() {
         let clean = Study::builder(tiny()).threads(2).run().unwrap();
-        let served = Study::builder(tiny())
-            .threads(2)
-            .serve("127.0.0.1:0")
-            .run()
-            .unwrap();
+        let live = LivePublisher::new();
+        let server = TelemetryServer::bind("127.0.0.1:0", live.clone()).unwrap();
+        let served = Study::builder(tiny()).threads(2).live(&live).run().unwrap();
         assert_eq!(
             clean.study.metrics().counters,
             served.study.metrics().counters
@@ -1774,29 +1717,13 @@ mod tests {
             clean.study.headline().peak_active,
             served.study.headline().peak_active
         );
-        // The server handle rides on the run and still answers with the
-        // final state.
-        let server = served.telemetry.as_ref().expect("server handle");
+        // The server still answers with the final state.
         let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect");
         use std::io::{Read as _, Write as _};
         write!(conn, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         let mut raw = String::new();
         conn.read_to_string(&mut raw).expect("read");
         assert!(raw.contains("\"status\":\"done\""), "{raw}");
-    }
-
-    #[test]
-    fn serve_bind_failure_is_a_typed_error() {
-        // Occupy an ephemeral port so the builder's bind collides with
-        // it (privileged ports are no obstacle when tests run as root).
-        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port");
-        let addr = taken.local_addr().expect("local addr").to_string();
-        let err = Study::builder(tiny())
-            .serve(addr)
-            .run()
-            .err()
-            .expect("binding an occupied port must fail");
-        assert!(matches!(err, StudyError::Serve { .. }), "{err}");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use analysis::figures;
 use campussim::{Scenario, SimConfig};
+use lockdown_core::report::RunView;
 use lockdown_core::Study;
 
 fn cfg() -> SimConfig {
@@ -16,19 +17,21 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// [`cfg`] running the built-in scenario `name`.
+fn cfg_with(name: &str) -> SimConfig {
+    SimConfig {
+        scenario: Scenario::builtin(name).expect("builtin"),
+        ..cfg()
+    }
+}
+
 #[test]
 fn explicit_paper_scenario_is_bit_identical_to_the_default_run() {
-    let default_run = Study::builder(cfg())
+    let default_run = Study::builder(cfg()).threads(2).run().expect("default run");
+    let scenario_run = Study::builder(cfg_with("paper-2020"))
         .threads(2)
         .run()
-        .expect("default run")
-        .into_study();
-    let scenario_run = Study::builder(cfg())
-        .threads(2)
-        .scenario(Scenario::builtin("paper-2020").expect("builtin"))
-        .run()
-        .expect("scenario run")
-        .into_study();
+        .expect("scenario run");
     // HeadlineStats PartialEq is exact (bitwise on floats), so this
     // catches any drift in the scenario-threaded model tables.
     assert_eq!(default_run.headline(), scenario_run.headline());
@@ -38,8 +41,8 @@ fn explicit_paper_scenario_is_bit_identical_to_the_default_run() {
         figures::figure1(dc, ds).total,
         figures::figure1(sc, ss).total
     );
-    let default_manifest = lockdown_core::run_manifest(&default_run, 2, None);
-    let scenario_manifest = lockdown_core::run_manifest(&scenario_run, 2, None);
+    let default_manifest = lockdown_core::run_manifest(&RunView::exact(&default_run), 2, None);
+    let scenario_manifest = lockdown_core::run_manifest(&RunView::exact(&scenario_run), 2, None);
     assert_eq!(
         default_manifest.config_hash_hex, scenario_manifest.config_hash_hex,
         "the stock scenario must not perturb the provenance hash"
@@ -54,9 +57,8 @@ fn baseline_scenario_matches_the_legacy_counterfactual() {
         .run()
         .expect("counterfactual run")
         .into_study();
-    let baseline = Study::builder(cfg())
+    let baseline = Study::builder(cfg_with("baseline-2019"))
         .threads(2)
-        .scenario(Scenario::builtin("baseline-2019").expect("builtin"))
         .run()
         .expect("baseline run")
         .into_study();
@@ -91,9 +93,8 @@ fn run_matrix_stamps_every_cell_with_its_scenario() {
 
 #[test]
 fn staggered_scenario_shifts_occupancy_at_its_phase_boundaries() {
-    let staggered = Study::builder(cfg())
+    let staggered = Study::builder(cfg_with("staggered-reopening"))
         .threads(2)
-        .scenario(Scenario::builtin("staggered-reopening").expect("builtin"))
         .run()
         .expect("staggered run")
         .into_study();

@@ -11,7 +11,8 @@
 
 use analysis::figures;
 use campussim::{FaultProfile, SimConfig};
-use lockdown_core::{report, run_manifest, Study};
+use lockdown_core::report::{self, RunView};
+use lockdown_core::{run_manifest, Study};
 use lockdown_obs::LivePublisher;
 
 fn tiny() -> SimConfig {
@@ -105,7 +106,7 @@ fn single_shard_run_reports_like_an_unsharded_run() {
         let sh = run.sharding();
         assert_eq!((sh.shards, sh.mode, sh.merge_depth), (1, "exact", 1));
         assert!(!sh.is_partitioned());
-        assert_eq!(run_manifest(run, 1, None).sharding, None);
+        assert_eq!(run_manifest(&RunView::exact(run), 1, None).sharding, None);
         let text = report::metrics_report(run);
         for unsharded_only in ["-- Sharding:", "-- Accuracy:", "   shard 0:"] {
             assert!(!text.contains(unsharded_only), "{unsharded_only}\n{text}");

@@ -53,7 +53,7 @@ pub trait RunObserver: Send + Sync {
     }
 
     /// Periodic mid-day publication hook: fires every tick interval
-    /// (see `lockdown_core`'s `PipelineOptions::live_tick`) with the
+    /// (`lockdown_core`'s `DEFAULT_LIVE_TICK` collected flows) with the
     /// flows collected so far this day and, when metrics are on, the
     /// worker's day-scoped registry. An observer that wants a live
     /// snapshot takes it here; the default does nothing, so runs
@@ -62,9 +62,9 @@ pub trait RunObserver: Send + Sync {
         let _ = (worker, day, flows, registry);
     }
 
-    /// A day completed: its final metrics snapshot (empty when metrics
-    /// are off) and wall duration, published before the snapshot is
-    /// merged into the worker's running totals.
+    /// A day completed: its final metrics snapshot and wall duration,
+    /// published before the snapshot is merged into the worker's
+    /// running totals.
     fn day_metrics(&self, worker: usize, day: Day, duration_ns: u64, metrics: &MetricsSnapshot) {
         let _ = (worker, day, duration_ns, metrics);
     }

@@ -201,7 +201,7 @@ fn metrics_report_renders_the_counters() {
     let text = report::metrics_report(&study);
     assert!(text.contains("Pipeline metrics"));
     assert!(text.contains("pipeline.flows_in"));
-    let json = report::metrics_report_json(&study);
+    let json = study.metrics().to_json();
     assert!(json.starts_with("{\"counters\":{"));
     assert!(json.contains("\"normalize.attributed\":"));
 }

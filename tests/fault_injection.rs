@@ -36,7 +36,7 @@ fn default_fault_profile_degrades_gracefully() {
         .fault_profile(FaultProfile::default_profile())
         .run()
         .expect("non-strict faulted run completes");
-    let study = run.into_study();
+    let study = &run.study;
 
     // The injected panic on day 47 was quarantined and recovered on
     // retry; no day was dropped.
@@ -74,12 +74,12 @@ fn default_fault_profile_degrades_gracefully() {
     );
 
     // The degradation is visible in the human report…
-    let text = report::metrics_report(&study);
+    let text = report::metrics_report(study);
     assert!(text.contains("Degraded input"), "{text}");
     assert!(text.contains("Degraded days: 1 recovered"), "{text}");
 
     // …and in the machine-readable manifest.
-    let manifest = report::run_manifest(&study, 4, None);
+    let manifest = report::run_manifest(&report::RunView::exact(&run), 4, None);
     let json = manifest.to_json();
     assert!(json.contains("\"degraded\":[{"), "degraded section missing");
     assert!(json.contains("\"day\":47"));
@@ -90,7 +90,7 @@ fn default_fault_profile_degrades_gracefully() {
     // All eight figure files still emerge.
     let dir = std::env::temp_dir().join("lockdown_fault_injection_test");
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(report::write_figure_files(&study, &dir).unwrap(), 8);
+    assert_eq!(report::write_figure_files(study, &dir).unwrap(), 8);
     std::fs::remove_dir_all(&dir).ok();
 
     // Headline statistics survive ~1% record corruption to within 2%.

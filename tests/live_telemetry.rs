@@ -213,14 +213,15 @@ fn concurrent_scrapes_see_strict_monotone_snapshots() {
 #[test]
 fn serving_is_observation_only_bit_identical_outputs() {
     let unserved = Study::builder(tiny()).threads(2).run().expect("clean run");
+    let live = LivePublisher::new();
+    let _server = TelemetryServer::bind("127.0.0.1:0", live.clone()).expect("bind");
     let served = Study::builder(tiny())
         .threads(2)
-        .serve("127.0.0.1:0")
+        .live(&live)
         .run()
         .expect("served run");
 
-    let a = unserved.into_study();
-    let b = served.into_study();
+    let (a, b) = (&unserved.study, &served.study);
 
     // Headline stats and normalization are bitwise equal.
     assert_eq!(a.headline(), b.headline());
@@ -248,8 +249,8 @@ fn serving_is_observation_only_bit_identical_outputs() {
         a.metrics().counter("pipeline.flows_collected"),
         b.metrics().counter("pipeline.flows_collected")
     );
-    let ma = report::run_manifest(&a, 2, None);
-    let mb = report::run_manifest(&b, 2, None);
+    let ma = report::run_manifest(&report::RunView::exact(&unserved), 2, None);
+    let mb = report::run_manifest(&report::RunView::exact(&served), 2, None);
     assert_eq!(ma.config_hash_hex, mb.config_hash_hex);
     assert_eq!(ma.seed, mb.seed);
 }

@@ -28,7 +28,7 @@ fn tracked_run_closes_accounting_identities() {
         .track_memory(true)
         .run()
         .expect("tracked run");
-    let study = run.study;
+    let study = &run.study;
     let m = study.metrics();
 
     // Run-level: the peak is a high-water mark over live bytes, so it
@@ -71,7 +71,7 @@ fn tracked_run_closes_accounting_identities() {
 
     // The manifest carries the same numbers, and the text report
     // surfaces the headline line.
-    let manifest = report::run_manifest(&study, 2, None);
+    let manifest = report::run_manifest(&report::RunView::exact(&run), 2, None);
     let mem = manifest.memory.expect("tracked manifest memory section");
     assert_eq!(mem.peak_bytes, peak);
     assert_eq!(mem.allocs, allocs);
@@ -79,7 +79,7 @@ fn tracked_run_closes_accounting_identities() {
     assert_eq!(mem.per_stage.len(), stages.len());
     let manifest_stage_bytes: u64 = mem.per_stage.values().map(|s| s.alloc_bytes).sum();
     assert_eq!(manifest_stage_bytes, stage_alloc_bytes);
-    assert!(report::metrics_report(&study).contains("-- Memory: peak"));
+    assert!(report::metrics_report(study).contains("-- Memory: peak"));
 }
 
 #[test]
@@ -104,20 +104,19 @@ fn tracking_off_is_observationally_inert() {
         m.gauges.keys().all(|k| !k.starts_with("mem.")),
         "mem.* gauges leaked into an untracked run"
     );
-    let manifest = report::run_manifest(&untracked.study, 1, None);
+    let manifest = report::run_manifest(&report::RunView::exact(&untracked), 1, None);
     assert!(manifest.memory.is_none());
     assert!(!report::metrics_report(&untracked.study).contains("-- Memory:"));
 
     // Tracking is observation-only: results and provenance agree with
     // the tracked run at the same seed.
-    let a = tracked.study;
-    let b = untracked.study;
+    let (a, b) = (&tracked.study, &untracked.study);
     assert_eq!(a.headline(), b.headline());
     assert_eq!(a.norm_stats, b.norm_stats);
     assert_eq!(
         a.metrics().counter("pipeline.flows_collected"),
         b.metrics().counter("pipeline.flows_collected")
     );
-    let ma = report::run_manifest(&a, 1, None);
+    let ma = report::run_manifest(&report::RunView::exact(&tracked), 1, None);
     assert_eq!(ma.config_hash_hex, manifest.config_hash_hex);
 }
