@@ -1,8 +1,9 @@
 //! Measured accuracy of digest-mode figures against an exact reference.
 //!
-//! Digest mode ([`crate::digest`]) promises an exactness contract:
-//! headline statistics and the additive figures are bit-identical to
-//! the monolithic computation, and every distribution figure is a ≤2×
+//! Digest mode ([`crate::digest`]) runs the exact figures' selections
+//! with histogram cells, and promises an exactness contract: headline
+//! statistics and the additive figures are bit-identical to the
+//! monolithic computation, and every distribution figure is a ≤2×
 //! log2-bucket approximation ([`QUANTILE_BOUND`]). This module is the
 //! instrument that *checks* the promise: [`compare`] takes a candidate
 //! figure set (typically a digest run's) and an exact reference
@@ -230,8 +231,9 @@ impl AccuracyReport {
 
 /// Render the exact-path figure set into the digest-mode container so
 /// both sides of [`compare`] share one type. This *is* the exact
-/// computation — the same `figures::*` reductions the exact reports
-/// use — merely repackaged.
+/// computation: each `figures::figureN` runs the same selection as the
+/// digest over every sample and renders it before the next figure
+/// selects, so only one figure's samples are alive at a time.
 pub fn exact_figures(c: &StudyCollector, s: &StudySummary) -> DigestFigures {
     DigestFigures {
         fig1: figures::figure1(c, s),

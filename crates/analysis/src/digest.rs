@@ -8,15 +8,18 @@
 //! the next shard builds. Digests merge additively in shard-id order,
 //! so the merged result is deterministic at any thread count.
 //!
-//! What survives the digest, and how faithfully:
+//! A digest holds every figure's selection from [`crate::figures`], the
+//! same functions the exact figures run, with each quantile cell kept
+//! as a [`LogHist`] instead of every sample. What survives, and how
+//! faithfully:
 //!
 //! * **Exact** (bit-identical to the monolithic computation at any
 //!   shard count): Figure 1 (active-device counts), Figure 2 means,
 //!   Figure 5 (aggregate Zoom bytes), Figure 8 (Switch gameplay, the
 //!   moving average is applied once after the merge), and *every*
-//!   [`HeadlineStats`] field. All of these are sums or counts over
-//!   disjoint per-shard device sets; byte totals stay far below 2^53 so
-//!   the f64 arithmetic is integer-exact and order-independent.
+//!   [`HeadlineStats`] field. All of these are integer sums or counts
+//!   over disjoint per-shard device sets, which both modes keep and
+//!   render alike.
 //! * **Approximate**: distribution shapes — Figure 2 medians, Figure 3,
 //!   Figure 4, and the Figure 6/7 boxes — come from log2-bucketed
 //!   histograms ([`LogHist`]), so quantiles are resolved to within a
@@ -25,17 +28,10 @@
 
 use crate::collect::StudyCollector;
 use crate::figures::{
-    Fig1, Fig2, Fig3, Fig4, Fig4Series, Fig5, Fig6, Fig7, Fig8, HeadlineStats, StudySummary,
+    Fig1, Fig2, Fig2Parts, Fig3, Fig3Parts, Fig4, Fig4Parts, Fig5, Fig5Parts, Fig6, Fig6Parts,
+    Fig7, Fig7Parts, Fig8, Fig8Parts, HeadlineParts, HeadlineStats, SampleStore, StudySummary,
 };
-use crate::stats::{moving_average, BoxStats};
-use devclass::FigureBucket;
-use geoloc::SubPop;
-use nettrace::time::{Day, Month, StudyCalendar};
-
-const ND: usize = StudyCalendar::NUM_DAYS as usize;
-const MONTHS: [Month; 4] = [Month::Feb, Month::Mar, Month::Apr, Month::May];
-/// The paper's shutdown day (2020-03-19), as in `headline_stats`.
-const SHUTDOWN_DAY: usize = 47;
+use crate::stats::BoxStats;
 
 /// The guaranteed worst-case multiplicative error of a [`LogHist`]
 /// quantile against the exact R-7 quantile of the same samples: each
@@ -45,6 +41,9 @@ const SHUTDOWN_DAY: usize = 47;
 /// headroom as 2×. Figure 3 renormalizes one quantile by another, so
 /// its propagated bound is `QUANTILE_BOUND²`.
 pub const QUANTILE_BOUND: f64 = 2.0;
+
+/// Figure 6 hours are fractional; they are histogrammed in micro-hours.
+const HOURS_SCALE: f64 = 1e6;
 
 /// A log2-bucketed histogram of positive `u64` samples. 64 buckets of
 /// 8 bytes each: 512 bytes regardless of how many samples it absorbs.
@@ -158,51 +157,53 @@ impl LogHist {
     }
 }
 
-/// The fixed-size reduction of one shard's collected study state.
-///
-/// Additive: `merge` folds another shard's digest in, field by field.
-/// Merging in shard-id order makes the result byte-deterministic at any
-/// thread count; because every field is a sum or count, any merge order
-/// actually yields the same bytes — the discipline is belt and braces.
-#[derive(Debug, Clone)]
-pub struct ShardDigest {
-    // ---- exact, additive ----
-    fig1_per_bucket: [Vec<u32>; 4],
-    fig1_total: Vec<u32>,
-    fig2_sum: [Vec<u64>; 4],
-    fig2_cnt: [Vec<u32>; 4],
-    fig5_daily: Vec<u64>,
-    fig8_daily: Vec<u64>,
-    fig8_n: usize,
-    resident: usize,
-    post_shutdown: usize,
-    identified: usize,
-    intl: usize,
-    post_month_bytes: [u64; 4],
-    post_aprmay_device_days: u64,
-    sites_sum: [u64; 4],
-    switches_pre: usize,
-    switches_post: usize,
-    switches_new: usize,
-    // ---- approximate (log2 histograms) ----
-    fig2_med: [Vec<LogHist>; 4],
-    fig3: [Vec<LogHist>; 4],
-    fig4: [Vec<LogHist>; 4],
-    fig6: [[[LogHist; 4]; 2]; 3],
-    fig7_bytes: [[LogHist; 4]; 2],
-    fig7_conns: [[LogHist; 4]; 2],
+/// A fixed-size histogram per cell; Figure 6 hours in micro-hours.
+impl SampleStore for LogHist {
+    fn record(&mut self, v: u64) {
+        LogHist::record(self, v);
+    }
+
+    fn record_hours(&mut self, hours: f64) {
+        LogHist::record(self, (hours * HOURS_SCALE).round().max(1.0) as u64);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        LogHist::merge(self, other);
+    }
+
+    fn median(&mut self) -> Option<f64> {
+        self.quantile(0.5)
+    }
+
+    fn box_stats(&mut self) -> Option<BoxStats> {
+        LogHist::box_stats(self, 1.0)
+    }
+
+    fn hours_box(&mut self) -> Option<BoxStats> {
+        LogHist::box_stats(self, HOURS_SCALE)
+    }
 }
 
-/// Figure 6 hours are fractional; they are histogrammed in micro-hours.
-const HOURS_SCALE: f64 = 1e6;
-
-fn hist_grid(len: usize) -> [Vec<LogHist>; 4] {
-    [
-        vec![LogHist::new(); len],
-        vec![LogHist::new(); len],
-        vec![LogHist::new(); len],
-        vec![LogHist::new(); len],
-    ]
+/// The fixed-size reduction of one shard's collected study state:
+/// every figure's selection, with [`LogHist`] cells.
+///
+/// Additive: `merge` folds another shard's digest in, figure by figure.
+/// Merging in shard-id order makes the result byte-deterministic at any
+/// thread count; because every field is a sum, a count or a histogram,
+/// any merge order actually yields the same bytes — the discipline is
+/// belt and braces.
+#[derive(Debug, Clone)]
+pub struct ShardDigest {
+    resident: usize,
+    fig1: Fig1,
+    fig2: Fig2Parts<LogHist>,
+    fig3: Fig3Parts<LogHist>,
+    fig4: Fig4Parts<LogHist>,
+    fig5: Fig5Parts,
+    fig6: Fig6Parts<LogHist>,
+    fig7: Fig7Parts<LogHist>,
+    fig8: Fig8Parts,
+    headline: HeadlineParts,
 }
 
 impl Default for ShardDigest {
@@ -215,29 +216,16 @@ impl ShardDigest {
     /// An all-zero digest (the identity element of `merge`).
     pub fn empty() -> Self {
         ShardDigest {
-            fig1_per_bucket: [vec![0; ND], vec![0; ND], vec![0; ND], vec![0; ND]],
-            fig1_total: vec![0; ND],
-            fig2_sum: [vec![0; ND], vec![0; ND], vec![0; ND], vec![0; ND]],
-            fig2_cnt: [vec![0; ND], vec![0; ND], vec![0; ND], vec![0; ND]],
-            fig5_daily: vec![0; ND],
-            fig8_daily: vec![0; ND],
-            fig8_n: 0,
             resident: 0,
-            post_shutdown: 0,
-            identified: 0,
-            intl: 0,
-            post_month_bytes: [0; 4],
-            post_aprmay_device_days: 0,
-            sites_sum: [0; 4],
-            switches_pre: 0,
-            switches_post: 0,
-            switches_new: 0,
-            fig2_med: hist_grid(ND),
-            fig3: hist_grid(168),
-            fig4: hist_grid(ND),
-            fig6: Default::default(),
-            fig7_bytes: Default::default(),
-            fig7_conns: Default::default(),
+            fig1: Fig1::empty(),
+            fig2: Fig2Parts::empty(),
+            fig3: Fig3Parts::empty(),
+            fig4: Fig4Parts::empty(),
+            fig5: Fig5Parts::empty(),
+            fig6: Fig6Parts::default(),
+            fig7: Fig7Parts::default(),
+            fig8: Fig8Parts::empty(),
+            headline: HeadlineParts::default(),
         }
     }
 
@@ -245,209 +233,34 @@ impl ShardDigest {
     /// digest. The caller drops the collector immediately afterwards —
     /// that is the whole point.
     pub fn extract(c: &StudyCollector, s: &StudySummary) -> ShardDigest {
-        let mut d = ShardDigest::empty();
-        d.resident = s.resident.len();
-        d.post_shutdown = s.post_shutdown.len();
-        d.identified = s.subpop.len();
-        d.intl = s
-            .subpop
-            .values()
-            .filter(|&&sp| sp == SubPop::International)
-            .count();
-
-        // Figures 1 and 2 walk the same resident rows as the exact path.
-        for &dev in &s.resident {
-            let Some(row) = c.volume.row(dev) else {
-                continue;
-            };
-            let b = s.buckets[&dev].index();
-            for (di, &bytes) in row.iter().enumerate() {
-                if bytes > 0 {
-                    d.fig1_per_bucket[b][di] += 1;
-                    d.fig1_total[di] += 1;
-                    d.fig2_sum[b][di] += bytes;
-                    d.fig2_cnt[b][di] += 1;
-                    d.fig2_med[b][di].record(bytes);
-                }
-            }
+        ShardDigest {
+            resident: s.resident.len(),
+            fig1: Fig1::select(c, s),
+            fig2: Fig2Parts::select(c, s),
+            fig3: Fig3Parts::select(c, s),
+            fig4: Fig4Parts::select(c, s),
+            fig5: Fig5Parts::select(c, s),
+            fig6: Fig6Parts::select(c, s),
+            fig7: Fig7Parts::select(c, s),
+            fig8: Fig8Parts::select(c, s),
+            headline: HeadlineParts::select(c, s),
         }
-
-        // Figure 3: per (week, hour) distribution over active residents.
-        for dev in c.hourweek.devices() {
-            if !s.resident.contains(&dev) {
-                continue;
-            }
-            for (w, grid) in d.fig3.iter_mut().enumerate() {
-                if let Some(row) = c.hourweek.row(dev, w) {
-                    for (h, &b) in row.iter().enumerate() {
-                        if b > 0 {
-                            grid[h].record(b);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Post-shutdown users: Figure 5 and the headline month totals
-        // cover all of them; Figure 4 only the identified non-IoT ones.
-        for &dev in &s.post_shutdown {
-            if let Some(row) = c.zoom.row(dev) {
-                for (di, &b) in row.iter().enumerate() {
-                    d.fig5_daily[di] += b;
-                }
-            }
-            for (mi, m) in MONTHS.iter().enumerate() {
-                d.post_month_bytes[mi] += c.volume.month_total(dev, *m);
-                d.sites_sum[mi] += c.sites.count(dev, *m) as u64;
-            }
-            for m in [Month::Apr, Month::May] {
-                for dd in m.first_day().0..m.first_day().0 + m.num_days() {
-                    if c.volume.active_on(dev, Day(dd)) {
-                        d.post_aprmay_device_days += 1;
-                    }
-                }
-            }
-
-            let Some(&sp) = s.subpop.get(&dev) else {
-                continue;
-            };
-            let si = match (s.buckets[&dev], sp) {
-                (FigureBucket::Mobile | FigureBucket::LaptopDesktop, SubPop::International) => 0,
-                (FigureBucket::Mobile | FigureBucket::LaptopDesktop, SubPop::Domestic) => 1,
-                (FigureBucket::Unclassified, SubPop::International) => 2,
-                (FigureBucket::Unclassified, SubPop::Domestic) => 3,
-                (FigureBucket::Iot, _) => continue,
-            };
-            for di in 0..ND {
-                let day = Day(di as u16);
-                let v = c.volume.get(dev, day).saturating_sub(c.zoom.get(dev, day));
-                if v > 0 {
-                    d.fig4[si][di].record(v);
-                }
-            }
-        }
-
-        // Figure 6: social session hours, mobile post-shutdown devices.
-        for (&dev, hours) in &c.social_hours {
-            if !s.post_shutdown.contains(&dev) {
-                continue;
-            }
-            if s.buckets.get(&dev) != Some(&FigureBucket::Mobile) {
-                continue;
-            }
-            let Some(&sp) = s.subpop.get(&dev) else {
-                continue;
-            };
-            let spi = match sp {
-                SubPop::Domestic => 0,
-                SubPop::International => 1,
-            };
-            for (ai, months) in hours.iter().enumerate() {
-                for (mi, &h) in months.iter().enumerate() {
-                    if h > 0.0 {
-                        d.fig6[ai][spi][mi].record((h * HOURS_SCALE).round().max(1.0) as u64);
-                    }
-                }
-            }
-        }
-
-        // Figure 7: Steam bytes/connections, post-shutdown devices.
-        for (&dev, months) in &c.steam {
-            if !s.post_shutdown.contains(&dev) {
-                continue;
-            }
-            let Some(&sp) = s.subpop.get(&dev) else {
-                continue;
-            };
-            let spi = match sp {
-                SubPop::Domestic => 0,
-                SubPop::International => 1,
-            };
-            for (mi, &(b, n)) in months.iter().enumerate() {
-                if b > 0 {
-                    d.fig7_bytes[spi][mi].record(b);
-                    d.fig7_conns[spi][mi].record(n as u64);
-                }
-            }
-        }
-
-        // Switch statistics. A Switch's flows live entirely inside its
-        // owner's shard, so these per-shard counts sum to the exact
-        // run-level values.
-        let switches = c.switch_detect.switches();
-        for &dev in &switches {
-            if c.volume
-                .first_active_day(dev)
-                .is_some_and(|f| (f.0 as usize) < SHUTDOWN_DAY)
-            {
-                d.switches_pre += 1;
-            }
-            if c.volume.active_since(dev, Day(50)) {
-                d.switches_post += 1;
-            }
-            let active = |m: Month| {
-                (m.first_day().0..m.first_day().0 + m.num_days())
-                    .any(|dd| c.volume.active_on(dev, Day(dd)))
-            };
-            if active(Month::Feb) && active(Month::May) {
-                d.fig8_n += 1;
-                for di in 0..ND {
-                    d.fig8_daily[di] += c.switch_gameplay.get(dev, Day(di as u16));
-                }
-            }
-        }
-        d.switches_new = c.switch_detect.new_switches_since(Day(60)).len();
-
-        d
     }
 
     /// Fold another shard's digest into this one. Every field is a sum
     /// or a histogram, so this is associative and commutative; callers
     /// still merge in shard-id order for discipline.
     pub fn merge(&mut self, other: &ShardDigest) {
-        for b in 0..4 {
-            for di in 0..ND {
-                self.fig1_per_bucket[b][di] += other.fig1_per_bucket[b][di];
-                self.fig2_sum[b][di] += other.fig2_sum[b][di];
-                self.fig2_cnt[b][di] += other.fig2_cnt[b][di];
-                self.fig2_med[b][di].merge(&other.fig2_med[b][di]);
-                self.fig4[b][di].merge(&other.fig4[b][di]);
-            }
-            for h in 0..168 {
-                self.fig3[b][h].merge(&other.fig3[b][h]);
-            }
-        }
-        for di in 0..ND {
-            self.fig1_total[di] += other.fig1_total[di];
-            self.fig5_daily[di] += other.fig5_daily[di];
-            self.fig8_daily[di] += other.fig8_daily[di];
-        }
-        self.fig8_n += other.fig8_n;
         self.resident += other.resident;
-        self.post_shutdown += other.post_shutdown;
-        self.identified += other.identified;
-        self.intl += other.intl;
-        for mi in 0..4 {
-            self.post_month_bytes[mi] += other.post_month_bytes[mi];
-            self.sites_sum[mi] += other.sites_sum[mi];
-        }
-        self.post_aprmay_device_days += other.post_aprmay_device_days;
-        self.switches_pre += other.switches_pre;
-        self.switches_post += other.switches_post;
-        self.switches_new += other.switches_new;
-        for ai in 0..3 {
-            for spi in 0..2 {
-                for mi in 0..4 {
-                    self.fig6[ai][spi][mi].merge(&other.fig6[ai][spi][mi]);
-                }
-            }
-        }
-        for spi in 0..2 {
-            for mi in 0..4 {
-                self.fig7_bytes[spi][mi].merge(&other.fig7_bytes[spi][mi]);
-                self.fig7_conns[spi][mi].merge(&other.fig7_conns[spi][mi]);
-            }
-        }
+        self.fig1.merge(&other.fig1);
+        self.fig2.merge(&other.fig2);
+        self.fig3.merge(&other.fig3);
+        self.fig4.merge(&other.fig4);
+        self.fig5.merge(&other.fig5);
+        self.fig6.merge(&other.fig6);
+        self.fig7.merge(&other.fig7);
+        self.fig8.merge(&other.fig8);
+        self.headline.merge(&other.headline);
     }
 
     /// Residents counted by this digest (after the 14-day filter).
@@ -462,169 +275,31 @@ impl ShardDigest {
     /// another run's cohort, so cross-run comparisons built on it
     /// compare each run's own population mix.
     pub fn aprmay_daily_traffic(&self) -> f64 {
-        if self.post_aprmay_device_days == 0 {
-            return 0.0;
-        }
-        (self.post_month_bytes[2] + self.post_month_bytes[3]) as f64
-            / self.post_aprmay_device_days as f64
+        self.headline.traffic.aprmay_daily()
     }
 
-    /// Headline statistics. **Exact**: every field is computed from
-    /// additive sums with the same arithmetic as
-    /// [`headline_stats`](crate::figures::headline_stats), so at any
+    /// Headline statistics. **Exact**: the same tallies and arithmetic
+    /// as [`headline_stats`](crate::figures::headline_stats), so at any
     /// shard count this equals the monolithic result bit for bit.
     pub fn headline(&self) -> HeadlineStats {
-        let peak_active = self.fig1_total.iter().copied().max().unwrap_or(0);
-        let trough_active = self.fig1_total[SHUTDOWN_DAY..]
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0);
-
-        let month_daily =
-            |mi: usize| self.post_month_bytes[mi] as f64 / MONTHS[mi].num_days() as f64;
-        let feb = month_daily(0);
-        let aprmay = (month_daily(2) + month_daily(3)) / 2.0;
-        let traffic_growth = if feb > 0.0 { aprmay / feb - 1.0 } else { 0.0 };
-
-        // Mirrors `DistinctSiteCounter::mean_over` over the union of the
-        // per-shard post-shutdown sets: sum of counts / population size.
-        let sites_mean = |mi: usize| {
-            if self.post_shutdown == 0 {
-                0.0
-            } else {
-                self.sites_sum[mi] as f64 / self.post_shutdown as f64
-            }
-        };
-        let sites_feb = sites_mean(0);
-        let sites_aprmay = (sites_mean(2) + sites_mean(3)) / 2.0;
-        let sites_growth = if sites_feb > 0.0 {
-            sites_aprmay / sites_feb - 1.0
-        } else {
-            0.0
-        };
-
-        HeadlineStats {
-            peak_active,
-            trough_active,
-            post_shutdown_devices: self.post_shutdown,
-            identified_devices: self.identified,
-            intl_devices: self.intl,
-            traffic_growth_feb_to_aprmay: traffic_growth,
-            sites_growth,
-            switches_pre: self.switches_pre,
-            switches_post: self.switches_post,
-            switches_new: self.switches_new,
-        }
+        self.headline.render(&self.fig1.total)
     }
 
     /// Render the merged digest into the standard figure structs so the
     /// existing exporters and ASCII renderers apply unchanged.
     pub fn render(&self) -> DigestFigures {
-        let fig1 = Fig1 {
-            per_bucket: self.fig1_per_bucket.clone(),
-            total: self.fig1_total.clone(),
-        };
-
-        let mut fig2 = Fig2 {
-            mean: [vec![0.0; ND], vec![0.0; ND], vec![0.0; ND], vec![0.0; ND]],
-            median: [vec![0.0; ND], vec![0.0; ND], vec![0.0; ND], vec![0.0; ND]],
-        };
-        for b in 0..4 {
-            for di in 0..ND {
-                let n = self.fig2_cnt[b][di];
-                if n > 0 {
-                    fig2.mean[b][di] = self.fig2_sum[b][di] as f64 / n as f64;
-                    fig2.median[b][di] = self.fig2_med[b][di].quantile(0.5).unwrap_or(0.0);
-                }
-            }
-        }
-
-        let mut weeks: [Vec<f64>; 4] = [
-            vec![0.0; 168],
-            vec![0.0; 168],
-            vec![0.0; 168],
-            vec![0.0; 168],
-        ];
-        let mut min_nonzero = f64::INFINITY;
-        for (w, grid) in self.fig3.iter().enumerate() {
-            for (h, hist) in grid.iter().enumerate() {
-                if let Some(m) = hist.quantile(0.5) {
-                    weeks[w][h] = m;
-                    if m > 0.0 && m < min_nonzero {
-                        min_nonzero = m;
-                    }
-                }
-            }
-        }
-        if min_nonzero.is_finite() && min_nonzero > 0.0 {
-            for week in &mut weeks {
-                for v in week.iter_mut() {
-                    *v /= min_nonzero;
-                }
-            }
-        }
-        let fig3 = Fig3 {
-            labels: [
-                "Week of 2/20/20",
-                "Week of 3/19/20",
-                "Week of 4/9/20",
-                "Week of 5/14/20",
-            ],
-            weeks,
-        };
-
-        let mut fig4 = Fig4 {
-            series: [vec![0.0; ND], vec![0.0; ND], vec![0.0; ND], vec![0.0; ND]],
-        };
-        for (i, _) in Fig4Series::ALL.iter().enumerate() {
-            for di in 0..ND {
-                fig4.series[i][di] = self.fig4[i][di].quantile(0.5).unwrap_or(0.0);
-            }
-        }
-
-        let fig5 = Fig5 {
-            daily: self.fig5_daily.iter().map(|&b| b as f64).collect(),
-        };
-
-        let mut fig6 = Fig6 {
-            boxes: Default::default(),
-        };
-        for ai in 0..3 {
-            for spi in 0..2 {
-                for mi in 0..4 {
-                    fig6.boxes[ai][spi][mi] = self.fig6[ai][spi][mi].box_stats(HOURS_SCALE);
-                }
-            }
-        }
-
-        let mut fig7 = Fig7 {
-            bytes: Default::default(),
-            conns: Default::default(),
-        };
-        for spi in 0..2 {
-            for mi in 0..4 {
-                fig7.bytes[spi][mi] = self.fig7_bytes[spi][mi].box_stats(1.0);
-                fig7.conns[spi][mi] = self.fig7_conns[spi][mi].box_stats(1.0);
-            }
-        }
-
-        let daily: Vec<f64> = self.fig8_daily.iter().map(|&b| b as f64).collect();
-        let fig8 = Fig8 {
-            daily_ma: moving_average(&daily, 3),
-            n_switches: self.fig8_n,
-        };
-
+        let headline = self.headline();
+        let d = self.clone();
         DigestFigures {
-            fig1,
-            fig2,
-            fig3,
-            fig4,
-            fig5,
-            fig6,
-            fig7,
-            fig8,
-            headline: self.headline(),
+            fig1: d.fig1,
+            fig2: d.fig2.render(),
+            fig3: d.fig3.render(),
+            fig4: d.fig4.render(),
+            fig5: d.fig5.render(),
+            fig6: d.fig6.render(),
+            fig7: d.fig7.render(),
+            fig8: d.fig8.render(),
+            headline,
         }
     }
 }
@@ -656,8 +331,15 @@ pub struct DigestFigures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::headline_stats;
+    use crate::accuracy;
+    use crate::figures::MonthTraffic;
+    use appsig::App;
+    use dnslog::{DomainId, DomainTable};
+    use lockdown_testkit::{check, Gen};
+    use nettrace::time::{Day, Month, StudyCalendar};
     use nettrace::DeviceId;
+
+    const ND: usize = StudyCalendar::NUM_DAYS as usize;
 
     #[test]
     fn loghist_buckets_and_quantiles() {
@@ -699,6 +381,135 @@ mod tests {
         assert_eq!(a.count(), 3);
     }
 
+    const PHONE: &str = "Mozilla/5.0 (iPhone; CPU iPhone OS 13_3 like Mac OS X) AppleWebKit/605.1.15 (KHTML, like Gecko) Version/13.0.5 Mobile/15E148 Safari/604.1";
+    const LAPTOP: &str = "Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/80.0.3987.122 Safari/537.36";
+
+    /// Feeds one device's activity to a collector.
+    type Fill = Box<dyn Fn(&mut StudyCollector, &DomainTable)>;
+
+    /// One device's activity, drawn at random and fed through the
+    /// collector's public accumulators. `full` devices are active every
+    /// day, so each case has residents and post-shutdown users.
+    fn random_device(g: &mut Gen, dev: DeviceId, full: bool, sites: &[DomainId]) -> Fill {
+        let (p, leave) = if full {
+            (1.0, ND)
+        } else {
+            (g.range(0.05..1.0), g.range(30..=ND))
+        };
+        let mut days = Vec::new();
+        for d in 0..leave {
+            if g.range(0.0..1.0) < p {
+                let bytes = g.range(1u64..1 << 36);
+                let zoom = if g.any() { g.range(0..=bytes) } else { 0 };
+                days.push((Day(d as u16), bytes, zoom));
+            }
+        }
+        let hours: Vec<(u64, u64)> = g.vec(0..40, |g| (g.range(0..24u64), g.range(1u64..1 << 30)));
+        let ua = [None, Some(PHONE), Some(LAPTOP)][g.range(0..3usize)];
+        let iot = g.range(0..6u32) == 0;
+        let midpoint = [None, Some((39.0, -77.0)), Some((48.85, 2.35))][g.range(0..3usize)];
+        let switch = g.range(0..4u32) == 0;
+        let steam = std::array::from_fn::<_, 4, _>(|_| match g.range(0..3u32) {
+            0 => (0, 0),
+            _ => (g.range(1u64..1 << 34), g.range(1u32..500)),
+        });
+        let social = std::array::from_fn::<_, 3, _>(|_| {
+            std::array::from_fn::<_, 4, _>(|_| if g.any() { g.range(0.01..40.0) } else { 0.0 })
+        });
+        let visited: Vec<(Month, DomainId)> = g.vec(0..12, |g| {
+            (
+                Month::ALL[g.range(0..4usize)],
+                sites[g.range(0..sites.len())],
+            )
+        });
+        Box::new(move |c, table| {
+            for &(day, bytes, zoom) in &days {
+                c.volume.add(dev, day, bytes);
+                c.zoom.add(dev, day, zoom);
+                for &(hour, b) in &hours {
+                    c.hourweek
+                        .add(dev, day.start().add_secs(hour as i64 * 3600), b);
+                }
+                if switch {
+                    c.switch_detect
+                        .observe(dev, day.start(), Some(App::SwitchGameplay), bytes);
+                    c.switch_gameplay.add(dev, day, bytes / 2);
+                }
+            }
+            if let Some(ua) = ua {
+                c.observe_ua(dev, ua);
+            }
+            if iot {
+                c.profiles.entry(dev).iot.add(1, true);
+            }
+            if let Some((lat, lon)) = midpoint {
+                c.midpoints.entry(dev).add(lat, lon, 1.0);
+            }
+            if steam.iter().any(|&(b, _)| b > 0) {
+                *c.steam.entry(dev) = steam;
+            }
+            if social.iter().flatten().any(|&h| h > 0.0) {
+                *c.social_hours.entry(dev) = social;
+            }
+            for &(month, site) in &visited {
+                c.sites.record(dev, month, site, table);
+            }
+        })
+    }
+
+    /// Random collectors, split by device into 1–4 disjoint shards: the
+    /// merged `LogHist` digests render fig1, fig2's means, fig5, fig8
+    /// and the headline bit for bit as the exact `Vec<f64>` figures of
+    /// the whole, count the same samples in every fig6/fig7 box, and
+    /// keep every quantile within its bound.
+    #[test]
+    fn digest_matches_exact_on_random_collectors() {
+        let mut table = DomainTable::new();
+        let sites: Vec<DomainId> = ["a.example.com", "b.example.org", "www.example.net"]
+            .iter()
+            .map(|s| table.intern_str(s).unwrap())
+            .collect();
+        check("digest_matches_exact_on_random_collectors", |g| {
+            let k = g.range(1..=4usize);
+            let mut whole = StudyCollector::new();
+            let mut shards: Vec<StudyCollector> = (0..k).map(|_| StudyCollector::new()).collect();
+            for i in 0..g.range(2..24u64) {
+                let fill = random_device(g, DeviceId(i), i < 2, &sites);
+                fill(&mut whole, &table);
+                fill(&mut shards[g.range(0..k)], &table);
+            }
+
+            let summary = StudySummary::finalize(&whole);
+            let exact = accuracy::exact_figures(&whole, &summary);
+            let mut merged = ShardDigest::empty();
+            for c in &shards {
+                merged.merge(&ShardDigest::extract(c, &StudySummary::finalize(c)));
+            }
+            let digest = merged.render();
+
+            assert_eq!(digest.headline, exact.headline);
+            assert_eq!(digest.fig1.per_bucket, exact.fig1.per_bucket);
+            assert_eq!(digest.fig1.total, exact.fig1.total);
+            assert_eq!(digest.fig2.mean, exact.fig2.mean);
+            assert_eq!(digest.fig5.daily, exact.fig5.daily);
+            assert_eq!(digest.fig8.daily_ma, exact.fig8.daily_ma);
+            assert_eq!(digest.fig8.n_switches, exact.fig8.n_switches);
+            assert_eq!(merged.resident_devices(), summary.resident.len());
+            assert_eq!(
+                merged.aprmay_daily_traffic(),
+                MonthTraffic::over(&whole, &summary.post_shutdown).aprmay_daily()
+            );
+            let counts = |f: &DigestFigures| -> Vec<Option<usize>> {
+                let fig6 = f.fig6.boxes.as_flattened().as_flattened().iter();
+                let fig7 = f.fig7.bytes.iter().chain(&f.fig7.conns).flatten();
+                fig6.chain(fig7).map(|b| b.map(|b| b.n)).collect()
+            };
+            assert_eq!(counts(&digest), counts(&exact));
+            let report = accuracy::compare(&digest, &exact);
+            assert!(report.within_bounds(), "{}", report.to_text());
+        });
+    }
+
     fn synthetic_collector(dev_base: u64, n: u64) -> StudyCollector {
         let mut c = StudyCollector::new();
         for i in 0..n {
@@ -710,36 +521,6 @@ mod tests {
             }
         }
         c
-    }
-
-    #[test]
-    fn digest_headline_matches_exact_on_synthetic_data() {
-        // Two disjoint device ranges: digest each separately, merge, and
-        // compare against the exact computation over the union.
-        let a = synthetic_collector(0, 5);
-        let b = synthetic_collector(100, 7);
-        let sa = StudySummary::finalize(&a);
-        let sb = StudySummary::finalize(&b);
-        let mut merged = ShardDigest::extract(&a, &sa);
-        merged.merge(&ShardDigest::extract(&b, &sb));
-
-        let mut whole = synthetic_collector(0, 5);
-        whole.merge(synthetic_collector(100, 7));
-        let sw = StudySummary::finalize(&whole);
-        let exact = headline_stats(&whole, &sw);
-
-        assert_eq!(merged.headline(), exact);
-        assert_eq!(merged.resident_devices(), sw.resident.len());
-
-        // Exact figure parts are byte-identical too.
-        let figs = merged.render();
-        let f1 = crate::figures::figure1(&whole, &sw);
-        assert_eq!(figs.fig1.total, f1.total);
-        assert_eq!(figs.fig1.per_bucket, f1.per_bucket);
-        let f5 = crate::figures::figure5(&whole, &sw);
-        assert_eq!(figs.fig5.daily, f5.daily);
-        let f2 = crate::figures::figure2(&whole, &sw);
-        assert_eq!(figs.fig2.mean, f2.mean);
     }
 
     #[test]

@@ -1,16 +1,29 @@
-//! Finalization and figure extraction.
+//! Finalization and the one reduction behind every figure.
 //!
 //! After the one-pass collection, devices are classified, segmented and
-//! filtered exactly once (§3–4 of the paper); each `figureN` function
-//! then reduces the collected state to the series/boxes the paper plots.
+//! filtered exactly once (§3–4 of the paper) into a [`StudySummary`].
+//! Each figure then has one *selection*, which picks the figure's
+//! devices from the summary and records what they contribute, and one
+//! *render*, which turns the selection into the series or boxes the
+//! paper plots. Counts and byte sums are kept as integers. A quantile
+//! cell keeps its samples in a [`SampleStore`], and that is the only
+//! place exact and digest runs differ:
+//!
+//! * `Vec<f64>` keeps every sample. [`figure1`]..[`figure8`] and
+//!   [`headline_stats`] select and render one figure each over it, so
+//!   only one figure's samples are alive at a time.
+//! * [`LogHist`](crate::LogHist) keeps a fixed-size histogram.
+//!   [`ShardDigest`](crate::ShardDigest) holds every selection of one
+//!   shard over it, adds shards together, and renders after the merge.
 
 use crate::collect::StudyCollector;
-use crate::stats::{mean, moving_average, BoxStats};
+use crate::stats::{self, moving_average, BoxStats};
 use devclass::{Classifier, DeviceType, FigureBucket};
 use geoloc::{in_united_states, SubPop};
 use nettrace::time::{Day, Month, StudyCalendar};
 use nettrace::DeviceId;
 use std::collections::{HashMap, HashSet};
+use std::ops::AddAssign;
 
 /// Minimum active days before a device counts as a resident rather than
 /// a campus visitor (§3: "we discard information for devices that appear
@@ -22,6 +35,12 @@ pub const VISITOR_FILTER_DAYS: usize = 14;
 /// days past the stay-at-home order; a week of post-break presence
 /// separates residents from stragglers.)
 pub const POST_SHUTDOWN_MIN_DAYS: usize = 7;
+
+const ND: usize = StudyCalendar::NUM_DAYS as usize;
+/// The paper's shutdown day (2020-03-19).
+const SHUTDOWN_DAY: usize = 47;
+/// The academic break begins (2020-03-22).
+const BREAK_START: Day = Day(50);
 
 /// The classified, segmented device universe.
 pub struct StudySummary {
@@ -47,7 +66,6 @@ impl StudySummary {
         let mut resident = HashSet::new();
         let mut post_shutdown = HashSet::new();
 
-        let break_start = Day(50); // 2020-03-22
         for dev in c.volume.devices() {
             if c.volume.active_day_count(dev) < VISITOR_FILTER_DAYS {
                 continue;
@@ -61,7 +79,7 @@ impl StudySummary {
             device_types.insert(dev, t);
             buckets.insert(dev, t.figure_bucket());
 
-            let post_days = (break_start.0..StudyCalendar::NUM_DAYS)
+            let post_days = (BREAK_START.0..StudyCalendar::NUM_DAYS)
                 .filter(|&d| c.volume.active_on(dev, Day(d)))
                 .count();
             if post_days >= POST_SHUTDOWN_MIN_DAYS {
@@ -94,6 +112,86 @@ impl StudySummary {
             post_shutdown,
         }
     }
+
+    /// Box index of an identified device's sub-population (domestic = 0).
+    fn subpop_index(&self, dev: DeviceId) -> Option<usize> {
+        self.subpop.get(&dev).map(|sp| match sp {
+            SubPop::Domestic => 0,
+            SubPop::International => 1,
+        })
+    }
+}
+
+/// How a figure cell keeps its samples: the one thing in which an exact
+/// run and a digest run differ. Selections record positive samples;
+/// renders read medians and boxes.
+pub trait SampleStore: Clone + Default {
+    /// Keep a byte or connection count.
+    fn record(&mut self, v: u64);
+    /// Keep a duration in hours (Figure 6).
+    fn record_hours(&mut self, hours: f64);
+    /// Add another cell's samples (a shard merge).
+    fn merge(&mut self, other: &Self);
+    /// The median, or `None` without samples.
+    fn median(&mut self) -> Option<f64>;
+    /// The box of the counts kept by [`record`](Self::record).
+    fn box_stats(&mut self) -> Option<BoxStats>;
+    /// The box, in hours, of the durations kept by
+    /// [`record_hours`](Self::record_hours).
+    fn hours_box(&mut self) -> Option<BoxStats>;
+}
+
+/// Every sample, read with the R-7 percentiles of [`crate::stats`].
+impl SampleStore for Vec<f64> {
+    fn record(&mut self, v: u64) {
+        self.push(v as f64);
+    }
+
+    fn record_hours(&mut self, hours: f64) {
+        self.push(hours);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.extend_from_slice(other);
+    }
+
+    fn median(&mut self) -> Option<f64> {
+        stats::median(self)
+    }
+
+    fn box_stats(&mut self) -> Option<BoxStats> {
+        BoxStats::compute(self)
+    }
+
+    fn hours_box(&mut self) -> Option<BoxStats> {
+        BoxStats::compute(self)
+    }
+}
+
+/// One row of `len` cells per figure bucket or series.
+fn rows<T: Clone + Default>(len: usize) -> [Vec<T>; 4] {
+    std::array::from_fn(|_| vec![T::default(); len])
+}
+
+/// Add `other` into `sums`, cell by cell.
+fn add<T: Copy + AddAssign>(sums: &mut [T], other: &[T]) {
+    for (a, &b) in sums.iter_mut().zip(other) {
+        *a += b;
+    }
+}
+
+/// Merge `other`'s samples into `cells`, cell by cell.
+fn merge_cells<S: SampleStore>(cells: &mut [S], other: &[S]) {
+    for (a, b) in cells.iter_mut().zip(other) {
+        a.merge(b);
+    }
+}
+
+/// Integer sums become `f64` only here, at render. Every partial sum is
+/// an integer below 2^53, so an `f64` sum of the same values, in any
+/// order and over any split into shards, gives these bits exactly.
+fn to_f64(sums: &[u64]) -> Vec<f64> {
+    sums.iter().map(|&b| b as f64).collect()
 }
 
 /// Figure 1: active devices per day, by figure bucket.
@@ -105,29 +203,44 @@ pub struct Fig1 {
     pub total: Vec<u32>,
 }
 
-/// Compute Figure 1.
-pub fn figure1(c: &StudyCollector, s: &StudySummary) -> Fig1 {
-    let nd = StudyCalendar::NUM_DAYS as usize;
-    let mut per_bucket = [
-        vec![0u32; nd],
-        vec![0u32; nd],
-        vec![0u32; nd],
-        vec![0u32; nd],
-    ];
-    let mut total = vec![0u32; nd];
-    for &dev in &s.resident {
-        let Some(row) = c.volume.row(dev) else {
-            continue;
-        };
-        let b = s.buckets[&dev].index();
-        for (d, &bytes) in row.iter().enumerate() {
-            if bytes > 0 {
-                per_bucket[b][d] += 1;
-                total[d] += 1;
-            }
+impl Fig1 {
+    pub(crate) fn empty() -> Fig1 {
+        Fig1 {
+            per_bucket: rows(ND),
+            total: vec![0; ND],
         }
     }
-    Fig1 { per_bucket, total }
+
+    /// Figure 1's selection: every resident counts on its active days.
+    /// The counts are the figure.
+    pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Fig1 {
+        let mut f = Fig1::empty();
+        for &dev in &s.resident {
+            let Some(row) = c.volume.row(dev) else {
+                continue;
+            };
+            let b = s.buckets[&dev].index();
+            for (d, &bytes) in row.iter().enumerate() {
+                if bytes > 0 {
+                    f.per_bucket[b][d] += 1;
+                    f.total[d] += 1;
+                }
+            }
+        }
+        f
+    }
+
+    pub(crate) fn merge(&mut self, other: &Fig1) {
+        for (a, b) in self.per_bucket.iter_mut().zip(&other.per_bucket) {
+            add(a, b);
+        }
+        add(&mut self.total, &other.total);
+    }
+}
+
+/// Compute Figure 1.
+pub fn figure1(c: &StudyCollector, s: &StudySummary) -> Fig1 {
+    Fig1::select(c, s)
 }
 
 /// Figure 2: mean and median bytes per active device per day, by bucket.
@@ -139,35 +252,72 @@ pub struct Fig2 {
     pub median: [Vec<f64>; 4],
 }
 
+/// Figure 2's selection: per bucket and day, the byte sum, count and
+/// samples of the active residents.
+#[derive(Debug, Clone)]
+pub(crate) struct Fig2Parts<S> {
+    sum: [Vec<u64>; 4],
+    count: [Vec<u32>; 4],
+    cells: [Vec<S>; 4],
+}
+
+impl<S: SampleStore> Fig2Parts<S> {
+    pub(crate) fn empty() -> Self {
+        Fig2Parts {
+            sum: rows(ND),
+            count: rows(ND),
+            cells: rows(ND),
+        }
+    }
+
+    pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
+        let mut p = Self::empty();
+        for &dev in &s.resident {
+            let Some(row) = c.volume.row(dev) else {
+                continue;
+            };
+            let b = s.buckets[&dev].index();
+            for (d, &bytes) in row.iter().enumerate() {
+                if bytes > 0 {
+                    p.sum[b][d] += bytes;
+                    p.count[b][d] += 1;
+                    p.cells[b][d].record(bytes);
+                }
+            }
+        }
+        p
+    }
+
+    pub(crate) fn merge(&mut self, other: &Self) {
+        for b in 0..4 {
+            add(&mut self.sum[b], &other.sum[b]);
+            add(&mut self.count[b], &other.count[b]);
+            merge_cells(&mut self.cells[b], &other.cells[b]);
+        }
+    }
+
+    pub(crate) fn render(mut self) -> Fig2 {
+        let mut f = Fig2 {
+            mean: rows(ND),
+            median: rows(ND),
+        };
+        for b in 0..4 {
+            for d in 0..ND {
+                let n = self.count[b][d];
+                if n > 0 {
+                    // Exact as an `f64` sum would be (see `to_f64`).
+                    f.mean[b][d] = self.sum[b][d] as f64 / f64::from(n);
+                    f.median[b][d] = self.cells[b][d].median().unwrap_or(0.0);
+                }
+            }
+        }
+        f
+    }
+}
+
 /// Compute Figure 2.
 pub fn figure2(c: &StudyCollector, s: &StudySummary) -> Fig2 {
-    let nd = StudyCalendar::NUM_DAYS as usize;
-    let mut out = Fig2 {
-        mean: [vec![0.0; nd], vec![0.0; nd], vec![0.0; nd], vec![0.0; nd]],
-        median: [vec![0.0; nd], vec![0.0; nd], vec![0.0; nd], vec![0.0; nd]],
-    };
-    // Bucket device rows once.
-    let mut by_bucket: [Vec<[u64; StudyCalendar::NUM_DAYS as usize]>; 4] = Default::default();
-    for &dev in &s.resident {
-        if let Some(row) = c.volume.row(dev) {
-            by_bucket[s.buckets[&dev].index()].push(row);
-        }
-    }
-    for (b, rows) in by_bucket.iter().enumerate() {
-        for d in 0..nd {
-            let mut vals: Vec<f64> = rows
-                .iter()
-                .map(|r| r[d] as f64)
-                .filter(|&v| v > 0.0)
-                .collect();
-            if vals.is_empty() {
-                continue;
-            }
-            out.mean[b][d] = mean(&vals).unwrap_or(0.0);
-            out.median[b][d] = crate::stats::median(&mut vals).unwrap_or(0.0);
-        }
-    }
-    out
+    Fig2Parts::<Vec<f64>>::select(c, s).render()
 }
 
 /// Figure 3: normalized median per-device traffic per hour of week.
@@ -179,59 +329,81 @@ pub struct Fig3 {
     pub weeks: [Vec<f64>; 4],
 }
 
-/// Compute Figure 3. Normalization divides by the minimum nonzero median
-/// across all weeks ("normalized by the minimum volume of traffic across
-/// all weeks", §4.1).
-pub fn figure3(c: &StudyCollector, s: &StudySummary) -> Fig3 {
-    let mut weeks: [Vec<f64>; 4] = [
-        vec![0.0; 168],
-        vec![0.0; 168],
-        vec![0.0; 168],
-        vec![0.0; 168],
-    ];
-    // Per (week, hour): median over devices with traffic in that hour.
-    let mut per_hour: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); 168]; 4];
-    for dev in c.hourweek.devices() {
-        if !s.resident.contains(&dev) {
-            continue;
-        }
-        for (w, week_vals) in per_hour.iter_mut().enumerate() {
-            if let Some(row) = c.hourweek.row(dev, w) {
-                for (h, &b) in row.iter().enumerate() {
-                    if b > 0 {
-                        week_vals[h].push(b as f64);
+/// Figure 3's selection: per (week, hour), the bytes of every resident
+/// active in that hour.
+#[derive(Debug, Clone)]
+pub(crate) struct Fig3Parts<S> {
+    cells: [Vec<S>; 4],
+}
+
+impl<S: SampleStore> Fig3Parts<S> {
+    pub(crate) fn empty() -> Self {
+        Fig3Parts { cells: rows(168) }
+    }
+
+    pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
+        let mut p = Self::empty();
+        for dev in c.hourweek.devices() {
+            if !s.resident.contains(&dev) {
+                continue;
+            }
+            for (w, cells) in p.cells.iter_mut().enumerate() {
+                if let Some(row) = c.hourweek.row(dev, w) {
+                    for (h, &b) in row.iter().enumerate() {
+                        if b > 0 {
+                            cells[h].record(b);
+                        }
                     }
                 }
             }
         }
+        p
     }
-    let mut min_nonzero = f64::INFINITY;
-    for (w, week_vals) in per_hour.iter_mut().enumerate() {
-        for (h, vals) in week_vals.iter_mut().enumerate() {
-            if let Some(m) = crate::stats::median(vals) {
-                weeks[w][h] = m;
-                if m > 0.0 && m < min_nonzero {
-                    min_nonzero = m;
+
+    pub(crate) fn merge(&mut self, other: &Self) {
+        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
+            merge_cells(a, b);
+        }
+    }
+
+    /// Medians, divided by the minimum nonzero median across all weeks
+    /// ("normalized by the minimum volume of traffic across all weeks",
+    /// §4.1). A digest renormalizes after the merge.
+    pub(crate) fn render(mut self) -> Fig3 {
+        let mut weeks: [Vec<f64>; 4] = rows(168);
+        let mut min_nonzero = f64::INFINITY;
+        for (week, cells) in weeks.iter_mut().zip(&mut self.cells) {
+            for (v, cell) in week.iter_mut().zip(cells) {
+                if let Some(m) = cell.median() {
+                    *v = m;
+                    if m > 0.0 && m < min_nonzero {
+                        min_nonzero = m;
+                    }
                 }
             }
         }
-    }
-    if min_nonzero.is_finite() && min_nonzero > 0.0 {
-        for week in &mut weeks {
-            for v in week.iter_mut() {
-                *v /= min_nonzero;
+        if min_nonzero.is_finite() && min_nonzero > 0.0 {
+            for week in &mut weeks {
+                for v in week.iter_mut() {
+                    *v /= min_nonzero;
+                }
             }
         }
+        Fig3 {
+            labels: [
+                "Week of 2/20/20",
+                "Week of 3/19/20",
+                "Week of 4/9/20",
+                "Week of 5/14/20",
+            ],
+            weeks,
+        }
     }
-    Fig3 {
-        labels: [
-            "Week of 2/20/20",
-            "Week of 3/19/20",
-            "Week of 4/9/20",
-            "Week of 5/14/20",
-        ],
-        weeks,
-    }
+}
+
+/// Compute Figure 3.
+pub fn figure3(c: &StudyCollector, s: &StudySummary) -> Fig3 {
+    Fig3Parts::<Vec<f64>>::select(c, s).render()
 }
 
 /// Figure 4's four series.
@@ -275,47 +447,63 @@ pub struct Fig4 {
     pub series: [Vec<f64>; 4],
 }
 
-/// Compute Figure 4.
-pub fn figure4(c: &StudyCollector, s: &StudySummary) -> Fig4 {
-    let nd = StudyCalendar::NUM_DAYS as usize;
-    let mut groups: HashMap<Fig4Series, Vec<DeviceId>> = HashMap::new();
-    for &dev in &s.post_shutdown {
-        let Some(&sp) = s.subpop.get(&dev) else {
-            continue;
-        };
-        let series = match (s.buckets[&dev], sp) {
-            (FigureBucket::Mobile | FigureBucket::LaptopDesktop, SubPop::International) => {
-                Fig4Series::IntlMobileDesktop
-            }
-            (FigureBucket::Mobile | FigureBucket::LaptopDesktop, SubPop::Domestic) => {
-                Fig4Series::DomesticMobileDesktop
-            }
-            (FigureBucket::Unclassified, SubPop::International) => Fig4Series::IntlUnclassified,
-            (FigureBucket::Unclassified, SubPop::Domestic) => Fig4Series::DomesticUnclassified,
-            (FigureBucket::Iot, _) => continue, // "exclude IoT devices here"
-        };
-        groups.entry(series).or_default().push(dev);
+/// Figure 4's selection: per series and day, the non-Zoom bytes of every
+/// identified, non-IoT post-shutdown device active that day.
+#[derive(Debug, Clone)]
+pub(crate) struct Fig4Parts<S> {
+    cells: [Vec<S>; 4],
+}
+
+impl<S: SampleStore> Fig4Parts<S> {
+    pub(crate) fn empty() -> Self {
+        Fig4Parts { cells: rows(ND) }
     }
-    let mut out = Fig4 {
-        series: [vec![0.0; nd], vec![0.0; nd], vec![0.0; nd], vec![0.0; nd]],
-    };
-    for (i, series) in Fig4Series::ALL.iter().enumerate() {
-        let devs = groups.get(series).cloned().unwrap_or_default();
-        for d in 0..nd {
-            let day = Day(d as u16);
-            let mut vals: Vec<f64> = devs
-                .iter()
-                .map(|&dev| {
-                    let total = c.volume.get(dev, day);
-                    let zoom = c.zoom.get(dev, day);
-                    total.saturating_sub(zoom) as f64
-                })
-                .filter(|&v| v > 0.0)
-                .collect();
-            out.series[i][d] = crate::stats::median(&mut vals).unwrap_or(0.0);
+
+    pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
+        let mut p = Self::empty();
+        for &dev in &s.post_shutdown {
+            let Some(&sp) = s.subpop.get(&dev) else {
+                continue;
+            };
+            // Indices in `Fig4Series::ALL` order.
+            let series = match (s.buckets[&dev], sp) {
+                (FigureBucket::Mobile | FigureBucket::LaptopDesktop, SubPop::International) => 0,
+                (FigureBucket::Mobile | FigureBucket::LaptopDesktop, SubPop::Domestic) => 1,
+                (FigureBucket::Unclassified, SubPop::International) => 2,
+                (FigureBucket::Unclassified, SubPop::Domestic) => 3,
+                (FigureBucket::Iot, _) => continue, // "exclude IoT devices here"
+            };
+            for (d, cell) in p.cells[series].iter_mut().enumerate() {
+                let day = Day(d as u16);
+                let v = c.volume.get(dev, day).saturating_sub(c.zoom.get(dev, day));
+                if v > 0 {
+                    cell.record(v);
+                }
+            }
+        }
+        p
+    }
+
+    pub(crate) fn merge(&mut self, other: &Self) {
+        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
+            merge_cells(a, b);
         }
     }
-    out
+
+    pub(crate) fn render(self) -> Fig4 {
+        Fig4 {
+            series: self.cells.map(|row| {
+                row.into_iter()
+                    .map(|mut c| c.median().unwrap_or(0.0))
+                    .collect()
+            }),
+        }
+    }
+}
+
+/// Compute Figure 4.
+pub fn figure4(c: &StudyCollector, s: &StudySummary) -> Fig4 {
+    Fig4Parts::<Vec<f64>>::select(c, s).render()
 }
 
 /// Figure 5: daily aggregate Zoom bytes for post-shutdown users.
@@ -325,18 +513,41 @@ pub struct Fig5 {
     pub daily: Vec<f64>,
 }
 
-/// Compute Figure 5.
-pub fn figure5(c: &StudyCollector, s: &StudySummary) -> Fig5 {
-    let nd = StudyCalendar::NUM_DAYS as usize;
-    let mut daily = vec![0.0; nd];
-    for &dev in &s.post_shutdown {
-        if let Some(row) = c.zoom.row(dev) {
-            for (d, &b) in row.iter().enumerate() {
-                daily[d] += b as f64;
+/// Figure 5's selection: the post-shutdown users' Zoom bytes per day.
+#[derive(Debug, Clone)]
+pub(crate) struct Fig5Parts {
+    daily: Vec<u64>,
+}
+
+impl Fig5Parts {
+    pub(crate) fn empty() -> Self {
+        Fig5Parts { daily: vec![0; ND] }
+    }
+
+    pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
+        let mut p = Self::empty();
+        for &dev in &s.post_shutdown {
+            if let Some(row) = c.zoom.row(dev) {
+                add(&mut p.daily, &row);
             }
         }
+        p
     }
-    Fig5 { daily }
+
+    pub(crate) fn merge(&mut self, other: &Self) {
+        add(&mut self.daily, &other.daily);
+    }
+
+    pub(crate) fn render(&self) -> Fig5 {
+        Fig5 {
+            daily: to_f64(&self.daily),
+        }
+    }
+}
+
+/// Compute Figure 5.
+pub fn figure5(c: &StudyCollector, s: &StudySummary) -> Fig5 {
+    Fig5Parts::select(c, s).render()
 }
 
 /// Figure 6: monthly social session duration boxes for mobile devices.
@@ -347,46 +558,56 @@ pub struct Fig6 {
     pub boxes: [[[Option<BoxStats>; 4]; 2]; 3],
 }
 
-/// Compute Figure 6 (mobile traffic only, §5.2).
-pub fn figure6(c: &StudyCollector, s: &StudySummary) -> Fig6 {
-    let mut boxes: [[[Option<BoxStats>; 4]; 2]; 3] = Default::default();
-    let mut samples: Vec<Vec<[Vec<f64>; 4]>> = vec![
-        vec![
-            [vec![], vec![], vec![], vec![]],
-            [vec![], vec![], vec![], vec![]]
-        ];
-        3
-    ];
-    for (&dev, hours) in &c.social_hours {
-        if !s.post_shutdown.contains(&dev) {
-            continue;
-        }
-        if s.buckets.get(&dev) != Some(&FigureBucket::Mobile) {
-            continue;
-        }
-        let Some(&sp) = s.subpop.get(&dev) else {
-            continue;
-        };
-        let spi = match sp {
-            SubPop::Domestic => 0,
-            SubPop::International => 1,
-        };
-        for (ai, months) in hours.iter().enumerate() {
-            for (mi, &h) in months.iter().enumerate() {
-                if h > 0.0 {
-                    samples[ai][spi][mi].push(h);
+/// Figure 6's selection: per (app, sub-population, month), the session
+/// hours of every identified mobile post-shutdown device (§5.2).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Fig6Parts<S> {
+    cells: [[[S; 4]; 2]; 3],
+}
+
+impl<S: SampleStore> Fig6Parts<S> {
+    pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
+        let mut p = Self::default();
+        for (&dev, hours) in &c.social_hours {
+            if !s.post_shutdown.contains(&dev) {
+                continue;
+            }
+            if s.buckets.get(&dev) != Some(&FigureBucket::Mobile) {
+                continue;
+            }
+            let Some(spi) = s.subpop_index(dev) else {
+                continue;
+            };
+            for (cells, months) in p.cells.iter_mut().zip(hours) {
+                for (cell, &h) in cells[spi].iter_mut().zip(months) {
+                    if h > 0.0 {
+                        cell.record_hours(h);
+                    }
                 }
             }
         }
+        p
     }
-    for (ai, per_app) in samples.iter_mut().enumerate() {
-        for (spi, per_sp) in per_app.iter_mut().enumerate() {
-            for (mi, vals) in per_sp.iter_mut().enumerate() {
-                boxes[ai][spi][mi] = BoxStats::compute(vals);
-            }
+
+    pub(crate) fn merge(&mut self, other: &Self) {
+        merge_cells(
+            self.cells.as_flattened_mut().as_flattened_mut(),
+            other.cells.as_flattened().as_flattened(),
+        );
+    }
+
+    pub(crate) fn render(self) -> Fig6 {
+        Fig6 {
+            boxes: self
+                .cells
+                .map(|app| app.map(|sp| sp.map(|mut c| c.hours_box()))),
         }
     }
-    Fig6 { boxes }
+}
+
+/// Compute Figure 6 (mobile traffic only, §5.2).
+pub fn figure6(c: &StudyCollector, s: &StudySummary) -> Fig6 {
+    Fig6Parts::<Vec<f64>>::select(c, s).render()
 }
 
 /// Figure 7: monthly Steam bytes and connections boxes.
@@ -398,39 +619,52 @@ pub struct Fig7 {
     pub conns: [[Option<BoxStats>; 4]; 2],
 }
 
-/// Compute Figure 7.
-pub fn figure7(c: &StudyCollector, s: &StudySummary) -> Fig7 {
-    let mut bytes_samples: [[Vec<f64>; 4]; 2] = Default::default();
-    let mut conns_samples: [[Vec<f64>; 4]; 2] = Default::default();
-    for (&dev, months) in &c.steam {
-        if !s.post_shutdown.contains(&dev) {
-            continue;
-        }
-        let Some(&sp) = s.subpop.get(&dev) else {
-            continue;
-        };
-        let spi = match sp {
-            SubPop::Domestic => 0,
-            SubPop::International => 1,
-        };
-        for (mi, &(b, n)) in months.iter().enumerate() {
-            if b > 0 {
-                bytes_samples[spi][mi].push(b as f64);
-                conns_samples[spi][mi].push(n as f64);
+/// Figure 7's selection: per (sub-population, month), the Steam bytes
+/// and connections of every identified post-shutdown device that used
+/// Steam that month.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Fig7Parts<S> {
+    bytes: [[S; 4]; 2],
+    conns: [[S; 4]; 2],
+}
+
+impl<S: SampleStore> Fig7Parts<S> {
+    pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
+        let mut p = Self::default();
+        for (&dev, months) in &c.steam {
+            if !s.post_shutdown.contains(&dev) {
+                continue;
+            }
+            let Some(spi) = s.subpop_index(dev) else {
+                continue;
+            };
+            for (mi, &(b, n)) in months.iter().enumerate() {
+                if b > 0 {
+                    p.bytes[spi][mi].record(b);
+                    p.conns[spi][mi].record(u64::from(n));
+                }
             }
         }
+        p
     }
-    let mut out = Fig7 {
-        bytes: Default::default(),
-        conns: Default::default(),
-    };
-    for spi in 0..2 {
-        for mi in 0..4 {
-            out.bytes[spi][mi] = BoxStats::compute(&mut bytes_samples[spi][mi]);
-            out.conns[spi][mi] = BoxStats::compute(&mut conns_samples[spi][mi]);
+
+    pub(crate) fn merge(&mut self, other: &Self) {
+        merge_cells(self.bytes.as_flattened_mut(), other.bytes.as_flattened());
+        merge_cells(self.conns.as_flattened_mut(), other.conns.as_flattened());
+    }
+
+    pub(crate) fn render(self) -> Fig7 {
+        let boxes = |cells: [[S; 4]; 2]| cells.map(|sp| sp.map(|mut c| c.box_stats()));
+        Fig7 {
+            bytes: boxes(self.bytes),
+            conns: boxes(self.conns),
         }
     }
-    out
+}
+
+/// Compute Figure 7.
+pub fn figure7(c: &StudyCollector, s: &StudySummary) -> Fig7 {
+    Fig7Parts::<Vec<f64>>::select(c, s).render()
 }
 
 /// Figure 8: 3-day moving average of Switch gameplay bytes per day, over
@@ -443,33 +677,56 @@ pub struct Fig8 {
     pub n_switches: usize,
 }
 
-/// Compute Figure 8.
-pub fn figure8(c: &StudyCollector, _s: &StudySummary) -> Fig8 {
-    let nd = StudyCalendar::NUM_DAYS as usize;
-    let switches: Vec<DeviceId> = c
-        .switch_detect
-        .switches()
-        .into_iter()
-        .filter(|&dev| {
-            let feb = Month::Feb;
-            let may = Month::May;
-            let active = |m: Month| {
-                (m.first_day().0..m.first_day().0 + m.num_days())
-                    .any(|d| c.volume.active_on(dev, Day(d)))
-            };
-            active(feb) && active(may)
-        })
-        .collect();
-    let mut daily = vec![0.0; nd];
-    for &dev in &switches {
-        for (d, total) in daily.iter_mut().enumerate() {
-            *total += c.switch_gameplay.get(dev, Day(d as u16)) as f64;
+/// Figure 8's selection: the gameplay bytes per day of the Switches
+/// active in both February and May.
+#[derive(Debug, Clone)]
+pub(crate) struct Fig8Parts {
+    daily: Vec<u64>,
+    n_switches: usize,
+}
+
+impl Fig8Parts {
+    pub(crate) fn empty() -> Self {
+        Fig8Parts {
+            daily: vec![0; ND],
+            n_switches: 0,
         }
     }
-    Fig8 {
-        daily_ma: moving_average(&daily, 3),
-        n_switches: switches.len(),
+
+    pub(crate) fn select(c: &StudyCollector, _s: &StudySummary) -> Self {
+        let mut p = Self::empty();
+        for dev in c.switch_detect.switches() {
+            let active = |m: Month| {
+                let first = m.first_day().0;
+                (first..first + m.num_days()).any(|d| c.volume.active_on(dev, Day(d)))
+            };
+            if active(Month::Feb) && active(Month::May) {
+                p.n_switches += 1;
+                for (d, total) in p.daily.iter_mut().enumerate() {
+                    *total += c.switch_gameplay.get(dev, Day(d as u16));
+                }
+            }
+        }
+        p
     }
+
+    pub(crate) fn merge(&mut self, other: &Self) {
+        add(&mut self.daily, &other.daily);
+        self.n_switches += other.n_switches;
+    }
+
+    /// The moving average runs once, over the whole (merged) series.
+    pub(crate) fn render(&self) -> Fig8 {
+        Fig8 {
+            daily_ma: moving_average(&to_f64(&self.daily), 3),
+            n_switches: self.n_switches,
+        }
+    }
+}
+
+/// Compute Figure 8.
+pub fn figure8(c: &StudyCollector, s: &StudySummary) -> Fig8 {
+    Fig8Parts::select(c, s).render()
 }
 
 /// The paper's in-text headline statistics (DESIGN.md's STAT-* rows),
@@ -502,73 +759,156 @@ pub struct HeadlineStats {
     pub switches_new: usize,
 }
 
+/// A device set's bytes per study month and its active device-days in
+/// April and May: the rule behind the headline's traffic growth and the
+/// per-device-day comparison with the 2019 counterfactual.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MonthTraffic {
+    /// Bytes per month, in [`Month::index`] order.
+    pub bytes: [u64; 4],
+    /// Days in April and May on which a device of the set was active,
+    /// summed over its devices.
+    pub aprmay_device_days: u64,
+}
+
+impl MonthTraffic {
+    /// Tally `devices` in `c`.
+    pub fn over<'a>(
+        c: &StudyCollector,
+        devices: impl IntoIterator<Item = &'a DeviceId>,
+    ) -> MonthTraffic {
+        let mut t = MonthTraffic::default();
+        for &dev in devices {
+            for (bytes, m) in t.bytes.iter_mut().zip(Month::ALL) {
+                *bytes += c.volume.month_total(dev, m);
+            }
+            for m in [Month::Apr, Month::May] {
+                let first = m.first_day().0;
+                t.aprmay_device_days += (first..first + m.num_days())
+                    .filter(|&d| c.volume.active_on(dev, Day(d)))
+                    .count() as u64;
+            }
+        }
+        t
+    }
+
+    /// Mean April and May bytes per active device-day (0 without one).
+    /// Per-device normalization keeps runs of different population
+    /// sizes comparable.
+    pub fn aprmay_daily(&self) -> f64 {
+        if self.aprmay_device_days == 0 {
+            return 0.0;
+        }
+        let bytes = self.bytes[Month::Apr.index()] + self.bytes[Month::May.index()];
+        bytes as f64 / self.aprmay_device_days as f64
+    }
+
+    fn merge(&mut self, other: &MonthTraffic) {
+        add(&mut self.bytes, &other.bytes);
+        self.aprmay_device_days += other.aprmay_device_days;
+    }
+}
+
+/// The headline's selection: tallies over the post-shutdown users, the
+/// identified devices and the detected Switches. The active-device peak
+/// and trough come from Figure 1's counts at render.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HeadlineParts {
+    post_shutdown: usize,
+    identified: usize,
+    intl: usize,
+    pub(crate) traffic: MonthTraffic,
+    /// Distinct sites per month, summed over the post-shutdown users.
+    sites: [u64; 4],
+    switches_pre: usize,
+    switches_post: usize,
+    switches_new: usize,
+}
+
+impl HeadlineParts {
+    /// A Switch's flows all land in its owner's shard, so per-shard
+    /// Switch counts add up to the run's.
+    pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
+        let switches = c.switch_detect.switches();
+        HeadlineParts {
+            post_shutdown: s.post_shutdown.len(),
+            identified: s.subpop.len(),
+            intl: s
+                .subpop
+                .values()
+                .filter(|&&sp| sp == SubPop::International)
+                .count(),
+            traffic: MonthTraffic::over(c, &s.post_shutdown),
+            sites: Month::ALL.map(|m| {
+                s.post_shutdown
+                    .iter()
+                    .map(|&dev| c.sites.count(dev, m) as u64)
+                    .sum()
+            }),
+            switches_pre: switches
+                .iter()
+                .filter(|&&dev| {
+                    c.volume
+                        .first_active_day(dev)
+                        .is_some_and(|f| (f.0 as usize) < SHUTDOWN_DAY)
+                })
+                .count(),
+            switches_post: switches
+                .iter()
+                .filter(|&&dev| c.volume.active_since(dev, BREAK_START))
+                .count(),
+            switches_new: c.switch_detect.new_switches_since(Day(60)).len(),
+        }
+    }
+
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.post_shutdown += other.post_shutdown;
+        self.identified += other.identified;
+        self.intl += other.intl;
+        self.traffic.merge(&other.traffic);
+        add(&mut self.sites, &other.sites);
+        self.switches_pre += other.switches_pre;
+        self.switches_post += other.switches_post;
+        self.switches_new += other.switches_new;
+    }
+
+    /// The statistics, given Figure 1's daily active totals.
+    pub(crate) fn render(&self, active: &[u32]) -> HeadlineStats {
+        let month_daily = |m: Month| self.traffic.bytes[m.index()] as f64 / f64::from(m.num_days());
+        let feb = month_daily(Month::Feb);
+        let aprmay = (month_daily(Month::Apr) + month_daily(Month::May)) / 2.0;
+        // Mean distinct sites over the fixed post-shutdown user set.
+        let sites_mean = |m: Month| {
+            if self.post_shutdown == 0 {
+                0.0
+            } else {
+                self.sites[m.index()] as f64 / self.post_shutdown as f64
+            }
+        };
+        let sites_feb = sites_mean(Month::Feb);
+        let sites_aprmay = (sites_mean(Month::Apr) + sites_mean(Month::May)) / 2.0;
+        HeadlineStats {
+            peak_active: active.iter().copied().max().unwrap_or(0),
+            trough_active: active[SHUTDOWN_DAY..].iter().copied().min().unwrap_or(0),
+            post_shutdown_devices: self.post_shutdown,
+            identified_devices: self.identified,
+            intl_devices: self.intl,
+            traffic_growth_feb_to_aprmay: if feb > 0.0 { aprmay / feb - 1.0 } else { 0.0 },
+            sites_growth: if sites_feb > 0.0 {
+                sites_aprmay / sites_feb - 1.0
+            } else {
+                0.0
+            },
+            switches_pre: self.switches_pre,
+            switches_post: self.switches_post,
+            switches_new: self.switches_new,
+        }
+    }
+}
+
 /// Compute the headline statistics.
 pub fn headline_stats(c: &StudyCollector, s: &StudySummary) -> HeadlineStats {
-    let fig1 = figure1(c, s);
-    let peak_active = fig1.total.iter().copied().max().unwrap_or(0);
-    let shutdown_day = 47usize; // 2020-03-19
-    let trough_active = fig1.total[shutdown_day..]
-        .iter()
-        .copied()
-        .min()
-        .unwrap_or(0);
-
-    // Average daily traffic of post-shutdown users, per month.
-    let month_daily = |m: Month| -> f64 {
-        let total: u64 = s
-            .post_shutdown
-            .iter()
-            .map(|&d| c.volume.month_total(d, m))
-            .sum();
-        total as f64 / m.num_days() as f64
-    };
-    let feb = month_daily(Month::Feb);
-    let aprmay = (month_daily(Month::Apr) + month_daily(Month::May)) / 2.0;
-    let traffic_growth = if feb > 0.0 { aprmay / feb - 1.0 } else { 0.0 };
-
-    let sites_feb = c.sites.mean_over(s.post_shutdown.iter(), Month::Feb);
-    let sites_aprmay = (c.sites.mean_over(s.post_shutdown.iter(), Month::Apr)
-        + c.sites.mean_over(s.post_shutdown.iter(), Month::May))
-        / 2.0;
-    let sites_growth = if sites_feb > 0.0 {
-        sites_aprmay / sites_feb - 1.0
-    } else {
-        0.0
-    };
-
-    let intl_devices = s
-        .subpop
-        .values()
-        .filter(|&&sp| sp == SubPop::International)
-        .count();
-
-    let switches = c.switch_detect.switches();
-    let switches_pre = switches
-        .iter()
-        .filter(|&&d| {
-            c.volume
-                .first_active_day(d)
-                .is_some_and(|f| f.0 < shutdown_day as u16)
-        })
-        .count();
-    let switches_post = switches
-        .iter()
-        .filter(|&&d| c.volume.active_since(d, Day(50)))
-        .count();
-    let switches_new = c.switch_detect.new_switches_since(Day(60)).len();
-
-    HeadlineStats {
-        peak_active,
-        trough_active,
-        post_shutdown_devices: s.post_shutdown.len(),
-        identified_devices: s.subpop.len(),
-        intl_devices,
-        traffic_growth_feb_to_aprmay: traffic_growth,
-        sites_growth,
-        switches_pre,
-        switches_post,
-        switches_new,
-    }
+    HeadlineParts::select(c, s).render(&Fig1::select(c, s).total)
 }
 
 #[cfg(test)]
@@ -589,6 +929,25 @@ mod tests {
         let h = headline_stats(&c, &s);
         assert_eq!(h.peak_active, 0);
         assert_eq!(h.post_shutdown_devices, 0);
+    }
+
+    #[test]
+    fn month_traffic_counts_aprmay_device_days() {
+        let mut c = StudyCollector::new();
+        // Device 1: every day of February and one April day.
+        for d in 0..29u16 {
+            c.volume.add(DeviceId(1), Day(d), 10);
+        }
+        c.volume.add(DeviceId(1), Month::Apr.first_day(), 300);
+        // Device 2: two May days.
+        c.volume.add(DeviceId(2), Month::May.first_day(), 100);
+        c.volume
+            .add(DeviceId(2), Day(Month::May.first_day().0 + 1), 200);
+        let t = MonthTraffic::over(&c, &[DeviceId(1), DeviceId(2), DeviceId(3)]);
+        assert_eq!(t.bytes, [290, 0, 300, 300]);
+        assert_eq!(t.aprmay_device_days, 3);
+        assert_eq!(t.aprmay_daily(), 200.0);
+        assert_eq!(MonthTraffic::over(&c, &[]).aprmay_daily(), 0.0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! One streaming pass over the labeled flow stream (the
 //! [`collect::StudyCollector`]) feeds every figure and headline
 //! statistic of the paper; [`figures`] reduces the collected state after
-//! classification and segmentation; [`ascii`] and [`export`] render the
-//! results for terminals and files.
+//! classification and segmentation, with one selection per figure that
+//! exact runs and per-shard [`digest`]s share; [`ascii`] and [`export`]
+//! render the results for terminals and files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

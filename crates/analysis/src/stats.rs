@@ -32,15 +32,6 @@ pub fn median(values: &mut [f64]) -> Option<f64> {
     percentile(values, 50.0)
 }
 
-/// Arithmetic mean.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
 /// The box-and-whisker summary the paper's Figures 6 and 7 draw:
 /// whiskers at p1/p95, box at quartiles, plus p99 (discussed for TikTok).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,7 +104,6 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert_eq!(percentile_sorted(&[], 50.0), None);
-        assert_eq!(mean(&[]), None);
         assert_eq!(median(&mut Vec::new()), None);
         assert_eq!(BoxStats::compute(&mut Vec::new()), None);
     }
@@ -146,13 +136,5 @@ mod tests {
         assert!((ma[2] - 6.0).abs() < 1e-12);
         assert!((ma[3] - 7.5).abs() < 1e-12);
         assert_eq!(moving_average(&s, 0), s);
-    }
-
-    #[test]
-    fn mean_vs_median_skew() {
-        // The Figure 2 phenomenon: one outlier drags the mean, not the median.
-        let mut v = vec![1.0, 1.0, 1.0, 1.0, 1000.0];
-        assert_eq!(median(&mut v), Some(1.0));
-        assert!(mean(&v).unwrap() > 100.0);
     }
 }

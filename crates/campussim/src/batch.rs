@@ -5,7 +5,7 @@
 //! event; the batched pipeline wants runs of flows it can push through
 //! [`BatchStage`](nettrace::BatchStage)s in bulk. [`Batcher`] is the
 //! adapter between the two: it *is* a [`DaySink`], accumulating the day
-//! stream into one reusable [`DayBatch`] — flows into a struct-of-arrays
+//! stream into one reusable [`DayBatch`] — flows into the rows of a
 //! [`FlowBatch`], lease/DNS events row-tagged with the flow position
 //! they must precede — and hands the batch to a [`DayBatchSink`] every
 //! `batch_rows` flows. One `DayBatch` (and its buffers) lives for the
@@ -27,7 +27,7 @@ use dnslog::DnsQuery;
 use nettrace::flow::FlowRecord;
 use nettrace::FlowBatch;
 
-/// One batch of day events: a struct-of-arrays run of flows plus the
+/// One batch of day events: a run of flow rows plus the
 /// out-of-band events interleaved with it, row-tagged.
 ///
 /// A tag of `t` on a lease or DNS event means the event arrived after
@@ -36,7 +36,7 @@ use nettrace::FlowBatch;
 /// [module docs](self) for why batch-end application is exact).
 #[derive(Debug, Default)]
 pub struct DayBatch {
-    /// The flow rows, struct-of-arrays.
+    /// The flow rows.
     pub flows: FlowBatch,
     /// Lease events, tagged with the flow row they precede.
     pub leases: Vec<(u32, LeaseEvent)>,

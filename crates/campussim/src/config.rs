@@ -17,13 +17,6 @@ use crate::scenario::{Scenario, ScenarioError};
 pub enum ConfigError {
     /// `scale` must be finite and strictly positive.
     BadScale(f64),
-    /// A probability-like knob left the `[0, 1]` interval.
-    BadFraction {
-        /// Which field.
-        field: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// `yoy_growth` must be finite and strictly positive (it is a
     /// multiplicative factor, not a rate).
     BadGrowth(f64),
@@ -37,9 +30,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BadScale(v) => {
                 write!(f, "scale must be finite and > 0, got {v}")
             }
-            ConfigError::BadFraction { field, value } => {
-                write!(f, "{field} must lie in [0, 1], got {value}")
-            }
             ConfigError::BadGrowth(v) => {
                 write!(f, "yoy_growth must be finite and > 0, got {v}")
             }
@@ -49,6 +39,20 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// Fraction of the student body that is international (the paper
+/// cites ~25% campus-wide enrollment), unless the scenario's
+/// `[population]` block sets `intl_fraction`.
+pub const DEFAULT_INTL_FRACTION: f64 = 0.25;
+
+/// Probability a domestic student stays on campus post-shutdown, unless
+/// the scenario's `[population]` block sets `domestic_stay_rate`.
+pub const DEFAULT_DOMESTIC_STAY_RATE: f64 = 0.115;
+
+/// Probability an international student stays (higher: flights home
+/// were scarce, §4.2), unless the scenario's `[population]` block sets
+/// `intl_stay_rate`.
+pub const DEFAULT_INTL_STAY_RATE: f64 = 0.148;
 
 /// Top-level simulation configuration.
 #[derive(Clone)]
@@ -60,14 +64,6 @@ pub struct SimConfig {
     pub scale: f64,
     /// Students enrolled in residence halls at scale 1.0.
     pub base_students: usize,
-    /// Fraction of the student body that is international (the paper
-    /// cites ~25% campus-wide enrollment).
-    pub intl_fraction: f64,
-    /// Probability a domestic student stays on campus post-shutdown.
-    pub domestic_stay_rate: f64,
-    /// Probability an international student stays (higher: flights home
-    /// were scarce, §4.2).
-    pub intl_stay_rate: f64,
     /// Year-over-year secular traffic growth applied to 2020 baselines
     /// relative to the 2019 counterfactual (≈3%/yr keeps the paper's
     /// 58%-vs-Feb and 53%-vs-2019 statistics distinct).
@@ -87,9 +83,6 @@ impl Default for SimConfig {
             seed: 0x5eed_2020,
             scale: 0.1,
             base_students: 13_000,
-            intl_fraction: 0.25,
-            domestic_stay_rate: 0.115,
-            intl_stay_rate: 0.148,
             yoy_growth: 1.03,
             anon_key: 0x0a0a_0a0a_5a5a_5a5a,
             scenario: Scenario::default(),
@@ -102,7 +95,8 @@ impl Default for SimConfig {
 /// manifest `config_hash` (an FNV-1a over `format!("{cfg:?}")`) is
 /// stable across both the scenario-engine introduction and the removal
 /// of the legacy `pandemic` field: the printed `pandemic` flag is now
-/// *derived* from the scenario (`true` iff it has pandemic-era events).
+/// *derived* from the scenario (`true` iff it has pandemic-era events),
+/// and the population mix prints the defaults the former fields held.
 /// Non-default scenarios append their name and content hash, giving
 /// distinct hashes per scenario cell.
 impl fmt::Debug for SimConfig {
@@ -111,9 +105,9 @@ impl fmt::Debug for SimConfig {
         s.field("seed", &self.seed)
             .field("scale", &self.scale)
             .field("base_students", &self.base_students)
-            .field("intl_fraction", &self.intl_fraction)
-            .field("domestic_stay_rate", &self.domestic_stay_rate)
-            .field("intl_stay_rate", &self.intl_stay_rate)
+            .field("intl_fraction", &DEFAULT_INTL_FRACTION)
+            .field("domestic_stay_rate", &DEFAULT_DOMESTIC_STAY_RATE)
+            .field("intl_stay_rate", &DEFAULT_INTL_STAY_RATE)
             .field("pandemic", &!self.scenario.is_baseline())
             .field("yoy_growth", &self.yoy_growth)
             .field("anon_key", &self.anon_key);
@@ -147,15 +141,6 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !self.scale.is_finite() || self.scale <= 0.0 {
             return Err(ConfigError::BadScale(self.scale));
-        }
-        for (field, value) in [
-            ("intl_fraction", self.intl_fraction),
-            ("domestic_stay_rate", self.domestic_stay_rate),
-            ("intl_stay_rate", self.intl_stay_rate),
-        ] {
-            if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                return Err(ConfigError::BadFraction { field, value });
-            }
         }
         if !self.yoy_growth.is_finite() || self.yoy_growth <= 0.0 {
             return Err(ConfigError::BadGrowth(self.yoy_growth));
@@ -196,16 +181,13 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(bad.validate(), Err(ConfigError::BadScale(_))));
-        let bad = SimConfig {
-            intl_fraction: 1.5,
-            ..Default::default()
-        };
+        // The population mix is set by the scenario, which range-checks it.
+        let mut bad = SimConfig::default();
+        bad.scenario.population.intl_fraction = Some(1.5);
         assert!(matches!(
             bad.validate(),
-            Err(ConfigError::BadFraction {
-                field: "intl_fraction",
-                ..
-            })
+            Err(ConfigError::Scenario(ScenarioError::BadField { ref field, .. }))
+                if field == "population.intl_fraction"
         ));
         let bad = SimConfig {
             yoy_growth: -1.0,

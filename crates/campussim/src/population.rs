@@ -14,7 +14,9 @@
 //! ([`crate::shard::PopulationPlan`]) is built on: a shard's slice of
 //! the population is bit-identical to the same slice of the full build.
 
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, DEFAULT_DOMESTIC_STAY_RATE, DEFAULT_INTL_FRACTION, DEFAULT_INTL_STAY_RATE,
+};
 use crate::rng::{self, SmallRng, Stream};
 use crate::scenario::{PolicySpec, WaveSpec};
 use devclass::{DeviceType, OuiDb, VendorClass};
@@ -230,15 +232,15 @@ impl PopulationEnv {
         let intl_fraction = scenario
             .population
             .intl_fraction
-            .unwrap_or(cfg.intl_fraction);
+            .unwrap_or(DEFAULT_INTL_FRACTION);
         let domestic_stay_rate = scenario
             .population
             .domestic_stay_rate
-            .unwrap_or(cfg.domestic_stay_rate);
+            .unwrap_or(DEFAULT_DOMESTIC_STAY_RATE);
         let intl_stay_rate = scenario
             .population
             .intl_stay_rate
-            .unwrap_or(cfg.intl_stay_rate);
+            .unwrap_or(DEFAULT_INTL_STAY_RATE);
         let multi_wave = scenario.policy.waves.len() > 1;
         let any_returns = scenario.policy.waves.iter().any(|w| w.return_day.is_some());
         let total_wave_fraction: f64 = scenario.policy.waves.iter().map(|w| w.fraction).sum();
@@ -838,9 +840,8 @@ mod tests {
             .count();
         let intl_frac = intl_stayers as f64 / stayers as f64;
         assert!(
-            intl_frac > cfg.intl_fraction,
-            "intl stayer fraction {intl_frac} should exceed enrollment {}",
-            cfg.intl_fraction
+            intl_frac > DEFAULT_INTL_FRACTION,
+            "intl stayer fraction {intl_frac} should exceed enrollment {DEFAULT_INTL_FRACTION}"
         );
     }
 
@@ -955,7 +956,7 @@ mod tests {
             .count();
         let frac = intl as f64 / residents.len() as f64;
         // The scenario pins intl_fraction at 0.08, far below the
-        // config's 0.25.
+        // default 0.25.
         assert!((0.05..0.12).contains(&frac), "intl fraction {frac}");
     }
 

@@ -579,7 +579,8 @@ impl Default for PolicySpec {
 }
 
 /// Optional population-mix overrides; `None` falls back to the
-/// [`SimConfig`] knob.
+/// default in [`crate::config`] (e.g.
+/// [`DEFAULT_INTL_FRACTION`](crate::config::DEFAULT_INTL_FRACTION)).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PopulationSpec {
     /// Fraction of students who are international.

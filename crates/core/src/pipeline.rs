@@ -366,15 +366,6 @@ impl<'a> DayPipeline<'a> {
                 m.publish(reg);
             }
         }
-        let labels = self.resolver.label_stats();
-        self.opts
-            .observer
-            .stage_flushed(self.opts.day, "normalize", stats.attributed);
-        self.opts.observer.stage_flushed(
-            self.opts.day,
-            "resolver",
-            labels.labeled + labels.unlabeled,
-        );
         stats
     }
 
@@ -675,10 +666,6 @@ pub fn process_day(
         reg.gauge("resolver.ips_peak")
             .set_max(resolver.ip_count() as u64);
     }
-    opts.observer
-        .stage_flushed(opts.day, "normalize", stats.attributed);
-    opts.observer
-        .stage_flushed(opts.day, "resolver", labeled.len() as u64);
     stats
 }
 

@@ -65,7 +65,7 @@ use crate::pipeline::{process_day_batched, PipelineOptions};
 use analysis::accuracy::exact_figures;
 use analysis::collect::{PipelineCtx, StudyCollector};
 use analysis::digest::{DigestFigures, ShardDigest};
-use analysis::figures::StudySummary;
+use analysis::figures::{MonthTraffic, StudySummary};
 use analysis::HeadlineStats;
 use campussim::{
     CampusSim, FaultProfile, Population, PopulationPlan, Scenario, ServiceDirectory, Shard,
@@ -78,7 +78,7 @@ use lockdown_obs::{
     alloc, trace, AllocScope, Fanout, LivePublisher, MetricsRegistry, MetricsSnapshot,
     NullObserver, RunObserver, SpanRecorder,
 };
-use nettrace::time::{Day, Month, StudyCalendar};
+use nettrace::time::{Day, StudyCalendar};
 use nettrace::DeviceId;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -805,37 +805,17 @@ impl Study {
         )
     }
 
-    /// Mean bytes per active device-day over April+May, for post-shutdown
-    /// users. Per-device normalization makes the 2019 comparison
+    /// Mean bytes per active device-day over April+May for `devices`
+    /// ([`MonthTraffic::aprmay_daily`], the rule the headline tallies
+    /// use). Per-device normalization makes the 2019 comparison
     /// meaningful: the 2019 campus had no shutdown, so its population is
     /// several times larger, and raw totals would compare populations,
-    /// not behaviour.
-    pub fn aprmay_daily_traffic(&self) -> f64 {
-        self.aprmay_daily_traffic_over(&self.summary.post_shutdown)
-    }
-
-    /// [`Study::aprmay_daily_traffic`] restricted to an explicit device
-    /// set — used to compare the *same cohort* against the counterfactual
-    /// run (where nobody departed, so its own post-shutdown set is the
-    /// whole campus with a different device mix).
+    /// not behaviour. The exact run compares the *same cohort* against
+    /// the counterfactual run (where nobody departed, so its own
+    /// post-shutdown set is the whole campus with a different device
+    /// mix).
     pub fn aprmay_daily_traffic_over(&self, devices: &std::collections::HashSet<DeviceId>) -> f64 {
-        let mut bytes = 0u64;
-        let mut device_days = 0u64;
-        for &dev in devices {
-            for m in [Month::Apr, Month::May] {
-                bytes += self.collector.volume.month_total(dev, m);
-                for d in m.first_day().0..m.first_day().0 + m.num_days() {
-                    if self.collector.volume.active_on(dev, Day(d)) {
-                        device_days += 1;
-                    }
-                }
-            }
-        }
-        if device_days == 0 {
-            0.0
-        } else {
-            bytes as f64 / device_days as f64
-        }
+        MonthTraffic::over(&self.collector, devices).aprmay_daily()
     }
 }
 

@@ -161,26 +161,6 @@ impl DistinctSiteCounter {
             .map_or(0, |s| self.counts[s][month.index()] as usize)
     }
 
-    /// Mean distinct sites per device over `devices` for `month`.
-    /// Devices with zero activity that month still count in the mean if
-    /// listed — the paper averages over its fixed post-shutdown user set.
-    pub fn mean_over<'a, I>(&self, devices: I, month: Month) -> f64
-    where
-        I: IntoIterator<Item = &'a DeviceId>,
-    {
-        let mut total = 0usize;
-        let mut n = 0usize;
-        for d in devices {
-            total += self.count(*d, month);
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total as f64 / n as f64
-        }
-    }
-
     /// Merge another counter into this one (parallel reduction).
     pub fn merge(&mut self, other: DistinctSiteCounter) {
         let slots = self.index.remap(&other.index);
@@ -252,20 +232,6 @@ mod tests {
         ctr.record(dev, Month::Feb, c, &t);
         assert_eq!(ctr.count(dev, Month::Feb), 2); // facebook.com + steampowered.com
         assert_eq!(ctr.count(dev, Month::Mar), 0);
-    }
-
-    #[test]
-    fn mean_over_fixed_population() {
-        let mut t = DomainTable::new();
-        let a = t.intern_str("one.example.com").unwrap();
-        let b = t.intern_str("two.example.org").unwrap();
-        let mut ctr = DistinctSiteCounter::new();
-        ctr.record(DeviceId(1), Month::Apr, a, &t);
-        ctr.record(DeviceId(1), Month::Apr, b, &t);
-        // Device 2 idle in April but part of the population.
-        let pop = vec![DeviceId(1), DeviceId(2)];
-        assert!((ctr.mean_over(&pop, Month::Apr) - 1.0).abs() < 1e-9);
-        assert_eq!(ctr.mean_over(&[], Month::Apr), 0.0);
     }
 
     #[test]

@@ -1,29 +1,27 @@
-//! Struct-of-arrays flow batches: the wide seam of the hot path.
+//! Flow batches: the wide seam of the hot path.
 //!
 //! Pipeline stages keep incrementally-built state (lease tables,
 //! resolver maps), but paying a stage round-trip per record puts a
 //! floor under ns/flow: every call re-loads stage state, every
 //! observability touch is per-record, and nothing amortizes. A
-//! [`FlowBatch`] is a reusable, struct-of-arrays buffer that carries a
-//! *run* of raw flow records through the whole pipeline at once, so
-//! each [`BatchStage`] loads its state once per run and instrumentation
-//! costs once per batch.
+//! [`FlowBatch`] is a reusable buffer that carries a *run* of raw flow
+//! records through the whole pipeline at once, so each [`BatchStage`]
+//! loads its state once per run and instrumentation costs once per
+//! batch.
 //!
 //! The batch has two halves, mirroring the pipeline's two flow shapes:
 //!
-//! * the **raw half** — column vectors of [`FlowRecord`] fields, filled
-//!   upstream (the generator's batcher, a capture reader);
+//! * the **raw half** — [`FlowRecord`] rows, filled upstream (the
+//!   generator's batcher, a capture reader);
 //! * the **device half** — [`DeviceFlow`] rows plus a parallel `labels`
 //!   column, appended by an attribution stage and consumed by labeling
 //!   and collection.
 //!
-//! The raw half is struct-of-arrays because producers append field-wise
-//! and consumers scan a window sequentially; the device half keeps whole
-//! [`DeviceFlow`] rows because its consumers (labeling, the collector)
-//! always need the complete record. The `labels` column is an opaque
-//! `u32` with a [`NO_LABEL`] sentinel — this crate sits below the DNS
-//! layer, so the meaning of a label id belongs to the stage that wrote
-//! it.
+//! Both halves keep whole rows, because every consumer (attribution,
+//! labeling, the collector) reads the complete record. The `labels`
+//! column is an opaque `u32` with a [`NO_LABEL`] sentinel — this crate
+//! sits below the DNS layer, so the meaning of a label id belongs to
+//! the stage that wrote it.
 //!
 //! Each half carries a cursor, so a pipeline of [`BatchStage`]s can
 //! share one buffer: an attribution stage consumes the raw window
@@ -38,17 +36,14 @@
 //! every allocation, so one batch serves a whole day (or run) without
 //! per-record or per-batch allocation.
 
-use crate::flow::{DeviceFlow, FlowRecord, Proto};
-use crate::time::Timestamp;
-use std::net::Ipv4Addr;
+use crate::flow::{DeviceFlow, FlowRecord};
 use std::ops::Range;
 
 /// Sentinel in the label column: no fresh resolution labeled this row.
 pub const NO_LABEL: u32 = u32::MAX;
 
-/// A struct-of-arrays buffer carrying a run of flows through the
-/// pipeline. See the [module docs](self) for the layout and cursor
-/// protocol.
+/// A reusable buffer carrying a run of flows through the pipeline.
+/// See the [module docs](self) for the layout and cursor protocol.
 ///
 /// ```
 /// use nettrace::batch::{FlowBatch, NO_LABEL};
@@ -77,18 +72,8 @@ pub const NO_LABEL: u32 = u32::MAX;
 /// ```
 #[derive(Debug)]
 pub struct FlowBatch {
-    // Raw (IP-keyed) columns, one entry per flow record.
-    ts: Vec<Timestamp>,
-    duration_micros: Vec<i64>,
-    orig: Vec<Ipv4Addr>,
-    orig_port: Vec<u16>,
-    resp: Vec<Ipv4Addr>,
-    resp_port: Vec<u16>,
-    proto: Vec<Proto>,
-    orig_bytes: Vec<u64>,
-    resp_bytes: Vec<u64>,
-    orig_pkts: Vec<u32>,
-    resp_pkts: Vec<u32>,
+    /// Raw (IP-keyed) flow records.
+    raw: Vec<FlowRecord>,
     // Device-attributed rows plus their parallel label column.
     dev: Vec<DeviceFlow>,
     labels: Vec<u32>,
@@ -104,17 +89,7 @@ pub struct FlowBatch {
 impl Default for FlowBatch {
     fn default() -> Self {
         FlowBatch {
-            ts: Vec::new(),
-            duration_micros: Vec::new(),
-            orig: Vec::new(),
-            orig_port: Vec::new(),
-            resp: Vec::new(),
-            resp_port: Vec::new(),
-            proto: Vec::new(),
-            orig_bytes: Vec::new(),
-            resp_bytes: Vec::new(),
-            orig_pkts: Vec::new(),
-            resp_pkts: Vec::new(),
+            raw: Vec::new(),
             dev: Vec::new(),
             labels: Vec::new(),
             raw_pos: 0,
@@ -133,26 +108,16 @@ impl FlowBatch {
         b
     }
 
-    /// Reserve capacity for `rows` additional rows in every column.
+    /// Reserve capacity for `rows` additional raw and device rows.
     pub fn reserve_rows(&mut self, rows: usize) {
-        self.ts.reserve(rows);
-        self.duration_micros.reserve(rows);
-        self.orig.reserve(rows);
-        self.orig_port.reserve(rows);
-        self.resp.reserve(rows);
-        self.resp_port.reserve(rows);
-        self.proto.reserve(rows);
-        self.orig_bytes.reserve(rows);
-        self.resp_bytes.reserve(rows);
-        self.orig_pkts.reserve(rows);
-        self.resp_pkts.reserve(rows);
+        self.raw.reserve(rows);
         self.dev.reserve(rows);
         self.labels.reserve(rows);
     }
 
     /// Number of raw rows pushed.
     pub fn raw_len(&self) -> usize {
-        self.ts.len()
+        self.raw.len()
     }
 
     /// Number of device rows appended.
@@ -162,42 +127,20 @@ impl FlowBatch {
 
     /// True when the batch holds no raw rows.
     pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
+        self.raw.is_empty()
     }
 
-    /// Append one raw flow record, field by field.
+    /// Append one raw flow record.
     pub fn push_raw(&mut self, f: &FlowRecord) {
-        self.ts.push(f.ts);
-        self.duration_micros.push(f.duration_micros);
-        self.orig.push(f.orig);
-        self.orig_port.push(f.orig_port);
-        self.resp.push(f.resp);
-        self.resp_port.push(f.resp_port);
-        self.proto.push(f.proto);
-        self.orig_bytes.push(f.orig_bytes);
-        self.resp_bytes.push(f.resp_bytes);
-        self.orig_pkts.push(f.orig_pkts);
-        self.resp_pkts.push(f.resp_pkts);
+        self.raw.push(*f);
     }
 
-    /// Reassemble raw row `i` as a [`FlowRecord`].
+    /// Raw row `i`.
     ///
     /// # Panics
     /// If `i >= raw_len()`.
     pub fn raw_row(&self, i: usize) -> FlowRecord {
-        FlowRecord {
-            ts: self.ts[i],
-            duration_micros: self.duration_micros[i],
-            orig: self.orig[i],
-            orig_port: self.orig_port[i],
-            resp: self.resp[i],
-            resp_port: self.resp_port[i],
-            proto: self.proto[i],
-            orig_bytes: self.orig_bytes[i],
-            resp_bytes: self.resp_bytes[i],
-            orig_pkts: self.orig_pkts[i],
-            resp_pkts: self.resp_pkts[i],
-        }
+        self.raw[i]
     }
 
     /// The raw rows an attribution stage should consume now: everything
@@ -265,17 +208,7 @@ impl FlowBatch {
 
     /// Empty the batch for reuse, keeping every allocation.
     pub fn clear(&mut self) {
-        self.ts.clear();
-        self.duration_micros.clear();
-        self.orig.clear();
-        self.orig_port.clear();
-        self.resp.clear();
-        self.resp_port.clear();
-        self.proto.clear();
-        self.orig_bytes.clear();
-        self.resp_bytes.clear();
-        self.orig_pkts.clear();
-        self.resp_pkts.clear();
+        self.raw.clear();
         self.dev.clear();
         self.labels.clear();
         self.raw_pos = 0;
@@ -317,7 +250,10 @@ pub trait BatchStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::Proto;
     use crate::mac::DeviceId;
+    use crate::time::Timestamp;
+    use std::net::Ipv4Addr;
 
     fn raw(i: u32) -> FlowRecord {
         FlowRecord {

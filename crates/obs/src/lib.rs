@@ -11,10 +11,10 @@
 //!   [`Histogram`]) are acquired once per stage and are then pure
 //!   `Relaxed` atomics on the hot path.
 //! * [`RunObserver`] — progress events (`day_started`, `day_finished`,
-//!   `stage_flushed`, `worker_idle`) plus live-publication hooks
-//!   (`day_tick`, `day_metrics`), with a no-op [`NullObserver`], a
-//!   stderr [`TextProgress`], a machine-readable [`JsonlSink`], and a
-//!   [`Fanout`] combinator.
+//!   `shard_day_finished`, `day_failed`, `worker_idle`) plus
+//!   live-publication hooks (`day_tick`, `day_metrics`), with a no-op
+//!   [`NullObserver`], a stderr [`TextProgress`], a tallying
+//!   [`CountingObserver`], and a [`Fanout`] combinator.
 //! * [`live`] — the live aggregation seam: a [`LivePublisher`] merges
 //!   coarse worker snapshots into a monotone read-side view with run
 //!   progress ([`Progress`]) and an EWMA-based ETA.
@@ -76,7 +76,7 @@ pub use manifest::{
     StageMemory,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use observer::{CountingObserver, Fanout, JsonlSink, NullObserver, RunObserver, TextProgress};
+pub use observer::{CountingObserver, Fanout, NullObserver, RunObserver, TextProgress};
 pub use serve::TelemetryServer;
 pub use trace::{SpanRecorder, Trace};
 

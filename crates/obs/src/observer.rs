@@ -5,10 +5,9 @@
 //! tick interval (thousands of records), never per record, so even a
 //! chatty observer cannot slow the pipeline down. [`NullObserver`] is
 //! the zero-cost default; [`TextProgress`] streams human-readable lines
-//! to stderr; [`JsonlSink`] appends one JSON object per event to any
-//! writer for offline analysis; [`Fanout`] composes two observers so a
-//! run can feed, say, a [`crate::live::LivePublisher`] and a progress
-//! printer at once.
+//! to stderr; [`CountingObserver`] tallies events; [`Fanout`] composes
+//! two observers so a run can feed, say, a
+//! [`crate::live::LivePublisher`] and a progress printer at once.
 //!
 //! Two events are *publication hooks* for live telemetry rather than
 //! progress notifications: [`RunObserver::day_tick`] fires every N
@@ -18,9 +17,7 @@
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use nettrace::time::Day;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Receives progress events from a study run. All methods default to
 /// no-ops so observers implement only what they care about; the
@@ -44,12 +41,6 @@ pub trait RunObserver: Send + Sync {
     /// emit it.
     fn shard_day_finished(&self, shard: u32, day: Day, flows: u64, duration_ns: u64) {
         let _ = (shard, day, flows, duration_ns);
-    }
-
-    /// A pipeline stage flushed its day-scoped state. `records` is the
-    /// stage's cumulative output record count for that day.
-    fn stage_flushed(&self, day: Day, stage: &'static str, records: u64) {
-        let _ = (day, stage, records);
     }
 
     /// Periodic mid-day publication hook: fires every tick interval
@@ -98,10 +89,6 @@ macro_rules! forward_observer {
 
             fn shard_day_finished(&self, shard: u32, day: Day, flows: u64, duration_ns: u64) {
                 (**self).shard_day_finished(shard, day, flows, duration_ns)
-            }
-
-            fn stage_flushed(&self, day: Day, stage: &'static str, records: u64) {
-                (**self).stage_flushed(day, stage, records)
             }
 
             fn day_tick(
@@ -168,11 +155,6 @@ impl<A: RunObserver, B: RunObserver> RunObserver for Fanout<A, B> {
         self.1.shard_day_finished(shard, day, flows, duration_ns);
     }
 
-    fn stage_flushed(&self, day: Day, stage: &'static str, records: u64) {
-        self.0.stage_flushed(day, stage, records);
-        self.1.stage_flushed(day, stage, records);
-    }
-
     fn day_tick(&self, worker: usize, day: Day, flows: u64, registry: Option<&MetricsRegistry>) {
         self.0.day_tick(worker, day, flows, registry);
         self.1.day_tick(worker, day, flows, registry);
@@ -228,96 +210,12 @@ impl RunObserver for TextProgress {
     }
 }
 
-/// Appends one JSON object per event to a writer (e.g. a `.jsonl`
-/// file). Events carry only numbers and static stage names, so the
-/// encoding is hand-rolled and dependency-free.
-#[derive(Debug)]
-pub struct JsonlSink<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wrap any writer.
-    pub fn new(out: W) -> Self {
-        JsonlSink {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Recover the writer (e.g. to inspect a `Vec<u8>` in tests).
-    pub fn into_inner(self) -> W {
-        // A panic while holding the lock (worker unwound mid-write)
-        // poisons it; the bytes written so far are still the best log
-        // we have.
-        self.out
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn line(&self, json: &str) {
-        let mut w = self
-            .out
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // A failed write must not abort the measurement run.
-        let _ = writeln!(w, "{json}");
-    }
-}
-
-impl JsonlSink<std::fs::File> {
-    /// Create (truncating) a `.jsonl` event log at `path`.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(JsonlSink::new(std::fs::File::create(path)?))
-    }
-}
-
-impl<W: Write + Send> RunObserver for JsonlSink<W> {
-    fn day_started(&self, worker: usize, day: Day) {
-        self.line(&format!(
-            "{{\"event\":\"day_started\",\"worker\":{worker},\"day\":{}}}",
-            day.0
-        ));
-    }
-
-    fn day_finished(&self, worker: usize, day: Day, flows: u64) {
-        self.line(&format!(
-            "{{\"event\":\"day_finished\",\"worker\":{worker},\"day\":{},\"flows\":{flows}}}",
-            day.0
-        ));
-    }
-
-    fn stage_flushed(&self, day: Day, stage: &'static str, records: u64) {
-        // Stage names are static identifiers by convention, but the
-        // sink escapes anyway so the log stays strict-parser safe.
-        self.line(&format!(
-            "{{\"event\":\"stage_flushed\",\"day\":{},\"stage\":{},\"records\":{records}}}",
-            day.0,
-            crate::json::quoted(stage),
-        ));
-    }
-
-    fn day_failed(&self, worker: usize, day: Day, attempt: u32, error: &str) {
-        self.line(&format!(
-            "{{\"event\":\"day_failed\",\"worker\":{worker},\"day\":{},\"attempt\":{attempt},\"error\":{}}}",
-            day.0,
-            crate::json::quoted(error),
-        ));
-    }
-
-    fn worker_idle(&self, worker: usize) {
-        self.line(&format!(
-            "{{\"event\":\"worker_idle\",\"worker\":{worker}}}"
-        ));
-    }
-}
-
 /// Tallies events without rendering them — handy in tests and as a
 /// cheap liveness probe.
 #[derive(Debug, Default)]
 pub struct CountingObserver {
     days_started: AtomicU64,
     days_finished: AtomicU64,
-    stages_flushed: AtomicU64,
     workers_idled: AtomicU64,
     days_failed: AtomicU64,
     flows: AtomicU64,
@@ -340,11 +238,6 @@ impl CountingObserver {
     /// Days finished so far.
     pub fn days_finished(&self) -> u64 {
         self.days_finished.load(Ordering::Relaxed)
-    }
-
-    /// Stage flushes seen so far.
-    pub fn stages_flushed(&self) -> u64 {
-        self.stages_flushed.load(Ordering::Relaxed)
     }
 
     /// Workers that reported idle.
@@ -412,10 +305,6 @@ impl RunObserver for CountingObserver {
         self.day_metrics_seen.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn stage_flushed(&self, _day: Day, _stage: &'static str, _records: u64) {
-        self.stages_flushed.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn day_failed(&self, _worker: usize, _day: Day, _attempt: u32, _error: &str) {
         self.days_failed.fetch_add(1, Ordering::Relaxed);
     }
@@ -430,48 +319,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.day_started(0, Day(3));
-        sink.stage_flushed(Day(3), "normalize", 42);
-        sink.day_finished(0, Day(3), 42);
-        sink.day_failed(1, Day(4), 0, "stream_day: boom \"quoted\"");
-        sink.worker_idle(0);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert_eq!(
-            lines[0],
-            "{\"event\":\"day_started\",\"worker\":0,\"day\":3}"
-        );
-        assert!(lines[1].contains("\"stage\":\"normalize\""));
-        assert!(lines[2].contains("\"flows\":42"));
-        let v = crate::json::parse(lines[3]).expect("strict parse");
-        assert_eq!(v.get("event").unwrap().as_str(), Some("day_failed"));
-        assert_eq!(
-            v.get("error").unwrap().as_str(),
-            Some("stream_day: boom \"quoted\"")
-        );
-        assert!(lines[4].contains("worker_idle"));
-    }
-
-    #[test]
-    fn jsonl_stage_names_are_escaped() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.stage_flushed(Day(0), "weird\"stage\nname", 1);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let line = text.lines().next().unwrap();
-        let v = crate::json::parse(line).expect("strict parse");
-        assert_eq!(v.get("stage").unwrap().as_str(), Some("weird\"stage\nname"));
-    }
-
-    #[test]
     fn counting_observer_tallies() {
         let obs = CountingObserver::new();
         obs.day_started(1, Day(0));
         obs.day_finished(1, Day(0), 10);
         obs.day_finished(2, Day(1), 5);
-        obs.stage_flushed(Day(0), "resolver", 10);
         obs.day_failed(0, Day(2), 0, "boom");
         obs.worker_idle(1);
         obs.day_tick(1, Day(0), 5, None);
@@ -479,7 +331,6 @@ mod tests {
         assert_eq!(obs.days_started(), 1);
         assert_eq!(obs.days_finished(), 2);
         assert_eq!(obs.flows(), 15);
-        assert_eq!(obs.stages_flushed(), 1);
         assert_eq!(obs.days_failed(), 1);
         assert_eq!(obs.workers_idled(), 1);
         assert_eq!(obs.ticks(), 1);
@@ -496,7 +347,6 @@ mod tests {
         fan.day_metrics(0, Day(0), 9, &MetricsSnapshot::default());
         fan.day_finished(0, Day(0), 3);
         fan.shard_day_finished(2, Day(0), 3, 77);
-        fan.stage_flushed(Day(0), "resolver", 3);
         fan.day_failed(1, Day(1), 0, "boom");
         fan.worker_idle(0);
         for obs in [&a, &b] {
@@ -505,7 +355,6 @@ mod tests {
             assert_eq!(obs.day_metrics_seen(), 1);
             assert_eq!(obs.days_finished(), 1);
             assert_eq!(obs.shard_days_finished(), 1);
-            assert_eq!(obs.stages_flushed(), 1);
             assert_eq!(obs.days_failed(), 1);
             assert_eq!(obs.workers_idled(), 1);
         }

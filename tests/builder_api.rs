@@ -136,8 +136,6 @@ fn observer_event_stream_covers_the_run() {
     assert_eq!(obs.days_started(), days);
     assert_eq!(obs.days_finished(), days);
     assert_eq!(obs.workers_idled(), 3);
-    // normalize + resolver flush once per day.
-    assert_eq!(obs.stages_flushed(), 2 * days);
     assert_eq!(obs.flows(), run.norm_stats.attributed);
 }
 

@@ -1,14 +1,14 @@
 //! Two-way pipeline equivalence: the materialized oracle vs. the
-//! batched-SoA production driver.
+//! batched production driver.
 //!
 //! The repo keeps two drivers for the same record path:
 //!
 //! 1. **oracle** (`process_day`): materialize a `DayTrace`, batch-build
 //!    the lease index and resolver map, collect from a
 //!    `Vec<LabeledFlow>`. Kept precisely as the reference.
-//! 2. **batched-SoA** (`process_day_batched`): the production hot path —
-//!    the generator streams into struct-of-arrays `FlowBatch`es that
-//!    run through the `BatchStage` seam, never materializing a day.
+//! 2. **batched** (`process_day_batched`): the production hot path —
+//!    the generator streams into `FlowBatch`es that run through the
+//!    `BatchStage` seam, never materializing a day.
 //!
 //! Same campus, same days: both must be *identical*, down to the
 //! bitwise-equal `f64`s in the headline statistics, at every batch size
@@ -47,7 +47,7 @@ fn run_oracle(cfg: SimConfig) -> (CampusSim, StudyCollector, NormalizeStats) {
     (sim, collector, stats)
 }
 
-/// The batched-SoA driver: sequential days, `rows`-row flow batches.
+/// The batched driver: sequential days, `rows`-row flow batches.
 fn run_batched(cfg: SimConfig, rows: usize) -> (StudyCollector, NormalizeStats) {
     let sim = CampusSim::new(cfg);
     let ctx = PipelineCtx::study();
@@ -91,7 +91,7 @@ fn assert_equivalent(
 
 #[test]
 fn streaming_study_matches_batch_study() {
-    // `Study` drives the batched-SoA path; holding it against the
+    // `Study` drives the batched path; holding it against the
     // oracle covers the production default end to end.
     let streamed = Study::builder(cfg_1pct()).run().unwrap().into_study();
     let (_sim, oracle_collector, oracle_stats) = run_oracle(cfg_1pct());
