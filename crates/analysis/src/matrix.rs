@@ -172,13 +172,6 @@ impl VolumeMatrix {
             .sum()
     }
 
-    /// Total bytes across all devices on a day.
-    pub fn day_total(&self, day: Day) -> u64 {
-        (0..self.index.len())
-            .map(|s| self.at(s, day.0 as usize))
-            .sum()
-    }
-
     /// Was the device active at any point on/after the given day?
     pub fn active_since(&self, device: DeviceId, day: Day) -> bool {
         self.last_active_day(device).is_some_and(|d| d >= day)
@@ -404,7 +397,6 @@ mod tests {
         assert_eq!(m.month_total(DEV, Month::Feb), 150);
         assert_eq!(m.month_total(DEV, Month::May), 7);
         assert_eq!(m.month_total(DEV, Month::Apr), 0);
-        assert_eq!(m.day_total(Day(3)), 150);
         assert!(m.active_since(DEV, Day(47)));
         assert!(!m.active_since(DEV, Day(91)));
     }

@@ -9,7 +9,11 @@
 //! [`FlowBatch`], lease/DNS events row-tagged with the flow position
 //! they must precede — and hands the batch to a [`DayBatchSink`] every
 //! `batch_rows` flows. One `DayBatch` (and its buffers) lives for the
-//! whole day; the per-event path allocates nothing.
+//! whole day, and a DNS query carries its answer set inline
+//! ([`dnslog::Answers`]), so once the buffers have grown the per-event
+//! path allocates nothing, from the generator through the batch
+//! (`tests/generate_allocs.rs` holds a streamed day under 0.01
+//! allocations per flow).
 //!
 //! Ordering is preserved exactly: a consumer that walks flow rows in
 //! order, applying each lease/DNS group when the walk reaches its row

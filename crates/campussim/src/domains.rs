@@ -415,4 +415,22 @@ mod tests {
             }
         }
     }
+
+    /// The generator copies a service's whole rrset into each DNS query
+    /// it emits; that copy stays off the heap only while every rrset
+    /// fits a query's inline answer set.
+    #[test]
+    fn every_rrset_fits_an_inline_answer_set() {
+        let d = ServiceDirectory::build();
+        for i in 0..d.len() {
+            let s = d.service(ServiceId(i as u32));
+            assert!(
+                (1..=dnslog::INLINE_ANSWERS).contains(&s.ips.len()),
+                "{} has {} addresses, inline capacity {}",
+                d.table().name(s.domain),
+                s.ips.len(),
+                dnslog::INLINE_ANSWERS
+            );
+        }
+    }
 }

@@ -242,7 +242,10 @@ impl CampusSim {
     /// generated-session counts without re-counting the stream.
     pub fn stream_day<S: DaySink>(&self, day: Day, sink: &mut S) -> DayGenStats {
         let mut stats = DayGenStats::default();
+        // One device's events, and the services it used in first-use
+        // order: cleared per device, so their buffers serve the whole day.
         let mut scratch = DayTrace::default();
+        let mut used_services = Vec::new();
         // Busy time of synthesis proper (device_day), separated from
         // time the sink spends consuming what we emit. Checked once per
         // day, so the untraced hot path pays nothing per device.
@@ -256,10 +259,10 @@ impl CampusSim {
             match &mut gen_busy_ns {
                 Some(busy) => {
                     let t0 = std::time::Instant::now();
-                    self.device_day(device, student, day, &mut scratch);
+                    self.device_day(device, student, day, &mut scratch, &mut used_services);
                     *busy += t0.elapsed().as_nanos() as u64;
                 }
-                None => self.device_day(device, student, day, &mut scratch),
+                None => self.device_day(device, student, day, &mut scratch, &mut used_services),
             }
             if scratch.flows.is_empty() && scratch.leases.is_empty() {
                 continue;
@@ -300,7 +303,14 @@ impl CampusSim {
         stats
     }
 
-    fn device_day(&self, device: &Device, student: &Student, day: Day, out: &mut DayTrace) {
+    fn device_day(
+        &self,
+        device: &Device,
+        student: &Student,
+        day: Day,
+        out: &mut DayTrace,
+        used_services: &mut Vec<(ServiceId, Timestamp)>,
+    ) {
         let mut srng = rng::rng_for(
             self.cfg.seed,
             Stream::Sessions,
@@ -334,6 +344,7 @@ impl CampusSim {
             mac: device.mac,
         });
 
+        used_services.clear();
         let mut ctx = DeviceDayCtx {
             sim: self,
             device,
@@ -349,7 +360,7 @@ impl CampusSim {
                 day.0 as u64,
                 device.index as u64,
             ),
-            used_services: Vec::new(),
+            used_services,
         };
 
         match device.kind {
@@ -404,7 +415,9 @@ struct DeviceDayCtx<'a> {
     weekend: bool,
     srng: SmallRng,
     frng: SmallRng,
-    used_services: Vec<(ServiceId, Timestamp)>,
+    /// Services used so far with their first-use time, in first-use
+    /// order, the order `emit_dns` and `emit_ua` read them in.
+    used_services: &'a mut Vec<(ServiceId, Timestamp)>,
 }
 
 impl<'a> DeviceDayCtx<'a> {
@@ -617,7 +630,7 @@ impl<'a> DeviceDayCtx<'a> {
         match app {
             SocialApp::Facebook => {
                 // 2–3 flows, all on Facebook-family domains.
-                let services = self.sim.directory.app_services(App::Facebook).to_vec();
+                let services = self.sim.directory.app_services(App::Facebook);
                 let n = 2 + usize::from(self.srng.f64() < 0.5);
                 for j in 0..n {
                     let svc = services[self.srng.gen_range(0..services.len())];
@@ -643,8 +656,8 @@ impl<'a> DeviceDayCtx<'a> {
             SocialApp::Instagram => {
                 // Instagram rides Facebook-family domains *plus* at least
                 // one Instagram-only domain — the disambiguation marker.
-                let fb = self.sim.directory.app_services(App::Facebook).to_vec();
-                let ig = self.sim.directory.app_services(App::Instagram).to_vec();
+                let fb = self.sim.directory.app_services(App::Facebook);
+                let ig = self.sim.directory.app_services(App::Instagram);
                 let fb_svc = fb[self.srng.gen_range(0..fb.len())];
                 let ig_svc = ig[self.srng.gen_range(0..ig.len())];
                 self.emit_flow(
@@ -674,7 +687,7 @@ impl<'a> DeviceDayCtx<'a> {
                 // touches an API/logging domain (which may sit abroad —
                 // byteoversea — but carries few bytes, so heavy TikTok
                 // use does not drag the geolocation midpoint offshore).
-                let services = self.sim.directory.app_services(App::TikTok).to_vec();
+                let services = self.sim.directory.app_services(App::TikTok);
                 let cdn = services[2]; // v16.tiktokcdn.com (US edge)
                 self.emit_flow(
                     out,
@@ -709,7 +722,7 @@ impl<'a> DeviceDayCtx<'a> {
         if self.srng.f64() < 0.12 {
             return;
         }
-        let services = self.sim.directory.app_services(App::Zoom).to_vec();
+        let services = self.sim.directory.app_services(App::Zoom);
         while hours > 0.05 {
             let meeting = self.srng.gen_range(0.6..1.4f64).min(hours.max(0.1));
             hours -= meeting;
@@ -792,7 +805,7 @@ impl<'a> DeviceDayCtx<'a> {
             );
         let day_bytes = (m_bytes / target_days).max(1_000.0) as u64;
         let day_conns = ((m_conns / target_days).round() as u64).max(1);
-        let services = self.sim.directory.app_services(App::Steam).to_vec();
+        let services = self.sim.directory.app_services(App::Steam);
         let start = self.sample_start(DiurnalKind::Gaming);
         // One download-heavy flow plus (day_conns - 1) matchmaking pings.
         let svc = services[self.srng.gen_range(0..services.len())];
@@ -832,11 +845,7 @@ impl<'a> DeviceDayCtx<'a> {
             * mult
             * self.device.volume_factor.min(4.0)
             * rng::lognormal_med(&mut self.srng, 1.0, 0.6);
-        let services = self
-            .sim
-            .directory
-            .app_services(App::SwitchGameplay)
-            .to_vec();
+        let services = self.sim.directory.app_services(App::SwitchGameplay);
         let n_sessions = 1 + (hours / 1.5) as usize;
         for _ in 0..n_sessions {
             let start = self.sample_start(DiurnalKind::Gaming);
@@ -857,11 +866,7 @@ impl<'a> DeviceDayCtx<'a> {
             );
         }
         // Updates / game downloads (filtered out of Figure 8).
-        let svc_services = self
-            .sim
-            .directory
-            .app_services(App::SwitchServices)
-            .to_vec();
+        let svc_services = self.sim.directory.app_services(App::SwitchServices);
         let is_launch_day = self.sim.cfg.scenario.policy.console_launch_day == Some(self.day.0);
         let fresh_console = self.device.acquired == Some(self.day);
         let update_p = if is_launch_day {
@@ -931,15 +936,17 @@ impl<'a> DeviceDayCtx<'a> {
             self.day.0 as u64,
             self.device.index as u64,
         );
-        for (service, first_ts) in &self.used_services {
+        for (service, first_ts) in self.used_services.iter() {
             let svc = self.sim.directory.service(*service);
             // The full rrset: the client connects to an address it was
-            // handed, so every flow to this service is resolvable.
+            // handed, so every flow to this service is resolvable. It
+            // fits the query's inline answer set, so copying it
+            // allocates nothing.
             out.dns.push(DnsQuery {
                 ts: first_ts.add_micros(-(rng.gen_range(100_000..3_000_000))),
                 device: self.device.id,
                 qname: svc.domain,
-                answers: svc.ips.clone(),
+                answers: svc.ips.as_slice().into(),
             });
         }
     }
@@ -1112,7 +1119,7 @@ mod tests {
         use std::collections::HashMap;
         let mut resolved: HashMap<(DeviceId, Ipv4Addr), Timestamp> = HashMap::new();
         for q in &t.dns {
-            for ip in &q.answers {
+            for ip in q.answers.iter() {
                 let e = resolved.entry((q.device, *ip)).or_insert(q.ts);
                 if q.ts < *e {
                     *e = q.ts;

@@ -6,7 +6,8 @@
 //!
 //! * [`domain`] — validated domain names, suffix matching, registered
 //!   domains (eTLD+1), and interning.
-//! * [`query`] — the query-log record and line codec.
+//! * [`query`] — the query-log record, its inline answer set, and the
+//!   line codec.
 //! * [`resolver`] — the temporal remote-IP → domain index and flow
 //!   labeling.
 //! * [`sites`] — per-device distinct-site accounting (the paper's "34%
@@ -21,7 +22,7 @@ pub mod resolver;
 pub mod sites;
 
 pub use domain::{DomainId, DomainName, DomainTable};
-pub use query::DnsQuery;
+pub use query::{Answers, DnsQuery, INLINE_ANSWERS};
 pub use resolver::{LabelStats, LabeledFlow, ResolverMap};
 pub use sites::DistinctSiteCounter;
 

@@ -6,9 +6,15 @@
 
 use crate::domain::{DomainId, DomainName, DomainTable};
 use nettrace::{DeviceId, Error, Result, Timestamp};
+use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Deref;
 
 /// One resolved query.
+///
+/// A query owns its answer set but, up to [`INLINE_ANSWERS`] addresses,
+/// holds it in place: building, cloning and dropping such a query never
+/// touches the heap, so a generator can hand one out per resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsQuery {
     /// When the answer was observed.
@@ -18,7 +24,107 @@ pub struct DnsQuery {
     /// The interned query name.
     pub qname: DomainId,
     /// A-record answers.
-    pub answers: Vec<Ipv4Addr>,
+    pub answers: Answers,
+}
+
+/// How many addresses an [`Answers`] set stores without a heap
+/// allocation: at least the largest rrset the synthetic campus's service
+/// directory hands out (six, its Zoom hosts). Only a parsed log line can
+/// name more.
+pub const INLINE_ANSWERS: usize = 6;
+
+/// A query's A-record answer set: up to [`INLINE_ANSWERS`] addresses
+/// stored inline, more on the heap.
+///
+/// The storage never shows. A set derefs to `[Ipv4Addr]`, compares by
+/// its addresses and prints like a slice, and every constructor keeps a
+/// set that fits inline there.
+#[derive(Clone)]
+pub struct Answers(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        ips: [Ipv4Addr; INLINE_ANSWERS],
+    },
+    Heap(Vec<Ipv4Addr>),
+}
+
+impl Answers {
+    fn new() -> Self {
+        Answers(Repr::Inline {
+            len: 0,
+            ips: [Ipv4Addr::UNSPECIFIED; INLINE_ANSWERS],
+        })
+    }
+
+    fn push(&mut self, ip: Ipv4Addr) {
+        match &mut self.0 {
+            Repr::Inline { len, ips } if usize::from(*len) < INLINE_ANSWERS => {
+                ips[usize::from(*len)] = ip;
+                *len += 1;
+            }
+            Repr::Inline { ips, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_ANSWERS);
+                spilled.extend_from_slice(ips);
+                spilled.push(ip);
+                self.0 = Repr::Heap(spilled);
+            }
+            Repr::Heap(spilled) => spilled.push(ip),
+        }
+    }
+}
+
+impl Deref for Answers {
+    type Target = [Ipv4Addr];
+
+    fn deref(&self) -> &[Ipv4Addr] {
+        match &self.0 {
+            Repr::Inline { len, ips } => &ips[..usize::from(*len)],
+            Repr::Heap(spilled) => spilled,
+        }
+    }
+}
+
+impl FromIterator<Ipv4Addr> for Answers {
+    fn from_iter<I: IntoIterator<Item = Ipv4Addr>>(iter: I) -> Self {
+        let mut set = Answers::new();
+        for ip in iter {
+            set.push(ip);
+        }
+        set
+    }
+}
+
+impl From<&[Ipv4Addr]> for Answers {
+    fn from(ips: &[Ipv4Addr]) -> Self {
+        ips.iter().copied().collect()
+    }
+}
+
+impl From<Vec<Ipv4Addr>> for Answers {
+    fn from(ips: Vec<Ipv4Addr>) -> Self {
+        if ips.len() > INLINE_ANSWERS {
+            Answers(Repr::Heap(ips))
+        } else {
+            ips.as_slice().into()
+        }
+    }
+}
+
+impl PartialEq for Answers {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Answers {}
+
+impl fmt::Debug for Answers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// Serialize queries to a line format:
@@ -77,7 +183,7 @@ pub fn parse_log(text: &str, table: &mut DomainTable) -> Result<Vec<DnsQuery>> {
         let name = DomainName::parse(parts.next().ok_or(bad("missing qname"))?)?;
         let qname = table.intern(name);
         let answers_str = parts.next().ok_or(bad("missing answers"))?;
-        let answers: Vec<Ipv4Addr> = answers_str
+        let answers: Answers = answers_str
             .split(',')
             .map(|s| s.parse().map_err(|_| bad("bad answer ip")))
             .collect::<Result<_>>()?;
@@ -111,13 +217,13 @@ mod tests {
                 ts: Timestamp::from_secs_micros(1_580_515_200, 42),
                 device: DeviceId(0xdead_beef),
                 qname: zoom,
-                answers: vec![Ipv4Addr::new(3, 235, 69, 1)],
+                answers: vec![Ipv4Addr::new(3, 235, 69, 1)].into(),
             },
             DnsQuery {
                 ts: Timestamp::from_secs_micros(1_580_515_201, 0),
                 device: DeviceId(1),
                 qname: fb,
-                answers: vec![Ipv4Addr::new(157, 240, 1, 1), Ipv4Addr::new(157, 240, 1, 2)],
+                answers: vec![Ipv4Addr::new(157, 240, 1, 1), Ipv4Addr::new(157, 240, 1, 2)].into(),
             },
         ];
         let text = write_log(&queries, &table);

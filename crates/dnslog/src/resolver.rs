@@ -161,7 +161,7 @@ impl ResolverMap {
     /// an IP that has resolved to one domain only appends, and the first
     /// answer naming a second domain sorts that IP's history once.
     pub fn record(&mut self, q: &DnsQuery) {
-        for &ip in &q.answers {
+        for &ip in q.answers.iter() {
             self.by_ip
                 .entry(ip)
                 .or_insert_with(|| IpHistory::new(q.ts))
@@ -245,7 +245,7 @@ mod tests {
             ts: Timestamp::from_secs(ts),
             device: DeviceId(1),
             qname,
-            answers: vec![ip],
+            answers: vec![ip].into(),
         }
     }
 
@@ -421,7 +421,7 @@ mod tests {
             ts: Timestamp::from_secs(5),
             device: DeviceId(1),
             qname: a,
-            answers: ips.clone(),
+            answers: ips.clone().into(),
         });
         for ip in ips {
             assert_eq!(m.lookup(ip, Timestamp::from_secs(10)), Some(a));

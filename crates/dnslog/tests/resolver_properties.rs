@@ -26,7 +26,7 @@ fn lookup_matches_naive() {
                 ts: Timestamp::from_secs(ts),
                 device: DeviceId(1),
                 qname: domains[di as usize],
-                answers: vec![ip],
+                answers: vec![ip].into(),
             });
         }
         let got = m.lookup(ip, Timestamp::from_secs(probe));
@@ -76,7 +76,7 @@ fn histories_match_naive_after_every_record() {
                 ts: Timestamp::from_secs(ts),
                 device: DeviceId(1),
                 qname: domains[dom],
-                answers: vec![ips[ip]],
+                answers: vec![ips[ip]].into(),
             });
             assert_eq!(m.resolution_count(), n + 1);
             let seen = &records[..=n];
