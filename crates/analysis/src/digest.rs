@@ -268,16 +268,6 @@ impl ShardDigest {
         self.resident
     }
 
-    /// Mean Apr/May bytes per active device-day over this digest's own
-    /// post-shutdown users. **Exact and additive** (a ratio of two exact
-    /// sums), but an *aggregate* statistic: unlike
-    /// `Study::aprmay_daily_traffic_over`, it cannot be restricted to
-    /// another run's cohort, so cross-run comparisons built on it
-    /// compare each run's own population mix.
-    pub fn aprmay_daily_traffic(&self) -> f64 {
-        self.headline.traffic.aprmay_daily()
-    }
-
     /// Headline statistics. **Exact**: the same tallies and arithmetic
     /// as [`headline_stats`](crate::figures::headline_stats), so at any
     /// shard count this equals the monolithic result bit for bit.
@@ -332,7 +322,6 @@ pub struct DigestFigures {
 mod tests {
     use super::*;
     use crate::accuracy;
-    use crate::figures::MonthTraffic;
     use appsig::App;
     use dnslog::{DomainId, DomainTable};
     use lockdown_testkit::{check, Gen};
@@ -495,10 +484,6 @@ mod tests {
             assert_eq!(digest.fig8.daily_ma, exact.fig8.daily_ma);
             assert_eq!(digest.fig8.n_switches, exact.fig8.n_switches);
             assert_eq!(merged.resident_devices(), summary.resident.len());
-            assert_eq!(
-                merged.aprmay_daily_traffic(),
-                MonthTraffic::over(&whole, &summary.post_shutdown).aprmay_daily()
-            );
             let counts = |f: &DigestFigures| -> Vec<Option<usize>> {
                 let fig6 = f.fig6.boxes.as_flattened().as_flattened().iter();
                 let fig7 = f.fig7.bytes.iter().chain(&f.fig7.conns).flatten();

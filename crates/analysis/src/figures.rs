@@ -803,7 +803,9 @@ impl MonthTraffic {
         bytes as f64 / self.aprmay_device_days as f64
     }
 
-    fn merge(&mut self, other: &MonthTraffic) {
+    /// Add another device set's tallies (disjoint sets: shards of one
+    /// campus).
+    pub fn merge(&mut self, other: &MonthTraffic) {
         add(&mut self.bytes, &other.bytes);
         self.aprmay_device_days += other.aprmay_device_days;
     }
@@ -817,7 +819,7 @@ pub(crate) struct HeadlineParts {
     post_shutdown: usize,
     identified: usize,
     intl: usize,
-    pub(crate) traffic: MonthTraffic,
+    traffic: MonthTraffic,
     /// Distinct sites per month, summed over the post-shutdown users.
     sites: [u64; 4],
     switches_pre: usize,

@@ -73,14 +73,13 @@
 //! `--shards auto` goes further for million-device scales: the shard
 //! count is derived from `--mem-budget BYTES` (default 512 MiB) and
 //! the run streams per-shard *digests* instead of full collectors —
-//! headline statistics stay exact, distribution figures carry a ≤2×
-//! quantile approximation, and the counterfactual streams as a second
-//! digest ladder (reported as an *aggregate* growth ratio, not the
-//! exact path's cohort-matched one); only the classification audit is
-//! skipped (no run-level device table exists). Both modes record
-//! `sharding` and `accuracy` sections in `manifest.json` and surface
-//! per-shard load rows in `/progress`. See `DESIGN.md` and `README.md`
-//! for the scale recipe.
+//! headline statistics and growth vs 2019 stay exact (each 2019 twin
+//! shard is joined with its study shard's post-shutdown cohort),
+//! distribution figures carry a ≤2× quantile approximation, and only
+//! the classification audit is skipped (no run-level device table
+//! exists). Both modes record `sharding` and `accuracy` sections in
+//! `manifest.json` and surface per-shard load rows in `/progress`. See
+//! `DESIGN.md` and `README.md` for the scale recipe.
 //!
 //! `compare A B` diffs two `--out` run directories — manifest identity
 //! (config hash, scenario, seed, versions, degraded/sharding/memory),
@@ -970,9 +969,8 @@ fn run(args: &Args) -> Result<(), StudyError> {
     if let Some(fault) = &args.fault {
         b = b.fault_profile(fault.clone());
     }
-    // The full report (`all`) also runs the 2019 counterfactual:
-    // cohort-matched in exact mode, a second digest ladder in digest
-    // mode.
+    // The full report (`all`) also runs the 2019 counterfactual and
+    // compares the same post-shutdown cohort across both runs.
     if target == "all" {
         b = b.with_counterfactual();
     }

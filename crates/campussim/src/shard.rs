@@ -433,6 +433,7 @@ fn boundaries(prefix: &[u64], k: u32) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::population::Population;
+    use crate::scenario::Scenario;
 
     fn small_cfg() -> SimConfig {
         SimConfig {
@@ -598,6 +599,35 @@ mod tests {
         // at one device per shard instead of exploding toward u32::MAX.
         let floor = plan.auto_shards(1);
         assert_eq!(floor.len() as u64, devices);
+    }
+
+    /// A sharded run pairs shard `i` of the study with shard `i` of its
+    /// counterfactual twin to compare the same devices across both, so
+    /// the two plans must partition alike.
+    #[test]
+    fn counterfactual_plans_shard_like_their_study() {
+        for scenario in Scenario::builtins() {
+            let cfg = SimConfig {
+                scenario: scenario.clone(),
+                ..small_cfg()
+            };
+            let study = PopulationPlan::new(&cfg);
+            let twin = PopulationPlan::new(&Scenario::counterfactual_of(&cfg));
+            for k in [1u32, 2, 7, 64] {
+                let (a, b) = (study.shards(k), twin.shards(k));
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.spec(), y.spec(), "{} K={k}", scenario.name);
+                    assert_eq!(
+                        x.expected_devices(),
+                        y.expected_devices(),
+                        "{} K={k} shard {}",
+                        scenario.name,
+                        x.id()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub use pipeline::{
 };
 pub use report::run_manifest;
 pub use study::{
-    Counterfactual, DigestCounterfactual, DigestStudy, MatrixCell, MatrixRun, ShardingReport,
-    Study, StudyBuilder, StudyRun,
+    Counterfactual, DigestStudy, MatrixCell, MatrixRun, ShardingReport, Study, StudyBuilder,
+    StudyRun,
 };
 
 /// This crate's version, for provenance manifests.

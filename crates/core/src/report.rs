@@ -62,7 +62,7 @@ impl<'a> RunView<'a> {
             metrics: d.metrics(),
             degraded: d.degraded(),
             sharding: d.sharding(),
-            counterfactual: d.counterfactual.is_some(),
+            counterfactual: d.growth_vs_2019().is_some(),
         }
     }
 }
@@ -83,10 +83,10 @@ pub fn text_report(study: &Study, growth_vs_2019: Option<f64>) -> String {
 
 /// Render a digest run's report: the same figure graphics and headline
 /// table as [`text_report`], from merged shard digests instead of a
-/// run-level collector. Headline statistics are exact; distribution
-/// figures carry the digest's ≤2× quantile approximation. There is no
-/// classification-audit line — digest mode keeps no device table to
-/// audit against.
+/// run-level collector. Headline statistics and growth vs 2019 are
+/// exact; distribution figures carry the digest's ≤2× quantile
+/// approximation. There is no classification-audit line — digest mode
+/// keeps no device table to audit against.
 pub fn digest_text_report(d: &DigestStudy) -> String {
     let _span = trace::span("report.text");
     let sh = d.sharding();
@@ -94,20 +94,7 @@ pub fn digest_text_report(d: &DigestStudy) -> String {
         "== digest mode: {} shards, merge depth {}, headline exact, distribution figures ≤2× ==\n\n",
         sh.shards, sh.merge_depth
     );
-    out.push_str(&figures_text(&d.figures, d.cfg.scale, None));
-    if let Some(cf) = &d.counterfactual {
-        let _ = writeln!(
-            out,
-            "{:<46} {:>11.1}%                | +53% (cohort-matched; this is the aggregate ratio)",
-            "traffic vs 2019 counterfactual (Apr/May)",
-            100.0 * cf.aggregate_growth_vs_2019
-        );
-        let _ = writeln!(
-            out,
-            "   2019 twin: {} resident devices (digest-streamed, same error contract)",
-            cf.resident_devices
-        );
-    }
+    out.push_str(&figures_text(&d.figures, d.cfg.scale, d.growth_vs_2019()));
     out
 }
 
@@ -506,15 +493,16 @@ pub fn run_manifest(run: &RunView<'_>, threads: usize, trace: Option<&Trace>) ->
 }
 
 /// Build the manifest `accuracy` section: the producing mode's error
-/// contract per figure, how the counterfactual (if one ran) was
-/// compared, and the run's (always exact) headline values, so two
-/// manifests alone suffice for a cross-run drift check.
+/// contract per figure, whether the counterfactual ran (both modes
+/// compare the same cohort exactly), and the run's (always exact)
+/// headline values, so two manifests alone suffice for a cross-run
+/// drift check.
 fn accuracy_section(mode: &str, counterfactual: bool, h: &HeadlineStats) -> AccuracySection {
     let exact = mode == "exact";
-    let counterfactual = match (counterfactual, exact) {
-        (false, _) => "not-requested",
-        (true, true) => "cohort-exact",
-        (true, false) => "aggregate-digest",
+    let counterfactual = if counterfactual {
+        "cohort-exact"
+    } else {
+        "not-requested"
     };
     let figures: Vec<FigureContract> = analysis::accuracy::FIGURE_CLASSES
         .iter()
@@ -754,7 +742,7 @@ mod tests {
             .run_digest()
             .unwrap();
         let manifest = run_manifest(&RunView::digest(&digest), 2, None);
-        assert_eq!(label(manifest), "aggregate-digest");
+        assert_eq!(label(manifest), "cohort-exact");
         let digest = Study::builder(cfg)
             .threads(2)
             .shards(2)

@@ -80,7 +80,7 @@ use lockdown_obs::{
 };
 use nettrace::time::{Day, StudyCalendar};
 use nettrace::DeviceId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -215,8 +215,11 @@ trait RunSink: Sized {
     const MODE: &'static str;
     /// [`ShardingReport::merge_depth`] over `shards` shards.
     fn merge_depth(shards: u32) -> u32;
-    /// Reduce a sealed shard's day-ordered collector to its part.
-    fn seal(collector: StudyCollector) -> Self::Part;
+    /// Reduce a sealed shard's day-ordered collector to its part. When
+    /// the run compares against its counterfactual, `seat` is the
+    /// shard's place at the [`CohortJoin`]; a sink that keeps whole
+    /// collectors compares them at assembly and leaves its seat empty.
+    fn seal(collector: StudyCollector, seat: Option<Seat<'_>>) -> Self::Part;
     /// Build the run's result from its drained passes.
     fn assemble(run: Drained<Self::Part>) -> Self;
 }
@@ -236,16 +239,156 @@ struct Drained<P> {
     directory: Arc<ServiceDirectory>,
     main: Pass<P>,
     counterfactual: Option<Pass<P>>,
+    /// What the [`CohortJoin`] summed, when the counterfactual ran.
+    cohort: Option<CohortTraffic>,
     degraded: DegradedReport,
 }
 
-/// Relative growth of `traffic` over `baseline` (0 for an empty
-/// baseline).
-fn growth(traffic: f64, baseline: f64) -> f64 {
-    if baseline > 0.0 {
-        traffic / baseline - 1.0
-    } else {
-        0.0
+/// Apr/May traffic of the 2020 post-shutdown cohort in the study and in
+/// its 2019 twin: the tallies behind `growth_vs_2019` in both modes.
+/// The twin's population is the study's (same seed, unconditional
+/// draws), so every cohort device exists in both runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CohortTraffic {
+    study: MonthTraffic,
+    twin: MonthTraffic,
+}
+
+impl CohortTraffic {
+    /// Tally `cohort` in the study's and the twin's collectors.
+    fn over(study: &StudyCollector, twin: &StudyCollector, cohort: &HashSet<DeviceId>) -> Self {
+        CohortTraffic {
+            study: MonthTraffic::over(study, cohort),
+            twin: MonthTraffic::over(twin, cohort),
+        }
+    }
+
+    fn merge(&mut self, other: &CohortTraffic) {
+        self.study.merge(&other.study);
+        self.twin.merge(&other.twin);
+    }
+
+    /// Growth of the cohort's Apr/May bytes per active device-day over
+    /// its 2019 twin (0 for an empty baseline).
+    fn growth(&self) -> f64 {
+        let baseline = self.twin.aprmay_daily();
+        if baseline > 0.0 {
+            self.study.aprmay_daily() / baseline - 1.0
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Which pass of a run a grid drains: the study, or its 2019 twin.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Study,
+    Twin,
+}
+
+impl Side {
+    /// The stage a failed day of this pass is recorded under.
+    fn stage(self) -> &'static str {
+        match self {
+            Side::Study => "pipeline",
+            Side::Twin => "counterfactual",
+        }
+    }
+}
+
+/// A sealing shard's place at the [`CohortJoin`].
+struct Seat<'a> {
+    join: &'a CohortJoin,
+    side: Side,
+    shard: usize,
+}
+
+impl Seat<'_> {
+    /// Hand the join what it needs of a sealed shard: a study shard's
+    /// post-shutdown devices and their traffic, or a twin's collector.
+    fn offer(self, collector: StudyCollector, post_shutdown: HashSet<DeviceId>) {
+        let half = match self.side {
+            Side::Study => Half::Cohort {
+                traffic: MonthTraffic::over(&collector, &post_shutdown),
+                devices: post_shutdown.into_iter().collect(),
+            },
+            Side::Twin => Half::Twin(Box::new(collector)),
+        };
+        self.join.meet(self.shard, half);
+    }
+}
+
+/// One side of a shard pair, waiting at the join for the other.
+enum Half {
+    /// A study shard's post-shutdown devices and their 2020 traffic.
+    Cohort {
+        devices: Vec<DeviceId>,
+        traffic: MonthTraffic,
+    },
+    /// A twin shard's collector.
+    Twin(Box<StudyCollector>),
+}
+
+/// The per-shard join behind a sharded run's vs-2019 comparison.
+///
+/// A scenario's shards and its twin's cover the same devices (same plan
+/// over the same population), and whether a device is post-shutdown is
+/// decided inside its own shard, so the run's [`CohortTraffic`] is the
+/// sum over shard pairs of the cohort's tallies in each. Whichever side
+/// of a pair seals second reduces the pair to those integers, so the sum
+/// is the whole-campus one at any thread × shard count, and no
+/// per-device state outlives the pair. Workers drain the study's grid
+/// before the twin's, so a twin parks its collector here only while its
+/// study shard's last day is still in flight.
+struct CohortJoin {
+    /// Per shard id: the side that sealed first.
+    waiting: Mutex<Vec<Option<Half>>>,
+    total: Mutex<CohortTraffic>,
+}
+
+impl CohortJoin {
+    fn new(shards: usize) -> Self {
+        CohortJoin {
+            waiting: Mutex::new((0..shards).map(|_| None).collect()),
+            total: Mutex::default(),
+        }
+    }
+
+    /// Seat `half` for `shard`; when the other side is already there,
+    /// reduce the pair and add it to the total.
+    fn meet(&self, shard: usize, half: Half) {
+        let other = {
+            let mut waiting = lock(&self.waiting);
+            match waiting[shard].take() {
+                Some(other) => other,
+                None => {
+                    waiting[shard] = Some(half);
+                    return;
+                }
+            }
+        };
+        let pair = match (half, other) {
+            (Half::Cohort { devices, traffic }, Half::Twin(twin))
+            | (Half::Twin(twin), Half::Cohort { devices, traffic }) => CohortTraffic {
+                study: traffic,
+                twin: MonthTraffic::over(&twin, &devices),
+            },
+            _ => unreachable!("shard {shard} sealed twice in one pass"),
+        };
+        lock(&self.total).merge(&pair);
+    }
+
+    /// The summed tallies, once every shard pair has met.
+    fn into_total(self) -> CohortTraffic {
+        let waiting = self
+            .waiting
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        debug_assert!(waiting.iter().all(Option::is_none), "unmatched shard");
+        self.total
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -261,6 +404,9 @@ struct RunShared {
     /// Days currently inside the isolation boundary, across all
     /// workers — sampled into the `study.days_inflight` gauge.
     inflight: AtomicU64,
+    /// The vs-2019 join both passes seal into, when the counterfactual
+    /// runs.
+    join: Option<CohortJoin>,
 }
 
 impl RunShared {
@@ -372,7 +518,7 @@ struct Grid<'a, S: RunSink> {
     /// Sealed shards, folded in shard-id order.
     run: Mutex<OrderedReducer<S::Part>>,
     fault: Option<&'a FaultProfile>,
-    stage: &'static str,
+    side: Side,
     /// Attribute allocation deltas to days and stages (`mem.*`
     /// metrics). Set only when the run's builder asked for it *and*
     /// the process-global tracking allocator probe succeeded.
@@ -388,7 +534,7 @@ impl<'a, S: RunSink> Grid<'a, S> {
         directory: &'a Arc<ServiceDirectory>,
         days: &'a [Day],
         fault: Option<&'a FaultProfile>,
-        stage: &'static str,
+        side: Side,
         track_memory: bool,
     ) -> Self {
         let k = shards.len() as u32;
@@ -404,7 +550,7 @@ impl<'a, S: RunSink> Grid<'a, S> {
             retry: Mutex::new(Vec::new()),
             run: Mutex::new(OrderedReducer::new()),
             fault,
-            stage,
+            side,
             track_memory,
             sharding: ShardingReport {
                 shards: k,
@@ -479,7 +625,7 @@ impl<'a, S: RunSink> Grid<'a, S> {
                     if let Some(days) = lock(&slot.days).as_mut() {
                         days.skip(day_index);
                     }
-                    self.day_resolved(slot);
+                    self.day_resolved(run, slot);
                     lock(&run.degraded).failed.push(failure);
                 }
             }
@@ -522,14 +668,14 @@ impl<'a, S: RunSink> Grid<'a, S> {
                 if let Some(days) = lock(&slot.days).as_mut() {
                     days.submit(day_index, out.collector, out.stats, &out.metrics);
                 }
-                self.day_resolved(slot);
+                self.day_resolved(run, slot);
                 Ok(())
             }
             Err(error) => {
                 observer.day_failed(worker, day, attempt, &error);
                 Err(DayFailure {
                     day: day.0,
-                    stage: self.stage.to_string(),
+                    stage: self.side.stage().to_string(),
                     error,
                     attempt,
                 })
@@ -617,16 +763,17 @@ impl<'a, S: RunSink> Grid<'a, S> {
 
     /// Mark one of the slot's days fully resolved (success, recovered,
     /// or dropped); seal the shard when it was the last one.
-    fn day_resolved(&self, slot: &ShardSlot) {
+    fn day_resolved(&self, run: &RunShared, slot: &ShardSlot) {
         if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.seal(slot);
+            self.seal(run, slot);
         }
     }
 
     /// Seal a drained shard: close its day-ordered reduction, record
-    /// its peak, reduce it to the sink's part and fold that into the
-    /// run, and drop its sub-campus.
-    fn seal(&self, slot: &ShardSlot) {
+    /// its peak, reduce it to the sink's part (seating it at the
+    /// vs-2019 join) and fold that into the run, and drop its
+    /// sub-campus.
+    fn seal(&self, run: &RunShared, slot: &ShardSlot) {
         let _span = trace::span("seal_shard").attr("shard", u64::from(slot.shard.id()));
         let Some(days) = lock(&slot.days).take() else {
             return;
@@ -634,8 +781,14 @@ impl<'a, S: RunSink> Grid<'a, S> {
         let (collector, stats, metrics) = days.finish();
         slot.peak_bytes
             .store(metrics.gauge("mem.day.peak_net_bytes"), Ordering::Relaxed);
-        let part = S::seal(collector);
-        lock(&self.run).submit(slot.shard.id() as usize, part, stats, &metrics);
+        let shard = slot.shard.id() as usize;
+        let seat = run.join.as_ref().map(|join| Seat {
+            join,
+            side: self.side,
+            shard,
+        });
+        let part = S::seal(collector, seat);
+        lock(&self.run).submit(shard, part, stats, &metrics);
         *lock(&slot.sim) = None;
     }
 
@@ -803,19 +956,6 @@ impl Study {
             sample,
             self.sim.config().seed,
         )
-    }
-
-    /// Mean bytes per active device-day over April+May for `devices`
-    /// ([`MonthTraffic::aprmay_daily`], the rule the headline tallies
-    /// use). Per-device normalization makes the 2019 comparison
-    /// meaningful: the 2019 campus had no shutdown, so its population is
-    /// several times larger, and raw totals would compare populations,
-    /// not behaviour. The exact run compares the *same cohort* against
-    /// the counterfactual run (where nobody departed, so its own
-    /// post-shutdown set is the whole campus with a different device
-    /// mix).
-    pub fn aprmay_daily_traffic_over(&self, devices: &std::collections::HashSet<DeviceId>) -> f64 {
-        MonthTraffic::over(&self.collector, devices).aprmay_daily()
     }
 }
 
@@ -1065,9 +1205,11 @@ impl StudyBuilder {
     /// in-flight shards' collectors. Headline statistics are exact at
     /// any shard count; distribution figures are ≤2× approximations
     /// (see [`analysis::digest`]). The counterfactual, when requested,
-    /// streams through its own digests and is compared in aggregate
-    /// (see [`DigestCounterfactual`]); there is no classification audit
-    /// — the full device table is never materialized.
+    /// streams through its own shards, and each twin shard is joined
+    /// with its study shard's post-shutdown cohort, so
+    /// [`DigestStudy::growth_vs_2019`] is the exact run's statistic;
+    /// there is no classification audit — the full device table is
+    /// never materialized.
     pub fn run_digest(self) -> Result<DigestStudy, StudyError> {
         self.run_grid()
     }
@@ -1137,6 +1279,7 @@ impl StudyBuilder {
             abort: AtomicBool::new(false),
             first_err: Mutex::new(None),
             inflight: AtomicU64::new(0),
+            join: cf_cfg.is_some().then(|| CohortJoin::new(shards.len())),
         };
         let main = Grid::<S>::new(
             cfg,
@@ -1144,24 +1287,16 @@ impl StudyBuilder {
             &directory,
             &days,
             fault.as_ref(),
-            "pipeline",
+            Side::Study,
             mem_on,
         );
-        // The counterfactual always runs clean, over as many shards and
-        // through the same sink as the main pass: exact (cohort-matched
-        // comparison) or digest (aggregate comparison, fixed-size
-        // memory).
+        // The counterfactual always runs clean, through the same sink
+        // as the main pass, over the same plan of the same population:
+        // its shard `i` holds the devices of the study's shard `i`,
+        // which the vs-2019 join pairs them by.
         let cf = cf_cfg.map(|cf_cfg| {
             let shards = PopulationPlan::new(&cf_cfg).shards(k);
-            Grid::<S>::new(
-                cf_cfg,
-                shards,
-                &directory,
-                &days,
-                None,
-                "counterfactual",
-                mem_on,
-            )
+            Grid::<S>::new(cf_cfg, shards, &directory, &days, None, Side::Twin, mem_on)
         });
 
         let trace_rec = trace_rec.as_ref();
@@ -1261,6 +1396,7 @@ impl StudyBuilder {
             directory,
             main,
             counterfactual,
+            cohort: run.join.map(CohortJoin::into_total),
             degraded,
         });
         if let (Some(live), Some(metrics)) = (&live, &final_metrics) {
@@ -1282,31 +1418,28 @@ impl RunSink for StudyRun {
         }
     }
 
-    fn seal(collector: StudyCollector) -> StudyCollector {
+    fn seal(collector: StudyCollector, _seat: Option<Seat<'_>>) -> StudyCollector {
         collector
     }
 
+    /// Both passes keep their whole collectors, so the cohort is
+    /// tallied here, over the whole campus, not at the join.
     fn assemble(run: Drained<StudyCollector>) -> StudyRun {
         let Drained {
             directory,
             main,
             counterfactual,
             degraded,
+            ..
         } = run;
         let study = Study::from_pass(main, &directory, degraded);
         let counterfactual = counterfactual.map(|cf| {
             let cf = Study::from_pass(cf, &directory, DegradedReport::default());
-            // Compare the *same cohort*: the 2020 post-shutdown users,
-            // whose devices exist identically in the counterfactual
-            // population (same seed, unconditional population draws).
             let cohort = &study.summary.post_shutdown;
-            let growth_vs_2019 = growth(
-                study.aprmay_daily_traffic_over(cohort),
-                cf.aprmay_daily_traffic_over(cohort),
-            );
             Counterfactual {
+                growth_vs_2019: CohortTraffic::over(&study.collector, &cf.collector, cohort)
+                    .growth(),
                 study: cf,
-                growth_vs_2019,
             }
         });
         StudyRun {
@@ -1324,32 +1457,26 @@ impl RunSink for DigestStudy {
         3
     }
 
-    fn seal(collector: StudyCollector) -> ShardDigest {
+    fn seal(collector: StudyCollector, seat: Option<Seat<'_>>) -> ShardDigest {
         // Classification and segmentation are per-device and a device's
         // whole history lives in its one shard, so the per-shard summary
         // equals the device's slice of the run-level one.
         let summary = StudySummary::finalize(&collector);
-        ShardDigest::extract(&collector, &summary)
+        let digest = ShardDigest::extract(&collector, &summary);
+        if let Some(seat) = seat {
+            seat.offer(collector, summary.post_shutdown);
+        }
+        digest
     }
 
+    /// The twin's digests have no reader: the comparison is the join's.
     fn assemble(run: Drained<ShardDigest>) -> DigestStudy {
         let Drained {
             main,
-            counterfactual,
+            cohort,
             degraded,
             ..
         } = run;
-        // The streamed counterfactual: same digest contract as the main
-        // pass, compared in aggregate (no run-level collector to
-        // cohort-match against).
-        let counterfactual = counterfactual.map(|cf| DigestCounterfactual {
-            figures: cf.part.render(),
-            resident_devices: cf.part.resident_devices(),
-            aggregate_growth_vs_2019: growth(
-                main.part.aprmay_daily_traffic(),
-                cf.part.aprmay_daily_traffic(),
-            ),
-        });
         DigestStudy {
             figures: main.part.render(),
             resident_devices: main.part.resident_devices(),
@@ -1358,7 +1485,7 @@ impl RunSink for DigestStudy {
             metrics: main.metrics,
             degraded,
             sharding: main.sharding,
-            counterfactual,
+            growth_vs_2019: cohort.as_ref().map(CohortTraffic::growth),
         }
     }
 }
@@ -1366,10 +1493,9 @@ impl RunSink for DigestStudy {
 /// A completed sharded digest run: the paper's figures and headline
 /// statistics without a run-level collector or device table. Headline
 /// statistics are exact; distribution figures are ≤2× approximations
-/// (see [`analysis::digest`] for the precise contract). The
-/// counterfactual, when requested, streams through its own digest and
-/// is compared in aggregate (see [`DigestCounterfactual`]). No
-/// classification audit.
+/// (see [`analysis::digest`] for the precise contract). Growth vs the
+/// 2019 counterfactual, when requested, is the exact run's cohort
+/// statistic, bit for bit. No classification audit.
 pub struct DigestStudy {
     /// The configuration the run executed.
     pub cfg: SimConfig,
@@ -1382,27 +1508,7 @@ pub struct DigestStudy {
     metrics: MetricsSnapshot,
     degraded: DegradedReport,
     sharding: ShardingReport,
-    /// The streamed 2019 counterfactual, if
-    /// [`StudyBuilder::with_counterfactual`] was requested.
-    pub counterfactual: Option<DigestCounterfactual>,
-}
-
-/// The digest-mode 2019 counterfactual: the no-pandemic twin's rendered
-/// figures under the same error contract as the main digest pass.
-///
-/// Unlike the exact path's [`Counterfactual`], the growth comparison is
-/// an *aggregate* ratio — each run's Apr/May traffic per active
-/// post-shutdown device-day over its own population — because neither
-/// side keeps a run-level collector to cohort-match against.
-pub struct DigestCounterfactual {
-    /// Rendered counterfactual figures plus exact headline statistics.
-    pub figures: DigestFigures,
-    /// Counterfactual residents (devices passing the 14-day filter).
-    pub resident_devices: usize,
-    /// Apr/May per-device-day traffic of the 2020 run over the 2019
-    /// twin, minus 1. Aggregate, not cohort-matched: expect it near but
-    /// not equal to the exact path's `growth_vs_2019`.
-    pub aggregate_growth_vs_2019: f64,
+    growth_vs_2019: Option<f64>,
 }
 
 impl DigestStudy {
@@ -1424,6 +1530,13 @@ impl DigestStudy {
     /// Shard partition and merge summary.
     pub fn sharding(&self) -> &ShardingReport {
         &self.sharding
+    }
+
+    /// Apr/May traffic growth of the 2020 post-shutdown cohort over the
+    /// same cohort in 2019, if [`StudyBuilder::with_counterfactual`] was
+    /// requested: [`StudyRun::growth_vs_2019`], bit for bit.
+    pub fn growth_vs_2019(&self) -> Option<f64> {
+        self.growth_vs_2019
     }
 }
 
@@ -1539,6 +1652,67 @@ mod tests {
         assert_eq!(acc, sequential);
         // Side state folds on arrival, whatever the order.
         assert_eq!(total.attributed, 2 + 7 + 4 + 1 + 6);
+    }
+
+    /// A collector in which device `d` of `devices` moves `base + d`
+    /// bytes on every third day, from `first` on.
+    fn traffic(devices: std::ops::Range<u64>, base: u64, first: u16) -> StudyCollector {
+        let mut c = StudyCollector::new();
+        for d in devices {
+            for day in (first..StudyCalendar::NUM_DAYS).step_by(3) {
+                c.volume.add(DeviceId(d), Day(day), base + d);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn cohort_join_meets_in_either_order() {
+        // Two shard pairs, devices 0..6 and 6..12: the study's active
+        // from day 40, the twin's from day 0 with less traffic, and a
+        // cohort of every other device.
+        let shards = [0..6, 6..12];
+        let study = |shard: usize| traffic(shards[shard].clone(), 900, 40);
+        let twin = |shard: usize| traffic(shards[shard].clone(), 600, 0);
+        let cohort = |shard: usize| -> HashSet<DeviceId> {
+            shards[shard].clone().step_by(2).map(DeviceId).collect()
+        };
+        let mut expect = CohortTraffic::default();
+        for shard in 0..2 {
+            expect
+                .study
+                .merge(&MonthTraffic::over(&study(shard), &cohort(shard)));
+            expect
+                .twin
+                .merge(&MonthTraffic::over(&twin(shard), &cohort(shard)));
+        }
+        // The shard pairs add up to the whole campus, as an exact run
+        // tallies it.
+        let campus: HashSet<DeviceId> = (0..12).step_by(2).map(DeviceId).collect();
+        let whole = CohortTraffic::over(&traffic(0..12, 900, 40), &traffic(0..12, 600, 0), &campus);
+        assert_eq!(whole, expect);
+        assert!(expect.growth() > 0.0);
+        // Study first in both pairs, twin first in both, and one of each.
+        for order in [[true, true], [false, false], [true, false]] {
+            let join = CohortJoin::new(2);
+            for (shard, study_first) in order.into_iter().enumerate() {
+                let seat = |side| Seat {
+                    join: &join,
+                    side,
+                    shard,
+                };
+                if study_first {
+                    seat(Side::Study).offer(study(shard), cohort(shard));
+                    seat(Side::Twin).offer(twin(shard), HashSet::new());
+                } else {
+                    seat(Side::Twin).offer(twin(shard), HashSet::new());
+                    assert!(lock(&join.waiting)[shard].is_some(), "the twin parks");
+                    seat(Side::Study).offer(study(shard), cohort(shard));
+                }
+                assert!(lock(&join.waiting)[shard].is_none(), "the pair is reduced");
+            }
+            assert_eq!(join.into_total(), expect, "study first: {order:?}");
+        }
     }
 
     #[test]

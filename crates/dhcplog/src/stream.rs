@@ -22,6 +22,7 @@ use nettrace::batch::{BatchIo, BatchStage, FlowBatch};
 use nettrace::flow::DeviceFlow;
 use nettrace::ip::Ipv4Cidr;
 use nettrace::{DeviceId, FastMap, MacAddr, Timestamp};
+use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
 
 #[derive(Debug, Clone, Copy)]
@@ -38,6 +39,34 @@ struct Open {
     mac: MacAddr,
 }
 
+/// One IP's closed intervals, start-ordered: the latest inline, and the
+/// earlier ones spilled to a `Vec`. Most IPs close once a day (each
+/// device-day ends with a release), so most never allocate.
+#[derive(Debug)]
+struct ClosedHistory {
+    earlier: Vec<Closed>,
+    latest: Closed,
+}
+
+impl ClosedHistory {
+    fn push(&mut self, c: Closed) {
+        self.earlier.push(std::mem::replace(&mut self.latest, c));
+    }
+
+    /// The interval with the largest start at or before `ts`.
+    fn before(&self, ts: Timestamp) -> Option<&Closed> {
+        if self.latest.start <= ts {
+            return Some(&self.latest);
+        }
+        let idx = self.earlier.partition_point(|c| c.start <= ts);
+        idx.checked_sub(1).map(|i| &self.earlier[i])
+    }
+
+    fn len(&self) -> usize {
+        self.earlier.len() + 1
+    }
+}
+
 /// Incrementally-built IP-at-time → MAC state.
 ///
 /// Ownership rules match [`LeaseIndex::build`](crate::LeaseIndex::build):
@@ -47,7 +76,7 @@ struct Open {
 #[derive(Debug)]
 pub struct LeaseTracker {
     open: FastMap<Ipv4Addr, Open>,
-    closed: FastMap<Ipv4Addr, Vec<Closed>>,
+    closed: FastMap<Ipv4Addr, ClosedHistory>,
     max_lease_secs: i64,
 }
 
@@ -64,11 +93,20 @@ impl LeaseTracker {
     fn close(&mut self, ip: Ipv4Addr, o: Open, end: Timestamp) {
         let horizon = o.last_activity.add_secs(self.max_lease_secs);
         let end = end.min(horizon).max(o.start);
-        self.closed.entry(ip).or_default().push(Closed {
+        let c = Closed {
             start: o.start,
             end,
             mac: o.mac,
-        });
+        };
+        match self.closed.entry(ip) {
+            Entry::Occupied(mut history) => history.get_mut().push(c),
+            Entry::Vacant(slot) => {
+                slot.insert(ClosedHistory {
+                    earlier: Vec::new(),
+                    latest: c,
+                });
+            }
+        }
     }
 
     /// Ingest one lease event.
@@ -147,18 +185,13 @@ impl LeaseTracker {
         }
         // Closed history is start-ordered per IP (events arrive in time
         // order per device, and an IP's owners are sequential).
-        let closed = self.closed.get(&ip)?;
-        let idx = closed.partition_point(|c| c.start <= ts);
-        if idx == 0 {
-            return None;
-        }
-        let cand = &closed[idx - 1];
+        let cand = self.closed.get(&ip)?.before(ts)?;
         (ts < cand.end).then_some((cand.mac, cand.start, cand.end))
     }
 
     /// Intervals closed so far (diagnostics).
     pub fn closed_count(&self) -> usize {
-        self.closed.values().map(Vec::len).sum()
+        self.closed.values().map(ClosedHistory::len).sum()
     }
 
     /// Bindings currently open (diagnostics).
@@ -290,6 +323,7 @@ impl BatchStage for NormalizeStage {
 mod tests {
     use super::*;
     use crate::normalize::{LeaseIndex, Normalizer, DEFAULT_MAX_LEASE_SECS};
+    use lockdown_testkit::check;
     use nettrace::flow::{FlowRecord, Proto};
 
     const IP: Ipv4Addr = Ipv4Addr::new(10, 40, 3, 7);
@@ -348,6 +382,75 @@ mod tests {
         t.record(&ev(500, LeaseAction::Assign, IP, MAC_B));
         assert_eq!(t.lookup(IP, Timestamp::from_secs(400)), Some(MAC_A));
         assert_eq!(t.lookup(IP, Timestamp::from_secs(500)), Some(MAC_B));
+    }
+
+    /// One IP handed through three or more owners, with renewals,
+    /// releases (some from the wrong device), take-overs and lapses,
+    /// beside a second IP's leases: fed the time-ordered stream, the
+    /// tracker answers every probe as the batch index does, so the
+    /// spilled earlier intervals answer like the inline latest one.
+    #[test]
+    fn tracker_matches_the_index_through_many_owners() {
+        const MAX_LEASE: i64 = 3_600;
+        let ips = [IP, Ipv4Addr::new(10, 40, 3, 8)];
+        check("tracker_matches_the_index_through_many_owners", |g| {
+            let mut events = Vec::new();
+            for (i, &ip) in ips.iter().enumerate() {
+                let owners = if i == 0 {
+                    g.range(3..8usize)
+                } else {
+                    g.range(0..4usize)
+                };
+                let mut t = g.range(0i64..2_000);
+                let mut last = 0u8;
+                for _ in 0..owners {
+                    // A step of 1–3 in 0..5 never repeats the last
+                    // owner, so each owner opens a new interval.
+                    last = (last + g.range(1u8..4)) % 5;
+                    let mac = MacAddr::new(0, 0, 0, 0, 0, last);
+                    events.push(ev(t, LeaseAction::Assign, ip, mac));
+                    for _ in 0..g.range(0..3u32) {
+                        t += g.range(1i64..3_000);
+                        events.push(ev(t, LeaseAction::Renew, ip, mac));
+                    }
+                    // Past `MAX_LEASE` without a renewal, the lease lapses.
+                    t += g.range(0i64..5_000);
+                    if g.any() {
+                        let releaser = if g.range(0..4u32) == 0 {
+                            MacAddr::new(0, 0, 0, 0, 0, 9)
+                        } else {
+                            mac
+                        };
+                        events.push(ev(t, LeaseAction::Release, ip, releaser));
+                        t += g.range(0i64..2_000);
+                    }
+                }
+            }
+            events.sort_by_key(|e| e.ts);
+            let index = LeaseIndex::build(&events, MAX_LEASE);
+            let mut tracker = LeaseTracker::new(MAX_LEASE);
+            for e in &events {
+                tracker.record(e);
+            }
+            let mut probes: Vec<i64> = events
+                .iter()
+                .flat_map(|e| {
+                    let s = e.ts.secs();
+                    [s - 1, s, s + 1, s + MAX_LEASE - 1, s + MAX_LEASE]
+                })
+                .collect();
+            probes.extend(g.vec(0..20, |g| g.range(0i64..60_000)));
+            for ip in ips {
+                for &secs in &probes {
+                    let ts = Timestamp::from_secs(secs);
+                    assert_eq!(
+                        tracker.lookup(ip, ts),
+                        index.lookup(ip, ts),
+                        "{ip} at t={secs} after {events:?}"
+                    );
+                }
+            }
+        });
     }
 
     /// The device rows `stage` appends for `flows`, pushed as one window.

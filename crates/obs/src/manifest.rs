@@ -210,8 +210,9 @@ pub struct AccuracySection {
     /// Worst-case quantile ratio across all figures under this mode
     /// (1.0 exact, 4.0 digest — fig3's renormalized ratio bound).
     pub guaranteed_bound: f64,
-    /// How the counterfactual baseline was produced:
-    /// `"cohort-exact"`, `"aggregate-digest"`, or `"not-requested"`.
+    /// Whether the counterfactual baseline ran: `"cohort-exact"` (the
+    /// same post-shutdown cohort compared across both runs, in either
+    /// mode) or `"not-requested"`.
     pub counterfactual: String,
     /// Headline statistics as `(name, value)` rows, in a fixed order —
     /// exact under every mode, so cross-run deltas here are real drift.
@@ -564,7 +565,7 @@ mod tests {
         m.accuracy = Some(AccuracySection {
             mode: "digest".into(),
             guaranteed_bound: 4.0,
-            counterfactual: "aggregate-digest".into(),
+            counterfactual: "cohort-exact".into(),
             headline: vec![
                 ("peak_active".into(), 5200.0),
                 ("traffic_growth_feb_to_aprmay".into(), 3.26),
@@ -679,7 +680,7 @@ mod tests {
         assert_eq!(acc.get("guaranteed_bound").unwrap().as_f64(), Some(4.0));
         assert_eq!(
             acc.get("counterfactual").unwrap().as_str(),
-            Some("aggregate-digest")
+            Some("cohort-exact")
         );
         assert_eq!(
             acc.get("headline")

@@ -72,27 +72,42 @@ fn self_comparison_is_driftless() {
     }
 }
 
-/// The digest counterfactual rides the same contract: streamed as a
-/// second digest ladder, its aggregate growth ratio is finite and its
-/// 2019 twin population is nonempty.
+/// Growth vs the 2019 counterfactual is one statistic in both modes: a
+/// digest run joins each twin shard with its study shard's
+/// post-shutdown cohort, and the integer tallies it sums give the exact
+/// run's value bit for bit, at every shard count and scale.
 #[test]
 fn digest_counterfactual_streams_alongside_factual() {
-    let d = Study::builder(config(0.01))
-        .threads(2)
-        .shards(2)
-        .with_counterfactual()
-        .run_digest()
-        .expect("digest study");
-    let cf = d.counterfactual.as_ref().expect("counterfactual digest");
-    assert!(cf.resident_devices > 0);
-    assert!(cf.aggregate_growth_vs_2019.is_finite());
-    // Without the flag the field stays empty — no silent extra work.
+    for scale in [0.01, 0.02] {
+        let exact = Study::builder(config(scale))
+            .threads(2)
+            .with_counterfactual()
+            .run()
+            .expect("exact study")
+            .growth_vs_2019()
+            .expect("counterfactual requested");
+        for k in [1u32, 2, 7, 64] {
+            let d = Study::builder(config(scale))
+                .threads(2)
+                .shards(k)
+                .with_counterfactual()
+                .run_digest()
+                .expect("digest study");
+            let growth = d.growth_vs_2019().expect("counterfactual requested");
+            assert_eq!(
+                growth.to_bits(),
+                exact.to_bits(),
+                "scale {scale} K={k}: digest {growth} vs exact {exact}"
+            );
+        }
+    }
+    // Without the flag there is no comparison — no silent extra work.
     let plain = Study::builder(config(0.01))
         .threads(2)
         .shards(2)
         .run_digest()
         .expect("digest study");
-    assert!(plain.counterfactual.is_none());
+    assert!(plain.growth_vs_2019().is_none());
 }
 
 /// `LogHist::quantile` is within `QUANTILE_BOUND` of the exact R-7
