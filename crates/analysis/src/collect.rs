@@ -436,6 +436,51 @@ mod tests {
     }
 
     #[test]
+    fn february_non_cdn_midpoints_split_domestic_from_international() {
+        // §4.2 on the study's path: the collector keeps February, non-CDN
+        // destinations, and the summary labels post-shutdown devices.
+        let ctx = PipelineCtx::study();
+        let table = DomainTable::new();
+        let regions = geoloc::builtin_regions();
+        let host = |name: &str| {
+            let region = regions.iter().find(|r| r.name == name).expect(name);
+            region.prefix.first_host()
+        };
+        let (us, cn) = (host("us-central"), host("cn-east"));
+        let cdn = geoloc::atlas::cdn_region().prefix.first_host();
+        let mut c = StudyCollector::new();
+        let feb = Day(1);
+        let t = feb.start().add_secs(3600);
+        let february = [
+            lf(1, t, us, 10_000, None), // mostly the US
+            lf(1, t.add_secs(60), cn, 100, None),
+            lf(2, t, cn, 10_000, None), // mostly China
+            lf(2, t.add_secs(60), us, 500, None),
+            lf(4, t, cdn, 10_000, None), // CDNs only
+        ];
+        c.observe_day(&ctx, &table, feb, &february);
+        // April: all four stay on campus and talk to China; device 3
+        // appears only now.
+        for d in 60..80 {
+            let day = Day(d);
+            let t = day.start().add_secs(3600);
+            let april: Vec<_> = (1..=4).map(|dev| lf(dev, t, cn, 10_000, None)).collect();
+            c.observe_day(&ctx, &table, day, &april);
+        }
+
+        let s = crate::figures::StudySummary::finalize(&c);
+        assert_eq!(s.post_shutdown.len(), 4);
+        assert_eq!(s.subpop.get(&DeviceId(1)), Some(&geoloc::SubPop::Domestic));
+        assert_eq!(
+            s.subpop.get(&DeviceId(2)),
+            Some(&geoloc::SubPop::International)
+        );
+        assert!(!c.midpoints.contains_key(&DeviceId(3)), "April-only");
+        assert!(!c.midpoints.contains_key(&DeviceId(4)), "CDN-only");
+        assert_eq!(s.subpop.len(), 2);
+    }
+
+    #[test]
     fn merge_matches_sequential() {
         let ctx = PipelineCtx::study();
         let mut table = DomainTable::new();

@@ -5,7 +5,9 @@
 //! statistic of the paper; [`figures`] reduces the collected state after
 //! classification and segmentation, with one selection per figure that
 //! exact runs and per-shard [`digest`]s share; [`ascii`] and [`export`]
-//! render the results for terminals and files.
+//! render the results for terminals and files; [`accuracy`] holds the
+//! digest contract and the one figure-file diff that checks it, for the
+//! tests and `repro compare` alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +21,7 @@ pub mod figures;
 pub mod matrix;
 pub mod stats;
 
-pub use accuracy::{AccuracyReport, FigureAccuracy, FigureClass, FIGURE_CLASSES};
+pub use accuracy::{FigureClass, FIGURE_CLASSES};
 pub use collect::{PipelineCtx, StudyCollector};
 pub use digest::{DigestFigures, LogHist, ShardDigest, QUANTILE_BOUND};
 pub use export::ExportError;

@@ -84,16 +84,17 @@
 //! `compare A B` diffs two `--out` run directories — manifest identity
 //! (config hash, scenario, seed, versions, degraded/sharding/memory),
 //! headline drift from the manifests' `accuracy` sections, and a
-//! value-by-value figure-file diff with per-file tolerances derived
-//! from the two runs' modes (exact-vs-exact demands equality; a digest
-//! side is allowed its contractual quantile ratio). Exit 1 when any
-//! figure file drifts past its tolerance. `compare --converge` instead
-//! runs an in-process digest scale ladder (`--scales`, default
-//! `0.02,0.06,0.2`) and reports how the scale-invariant headline
-//! ratios drift across rungs — `--report FILE` writes the
-//! `BENCH_convergence.json` artifact and `--check FILE` gates the
-//! measured drift against a committed baseline (the CI convergence
-//! smoke).
+//! value-by-value figure-file diff (`analysis::accuracy`, the engine
+//! the accuracy tests use): exact-vs-exact demands equality, and
+//! against a digest run each value is held to its column's class in
+//! the digest contract (fig2's means exact, its medians ≤2×). Exit 1
+//! when any figure file has a value outside its class.
+//! `compare --converge` instead runs an in-process digest scale ladder
+//! (`--scales`, default `0.02,0.06,0.2`) and reports how the
+//! scale-invariant headline ratios drift across rungs — `--report
+//! FILE` writes the `BENCH_convergence.json` artifact and `--check
+//! FILE` gates the measured drift against a committed baseline (the CI
+//! convergence smoke).
 //!
 //! `--fault-profile NAME` injects seeded, deterministic input
 //! corruption (`none` or `default`; see `docs/ROBUSTNESS.md`): the run
@@ -891,7 +892,7 @@ fn compare_cmd(args: &Args, a: Option<&str>, b: Option<&str>) -> Result<(), Stri
         write_text(path, &report.to_json(), "comparison artifact").map_err(|e| e.to_string())?;
     }
     if !report.within_tolerance() {
-        return Err("figure drift exceeds the mode tolerance (see report above)".to_string());
+        return Err("figure values outside their accuracy class (see report above)".to_string());
     }
     Ok(())
 }

@@ -9,105 +9,26 @@
 //! 2. **Headline drift** — the `accuracy` section's headline values
 //!    (exact under every mode) compared as relative deltas.
 //! 3. **Figure-file numeric diff** — every figure file compared value
-//!    by value, with a per-file tolerance derived from the two runs'
-//!    modes: exact-vs-exact demands equality, digest comparisons allow
-//!    the digest contract's quantile ratio (≤2×, fig3 ≤4× after
-//!    renormalization), and box-plot `n` counts stay exact always.
+//!    by value through [`analysis::accuracy::diff_figure_file`], the
+//!    engine the accuracy tests use: exact-vs-exact demands equality,
+//!    and when either run is a digest run each value is held to its
+//!    column's class in the digest contract (fig2's means, fig1, fig5,
+//!    fig8 and box-plot `n` counts exact; quantiles ≤2×, fig3 ≤4× after
+//!    renormalization).
 //!
 //! [`converge`] drives a digest-mode scale ladder and reports how the
 //! scale-invariant headline ratios drift across scales — the artifact
 //! behind `results/BENCH_convergence.json` and the CI convergence gate.
 
-use analysis::accuracy::FIGURE_CLASSES;
+use analysis::accuracy::{self, FigureFileDiff};
 use analysis::export::FIGURE_FILES;
 use lockdown_core::{Study, StudyError};
 use lockdown_obs::json::{self, quoted, Value};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Ratio slack so a bound like 2.0 is not failed by float noise.
-const RATIO_EPS: f64 = 1e-9;
-
 /// Relative-delta floor: denominators are clamped to this.
 const REL_EPS: f64 = 1e-12;
-
-/// The quantile tolerance that applies to figure file `file` when
-/// either side of a comparison is a digest run: the loosest bound of the
-/// accuracy classes the file holds (`fig2.csv` holds `fig2.mean` and
-/// `fig2.median`). Exact-vs-exact comparisons use 1.0 (equality)
-/// everywhere.
-fn digest_tolerance(file: &str) -> f64 {
-    let figure = file.split('.').next();
-    FIGURE_CLASSES
-        .iter()
-        .filter(|c| c.figure.split('.').next() == figure)
-        .map(|c| c.bound)
-        .fold(1.0, f64::max)
-}
-
-/// Numeric accumulator shared by the CSV and JSON walkers.
-#[derive(Debug, Default, Clone)]
-struct Acc {
-    compared: usize,
-    mismatched: usize,
-    max_ratio: f64,
-    max_abs_delta: f64,
-}
-
-impl Acc {
-    fn pair(&mut self, a: f64, b: f64, exact: bool) {
-        self.compared += 1;
-        self.max_abs_delta = self.max_abs_delta.max((a - b).abs());
-        if a == b {
-            self.max_ratio = self.max_ratio.max(1.0);
-            return;
-        }
-        if exact || a == 0.0 || b == 0.0 || a.signum() != b.signum() {
-            // One-sided zeros and sign flips have no meaningful ratio;
-            // under an exact contract any difference is a mismatch.
-            self.mismatched += 1;
-            return;
-        }
-        let (a, b) = (a.abs(), b.abs());
-        self.max_ratio = self.max_ratio.max((a / b).max(b / a));
-    }
-}
-
-/// One figure file's numeric diff.
-#[derive(Debug, Clone)]
-pub struct FigureFileDiff {
-    /// File name (e.g. `fig2.csv`).
-    pub file: &'static str,
-    /// Allowed worst-case value ratio for this comparison.
-    pub tolerance: f64,
-    /// Numeric value pairs compared.
-    pub compared: usize,
-    /// Structural or exactness mismatches (shape, text, one-sided
-    /// zeros, sign flips, `n` counts differing).
-    pub mismatched: usize,
-    /// Largest measured value ratio (max(a/b, b/a); 0 if nothing
-    /// compared).
-    pub max_ratio: f64,
-    /// Largest absolute delta.
-    pub max_abs_delta: f64,
-    /// Set when the file could not be compared at all (missing on one
-    /// or both sides, unreadable, unparseable).
-    pub note: Option<String>,
-}
-
-impl FigureFileDiff {
-    /// True when the file's measured drift sits inside its tolerance.
-    pub fn within(&self) -> bool {
-        if self.note.is_some() || self.mismatched > 0 {
-            return false;
-        }
-        if self.tolerance <= 1.0 {
-            self.max_ratio <= 1.0 + RATIO_EPS
-        } else {
-            self.max_ratio <= self.tolerance + RATIO_EPS
-        }
-    }
-}
 
 /// One headline statistic's cross-run drift.
 #[derive(Debug, Clone)]
@@ -406,12 +327,18 @@ pub fn compare_dirs(a: &Path, b: &Path) -> Result<CompareReport, String> {
     let figures = FIGURE_FILES
         .iter()
         .map(|&(file, _)| {
-            let tolerance = if digest_involved {
-                digest_tolerance(file)
-            } else {
-                1.0
+            let read = |dir: &Path| {
+                let path = dir.join(file);
+                std::fs::read_to_string(&path).map_err(|_| path.display().to_string())
             };
-            diff_figure_file(&a.join(file), &b.join(file), file, tolerance)
+            match (read(a), read(b)) {
+                (Ok(ta), Ok(tb)) => accuracy::diff_figure_file(file, &ta, &tb, digest_involved),
+                (ra, rb) => {
+                    let missing: Vec<String> = [ra.err(), rb.err()].into_iter().flatten().collect();
+                    let note = format!("missing: {}", missing.join(", "));
+                    FigureFileDiff::skipped(file, digest_involved, note)
+                }
+            }
         })
         .collect();
 
@@ -436,105 +363,6 @@ pub fn compare_dirs(a: &Path, b: &Path) -> Result<CompareReport, String> {
         headline,
         figures,
     })
-}
-
-/// Diff one figure file pair: positional numeric comparison for CSVs,
-/// parallel structural walk for JSON box tables.
-fn diff_figure_file(pa: &Path, pb: &Path, file: &'static str, tolerance: f64) -> FigureFileDiff {
-    let mut diff = FigureFileDiff {
-        file,
-        tolerance,
-        compared: 0,
-        mismatched: 0,
-        max_ratio: 0.0,
-        max_abs_delta: 0.0,
-        note: None,
-    };
-    let (ta, tb) = match (std::fs::read_to_string(pa), std::fs::read_to_string(pb)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (ra, rb) => {
-            let side =
-                |r: &std::io::Result<String>, p: &Path| r.is_err().then(|| p.display().to_string());
-            diff.note = Some(format!(
-                "missing: {}",
-                [side(&ra, pa), side(&rb, pb)]
-                    .into_iter()
-                    .flatten()
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-            return diff;
-        }
-    };
-    let mut acc = Acc::default();
-    if file.ends_with(".json") {
-        match (json::parse(&ta), json::parse(&tb)) {
-            (Ok(va), Ok(vb)) => walk_json(&va, &vb, false, &mut acc),
-            _ => {
-                diff.note = Some("unparseable JSON".to_string());
-                return diff;
-            }
-        }
-    } else {
-        diff_csv(&ta, &tb, &mut acc);
-    }
-    diff.compared = acc.compared;
-    diff.mismatched = acc.mismatched;
-    diff.max_ratio = acc.max_ratio;
-    diff.max_abs_delta = acc.max_abs_delta;
-    diff
-}
-
-/// Positional CSV diff: numeric tokens pair up as values, non-numeric
-/// tokens (headers, labels) must match exactly, and any shape
-/// difference (line or field count) is a mismatch.
-fn diff_csv(a: &str, b: &str, acc: &mut Acc) {
-    let la: Vec<&str> = a.lines().collect();
-    let lb: Vec<&str> = b.lines().collect();
-    acc.mismatched += la.len().abs_diff(lb.len());
-    for (ra, rb) in la.iter().zip(&lb) {
-        let fa: Vec<&str> = ra.split(',').collect();
-        let fb: Vec<&str> = rb.split(',').collect();
-        acc.mismatched += fa.len().abs_diff(fb.len());
-        for (va, vb) in fa.iter().zip(&fb) {
-            match (va.parse::<f64>(), vb.parse::<f64>()) {
-                (Ok(x), Ok(y)) => acc.pair(x, y, false),
-                _ => {
-                    if va != vb {
-                        acc.mismatched += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Parallel JSON walk. Box-plot `n` counts are additive and exact under
-/// every mode, so they are compared with `exact` regardless of the
-/// file's tolerance.
-fn walk_json(a: &Value, b: &Value, exact: bool, acc: &mut Acc) {
-    match (a, b) {
-        (Value::Object(oa), Value::Object(ob)) => {
-            acc.mismatched += oa.len().abs_diff(ob.len());
-            for (key, va) in oa {
-                match ob.get(key) {
-                    Some(vb) => walk_json(va, vb, exact || key == "n", acc),
-                    None => acc.mismatched += 1,
-                }
-            }
-        }
-        (Value::Array(xa), Value::Array(xb)) => {
-            acc.mismatched += xa.len().abs_diff(xb.len());
-            for (va, vb) in xa.iter().zip(xb) {
-                walk_json(va, vb, exact, acc);
-            }
-        }
-        (Value::Number(x), Value::Number(y)) => acc.pair(*x, *y, exact),
-        (Value::Null, Value::Null) => {}
-        (Value::Bool(x), Value::Bool(y)) if x == y => {}
-        (Value::String(x), Value::String(y)) if x == y => {}
-        _ => acc.mismatched += 1,
-    }
 }
 
 /// One rung of the convergence ladder: the scale-invariant headline
@@ -753,7 +581,7 @@ mod tests {
 
     /// A minimal synthetic run directory: manifest with an accuracy
     /// section plus one CSV and one JSON figure file; the rest missing.
-    fn fake_run_dir(name: &str, median: f64) -> PathBuf {
+    fn fake_run_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join("lockdown_compare_test")
             .join(name);
@@ -764,17 +592,13 @@ mod tests {
         )
         .expect("manifest");
         std::fs::write(dir.join("fig1.csv"), "day,total\n0,10\n1,12\n").expect("fig1");
-        std::fs::write(
-            dir.join("fig6.json"),
-            format!(r#"{{"boxes":[{{"n":4,"median":{median}}}]}}"#),
-        )
-        .expect("fig6");
+        std::fs::write(dir.join("fig6.json"), r#"{"boxes":[{"n":4,"median":1.5}]}"#).expect("fig6");
         dir
     }
 
     #[test]
     fn self_compare_reports_zero_drift() {
-        let dir = fake_run_dir("self", 1.5);
+        let dir = fake_run_dir("self");
         let r = compare_dirs(&dir, &dir).expect("compare");
         assert_eq!(r.mode_a, "digest");
         assert!(r.config_hash_matches && r.scenario_matches && r.seed_matches);
@@ -803,46 +627,6 @@ mod tests {
             Some(0.0)
         );
         assert!(r.to_text().contains("max rel delta"));
-    }
-
-    #[test]
-    fn digest_tolerances_follow_the_accuracy_contract() {
-        let tolerances = FIGURE_FILES.map(|(file, _)| digest_tolerance(file));
-        assert_eq!(tolerances, [1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn digest_tolerance_allows_bounded_and_rejects_unbounded_drift() {
-        let a = fake_run_dir("tol-a", 1.5);
-        let b = fake_run_dir("tol-b", 2.9); // ratio ≈1.93 < 2×
-        let r = compare_dirs(&a, &b).expect("compare");
-        let fig6 = r
-            .figures
-            .iter()
-            .find(|f| f.file == "fig6.json")
-            .expect("fig6");
-        assert!(fig6.within(), "ratio {:.3} should pass ≤2×", fig6.max_ratio);
-        let c = fake_run_dir("tol-c", 3.2); // ratio ≈2.13 > 2×
-        let r = compare_dirs(&a, &c).expect("compare");
-        let fig6 = r
-            .figures
-            .iter()
-            .find(|f| f.file == "fig6.json")
-            .expect("fig6");
-        assert!(
-            !fig6.within(),
-            "ratio {:.3} should fail ≤2×",
-            fig6.max_ratio
-        );
-    }
-
-    #[test]
-    fn json_walk_keeps_n_exact() {
-        let a = json::parse(r#"{"n":4,"median":1.0}"#).expect("a");
-        let b = json::parse(r#"{"n":5,"median":1.0}"#).expect("b");
-        let mut acc = Acc::default();
-        walk_json(&a, &b, false, &mut acc);
-        assert_eq!(acc.mismatched, 1, "n drift must be a mismatch, not a ratio");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! `repro run` has one tail for exact and digest runs: what `repro run
 //! figN` prints is byte for byte what `--out` writes to `figN.*`, in
 //! both modes, and a telemetry address that cannot be bound is a typed
-//! runtime error (exit 1) before any work starts.
+//! runtime error (exit 1) before any work starts. `repro compare` holds
+//! a digest run's figure files to the digest contract column by column.
 
-use std::path::PathBuf;
+use lockdown_obs::json::{self, Value};
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -64,4 +66,90 @@ fn serve_on_an_occupied_port_is_a_typed_runtime_error() {
         output.stdout.is_empty(),
         "no study output after a bind failure"
     );
+}
+
+/// `repro compare A B --json`: its exit code and the verdict per file.
+fn compare(a: &Path, b: &Path) -> (Option<i32>, Vec<(String, bool)>) {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["compare", "--json"])
+        .args([a, b])
+        .output()
+        .expect("run repro compare");
+    let report = json::parse(&String::from_utf8_lossy(&output.stdout)).expect("JSON report");
+    let files = report
+        .get("figures")
+        .and_then(Value::as_array)
+        .expect("figures");
+    let verdicts = files
+        .iter()
+        .map(|f| {
+            let file = f.get("file").and_then(Value::as_str).expect("file");
+            let within = f.get("within").and_then(Value::as_bool).expect("within");
+            (file.to_string(), within)
+        })
+        .collect();
+    (output.status.code(), verdicts)
+}
+
+#[test]
+fn compare_holds_fig2_means_exact_against_a_digest_run() {
+    let exact = fresh_dir("compare_exact");
+    let digest = fresh_dir("compare_digest");
+    let doctored = fresh_dir("compare_doctored");
+    for (dir, flags) in [
+        (&exact, &[][..]),
+        (
+            &digest,
+            &["--shards", "auto", "--mem-budget", "12582912"][..],
+        ),
+    ] {
+        let out = dir.to_str().expect("utf-8 temp dir");
+        let output = repro(&[flags, &["--out", out, "run", "stats"]].concat());
+        assert!(output.status.success(), "{output:?}");
+    }
+
+    // The honest pair: medians drift inside 2×, means match exactly.
+    let (code, verdicts) = compare(&digest, &exact);
+    assert_eq!(code, Some(0), "{verdicts:?}");
+    assert_eq!(verdicts.len(), 8);
+    assert!(verdicts.iter().all(|&(_, within)| within), "{verdicts:?}");
+
+    // Every nonzero mean of the digest's fig2.csv moved by 1.6×: inside
+    // the medians' 2×, but the means are exact.
+    std::fs::create_dir_all(&doctored).expect("mkdir");
+    for entry in std::fs::read_dir(&digest).expect("digest dir") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, doctored.join(path.file_name().expect("name"))).expect("copy");
+    }
+    let fig2 = std::fs::read_to_string(digest.join("fig2.csv")).expect("fig2.csv");
+    let mut lines = fig2.lines();
+    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+    let mut moved = 0;
+    let mut text = format!("{}\n", header.join(","));
+    for line in lines {
+        let cells: Vec<String> = line
+            .split(',')
+            .zip(&header)
+            .map(|(cell, column)| match cell.parse::<f64>() {
+                Ok(v) if column.starts_with("mean_") && v != 0.0 => {
+                    moved += 1;
+                    format!("{:.0}", v * 1.6)
+                }
+                _ => cell.to_string(),
+            })
+            .collect();
+        text.push_str(&cells.join(","));
+        text.push('\n');
+    }
+    assert!(moved > 0, "no nonzero mean in {fig2}");
+    std::fs::write(doctored.join("fig2.csv"), text).expect("write fig2.csv");
+    let (code, verdicts) = compare(&doctored, &exact);
+    assert_eq!(code, Some(1), "{verdicts:?}");
+    for (file, within) in verdicts {
+        assert_eq!(within, file != "fig2.csv", "{file}");
+    }
+
+    for dir in [exact, digest, doctored] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

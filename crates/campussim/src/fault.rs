@@ -197,11 +197,6 @@ impl FaultStats {
     pub fn records_dropped(&self) -> u64 {
         self.flows_dropped + self.leases_dropped + self.dns_answers_dropped
     }
-
-    /// Total records that survived corruption and passed through.
-    pub fn records_repaired(&self) -> u64 {
-        self.flows_repaired + self.leases_repaired
-    }
 }
 
 /// MAC used for synthesizing the corrupted capture of a flow. The frame

@@ -185,12 +185,6 @@ impl CampusSim {
         }
     }
 
-    /// A clonable handle on the shared service directory (for building
-    /// further shard sims without rebuilding the world).
-    pub fn directory_handle(&self) -> Arc<ServiceDirectory> {
-        Arc::clone(&self.directory)
-    }
-
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg

@@ -73,7 +73,6 @@ use campussim::{
 };
 use devclass::{audit_sample, AuditReport, DeviceType};
 use dhcplog::NormalizeStats;
-use geoloc::SubPop;
 use lockdown_obs::{
     alloc, trace, AllocScope, Fanout, LivePublisher, MetricsRegistry, MetricsSnapshot,
     NullObserver, RunObserver, SpanRecorder,
@@ -835,11 +834,10 @@ pub struct Study {
     /// The rendered figures, built on first request (never inside
     /// [`StudyBuilder::run`]).
     figures: OnceLock<DigestFigures>,
-    /// Lazily materialized ground-truth views (built once on first
-    /// request, then borrowed — callers used to pay a full-population
-    /// clone per call).
+    /// Lazily materialized ground-truth device types (built once on
+    /// first request, then borrowed — callers used to pay a
+    /// full-population clone per call).
     truth_types: OnceLock<HashMap<DeviceId, DeviceType>>,
-    truth_subpop: OnceLock<HashMap<DeviceId, SubPop>>,
 }
 
 impl Study {
@@ -874,7 +872,6 @@ impl Study {
             sharding: pass.sharding,
             figures: OnceLock::new(),
             truth_types: OnceLock::new(),
-            truth_subpop: OnceLock::new(),
         }
     }
 
@@ -929,19 +926,6 @@ impl Study {
                 .devices
                 .iter()
                 .map(|d| (d.id, d.kind.true_type()))
-                .collect()
-        })
-    }
-
-    /// Ground-truth sub-populations, cached and borrowed like
-    /// [`Study::ground_truth_types`].
-    pub fn ground_truth_subpop(&self) -> &HashMap<DeviceId, SubPop> {
-        self.truth_subpop.get_or_init(|| {
-            self.sim
-                .population()
-                .devices
-                .iter()
-                .map(|d| (d.id, self.sim.population().student(d.owner).subpop))
                 .collect()
         })
     }

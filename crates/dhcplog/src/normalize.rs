@@ -143,11 +143,6 @@ impl LeaseIndex {
         let cand = &intervals[idx - 1];
         (ts < cand.end).then_some(cand.mac)
     }
-
-    /// Total number of ownership intervals (for diagnostics).
-    pub fn interval_count(&self) -> usize {
-        self.by_ip.values().map(Vec::len).sum()
-    }
 }
 
 /// Statistics from a normalization pass.

@@ -1,4 +1,5 @@
-//! Weighted geographic midpoints and the international-student classifier.
+//! Weighted geographic midpoints and the US border test behind the
+//! international-student split.
 //!
 //! §4.2 of the paper: "for each device, we calculate the geographic
 //! midpoint of the destination of each of that device's connections
@@ -9,13 +10,10 @@
 //!
 //! The midpoint is the standard great-circle centroid: convert each
 //! destination to a 3-D unit vector, average with byte weights, convert
-//! back. CDN destinations are excluded before accumulation.
-
-use crate::atlas::GeoDb;
-use nettrace::flow::DeviceFlow;
-use nettrace::ip::PrefixSet;
-use nettrace::{DeviceId, Month, StudyCalendar};
-use std::collections::HashMap;
+//! back. The study applies them in `analysis`: the collector adds each
+//! February flow's destination to its device's accumulator, skipping
+//! CDN destinations, and the study summary labels a post-shutdown
+//! device with a midpoint by [`in_united_states`].
 
 /// The two sub-populations the paper contrasts throughout §4–5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,89 +150,9 @@ impl MidpointAccumulator {
     }
 }
 
-/// The §4.2 classifier: observe February traffic, then classify devices.
-pub struct IntlClassifier<'a> {
-    geodb: &'a GeoDb,
-    cdns: &'a PrefixSet,
-    accumulators: HashMap<DeviceId, MidpointAccumulator>,
-}
-
-impl<'a> IntlClassifier<'a> {
-    /// `geodb` locates destinations; `cdns` is the excluded CDN space.
-    pub fn new(geodb: &'a GeoDb, cdns: &'a PrefixSet) -> Self {
-        IntlClassifier {
-            geodb,
-            cdns,
-            accumulators: HashMap::new(),
-        }
-    }
-
-    /// Feed one device flow. Only February flows contribute (the paper
-    /// classifies on February behaviour so the label predates the
-    /// shutdown); CDN and un-geolocatable destinations are skipped.
-    pub fn observe(&mut self, flow: &DeviceFlow) {
-        if StudyCalendar::month_of(flow.ts) != Some(Month::Feb) {
-            return;
-        }
-        if self.cdns.contains(flow.remote) {
-            return;
-        }
-        let Some(entry) = self.geodb.lookup(flow.remote) else {
-            return;
-        };
-        self.accumulators.entry(flow.device).or_default().add(
-            entry.lat,
-            entry.lon,
-            flow.total_bytes() as f64,
-        );
-    }
-
-    /// Classify one device: `None` if it produced no usable February
-    /// observations (such devices are left out of sub-population figures,
-    /// matching the paper's "identified post-shutdown users" framing).
-    pub fn classify(&self, device: DeviceId) -> Option<SubPop> {
-        let (lat, lon) = self.accumulators.get(&device)?.midpoint()?;
-        Some(if in_united_states(lat, lon) {
-            SubPop::Domestic
-        } else {
-            SubPop::International
-        })
-    }
-
-    /// Classify every observed device.
-    pub fn classify_all(&self) -> HashMap<DeviceId, SubPop> {
-        self.accumulators
-            .keys()
-            .filter_map(|&d| self.classify(d).map(|s| (d, s)))
-            .collect()
-    }
-
-    /// The raw midpoint of a device, for diagnostics and tests.
-    pub fn midpoint_of(&self, device: DeviceId) -> Option<(f64, f64)> {
-        self.accumulators.get(&device)?.midpoint()
-    }
-
-    /// Merge another classifier's observations (parallel reduction).
-    /// Both must share the same `geodb`/`cdns` configuration.
-    pub fn merge(&mut self, other: IntlClassifier<'a>) {
-        for (dev, acc) in other.accumulators {
-            self.accumulators.entry(dev).or_default().merge(acc);
-        }
-    }
-
-    /// Number of devices with at least one usable observation.
-    pub fn observed_devices(&self) -> usize {
-        self.accumulators.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atlas::{builtin_geodb, builtin_regions, cdn_prefixes, cdn_region};
-    use nettrace::flow::Proto;
-    use nettrace::Timestamp;
-    use std::net::Ipv4Addr;
 
     #[test]
     fn us_boxes() {
@@ -330,48 +248,5 @@ mod tests {
         let (lb, lob) = both.midpoint().unwrap();
         assert!((la - lb).abs() < 1e-12);
         assert!((lo - lob).abs() < 1e-12);
-    }
-
-    fn flow(device: u64, ts: Timestamp, remote: Ipv4Addr, bytes: u64) -> DeviceFlow {
-        DeviceFlow {
-            device: DeviceId(device),
-            ts,
-            duration_micros: 0,
-            remote,
-            remote_port: 443,
-            proto: Proto::Tcp,
-            tx_bytes: bytes / 10,
-            rx_bytes: bytes - bytes / 10,
-        }
-    }
-
-    #[test]
-    fn classifier_end_to_end() {
-        let db = builtin_geodb();
-        let cdns = cdn_prefixes();
-        let mut cls = IntlClassifier::new(&db, &cdns);
-        let regions = builtin_regions();
-        let us = regions.iter().find(|r| r.name == "us-central").unwrap();
-        let cn = regions.iter().find(|r| r.name == "cn-east").unwrap();
-        let feb = Timestamp::from_secs(StudyCalendar::STUDY_START_SECS + 86_400);
-        let apr = Timestamp::from_secs(StudyCalendar::STUDY_START_SECS + 70 * 86_400);
-
-        // Device 1: mostly US traffic.
-        cls.observe(&flow(1, feb, us.prefix.first_host(), 10_000));
-        cls.observe(&flow(1, feb, cn.prefix.first_host(), 100));
-        // Device 2: mostly Chinese services.
-        cls.observe(&flow(2, feb, cn.prefix.first_host(), 10_000));
-        cls.observe(&flow(2, feb, us.prefix.first_host(), 500));
-        // Device 3: only observed in April — must not be classified.
-        cls.observe(&flow(3, apr, cn.prefix.first_host(), 10_000));
-        // Device 4: only CDN traffic — must not be classified.
-        cls.observe(&flow(4, feb, cdn_region().prefix.first_host(), 10_000));
-
-        assert_eq!(cls.classify(DeviceId(1)), Some(SubPop::Domestic));
-        assert_eq!(cls.classify(DeviceId(2)), Some(SubPop::International));
-        assert_eq!(cls.classify(DeviceId(3)), None);
-        assert_eq!(cls.classify(DeviceId(4)), None);
-        let all = cls.classify_all();
-        assert_eq!(all.len(), 2);
     }
 }
