@@ -316,7 +316,9 @@ impl FigureFileDiff {
 /// Diff the texts `a` and `b` of figure file `file` value by value. When
 /// `digest` (either run is a digest run) each value is held to the
 /// [`FIGURE_CLASSES`] entry whose columns hold it; values no approximate
-/// class holds, and every value when not `digest`, must be equal.
+/// class holds, and every value when not `digest`, must be equal. A CSV
+/// side with no lines holds no value to compare: the file is skipped
+/// with the note "empty file".
 pub fn diff_figure_file(file: &'static str, a: &str, b: &str, digest: bool) -> FigureFileDiff {
     let bound = |column: &str| {
         classes_of(file)
@@ -330,6 +332,8 @@ pub fn diff_figure_file(file: &'static str, a: &str, b: &str, digest: bool) -> F
             return FigureFileDiff::skipped(file, digest, "unparseable JSON".to_string());
         };
         diff.json(&a, &b, "", &bound);
+    } else if a.is_empty() || b.is_empty() {
+        return FigureFileDiff::skipped(file, digest, "empty file".to_string());
     } else {
         diff.csv(a, b, &bound);
     }
@@ -415,6 +419,18 @@ mod tests {
             let f = fig2("d,100,3\n", other, true);
             assert_eq!(f.mismatched, 1, "{other}: {f:?}");
             assert!(!f.within());
+        }
+    }
+
+    #[test]
+    fn an_empty_csv_side_is_not_within() {
+        let full = format!("{FIG2}d,100,3\n");
+        for (a, b) in [("", ""), ("", full.as_str()), (full.as_str(), "")] {
+            for digest in [true, false] {
+                let f = diff_figure_file("fig2.csv", a, b, digest);
+                assert_eq!(f.note.as_deref(), Some("empty file"), "{a:?} {b:?}");
+                assert!(!f.within());
+            }
         }
     }
 

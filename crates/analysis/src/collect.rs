@@ -7,13 +7,20 @@
 //! segmentation happen once, at finalize time, exactly as the paper's
 //! pipeline classifies devices over the full dataset.
 //!
-//! Every accumulator numbers its devices densely and holds columns only
-//! for the days that saw bytes (see [`crate::matrix`]), so a collector
-//! fed one day holds one day per device, and merging it into the study
-//! adds one slot per accumulator per device. The flow stream arrives
-//! device by device, so the collector resolves the current device's
-//! slots once and indexes directly for the rest of its flows; the day's
-//! month and figure-3 week are resolved once per day.
+//! The collector numbers its devices once, densely, in one
+//! [`DeviceIndex`], kept with the devices' classification evidence in
+//! [`DeviceProfiles`] (every device a collector meets has a profile);
+//! each other accumulator is a store indexed by that slot, with no
+//! numbering of its own, and holds columns only for the days that saw
+//! bytes (see [`crate::matrix`]). A collector fed one day therefore
+//! holds one day per device, and folding it into the study maps each of
+//! its devices once and hands that slot map to every store. The flow
+//! stream arrives device by device, so the collector resolves the
+//! current device's slot once and indexes every store directly for the
+//! rest of its flows; the day's month and figure-3 week are resolved
+//! once per day. Readers resolve a device's slot once through
+//! [`StudyCollector::slot`] (or walk [`StudyCollector::devices`] or the
+//! profile table) and read each store by slot.
 
 use crate::matrix::{HourWeekMatrix, SparseDaily, VolumeMatrix};
 use appsig::{App, MatchCache, SessionStitcher, SignatureSet};
@@ -22,7 +29,7 @@ use dnslog::{DistinctSiteCounter, DomainId, DomainTable, LabeledFlow};
 use geoloc::{GeoDb, MidpointAccumulator};
 use nettrace::ip::PrefixSet;
 use nettrace::time::{Day, Month, StudyCalendar};
-use nettrace::{DeviceId, DeviceMap, FastMap, FastSet, Oui};
+use nettrace::{DeviceId, DeviceIndex, FastMap, FastSet, Oui, SlotValues};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -73,25 +80,61 @@ struct DayFacts {
     week: Option<usize>,
 }
 
-/// The device of the previous flow and its slot in each accumulator it
-/// has touched (`None` until the device's first flow that needs it).
-#[derive(Debug, Clone, Copy)]
-struct Cursor {
-    device: DeviceId,
-    volume: usize,
-    profile: usize,
-    switch: usize,
-    hours: Option<usize>,
-    zoom: Option<usize>,
-    steam: Option<usize>,
-    gameplay: Option<usize>,
-    midpoint: Option<usize>,
-    sites: Option<usize>,
+/// The devices a collector has seen, numbered densely in first-seen
+/// order, each with its classification evidence: the collector's one
+/// device numbering. Slot `i` of every store of a [`StudyCollector`]
+/// belongs to the `i`-th device [`iter`](Self::iter) yields.
+#[derive(Debug, Default)]
+pub struct DeviceProfiles {
+    index: DeviceIndex,
+    /// The profile of each slot.
+    evidence: Vec<DeviceProfile>,
 }
 
-/// Everything accumulated over the study.
+impl DeviceProfiles {
+    /// The profile at `slot`, which [`StudyCollector::intern`] handed
+    /// out.
+    pub(crate) fn at_mut(&mut self, slot: usize) -> &mut DeviceProfile {
+        &mut self.evidence[slot]
+    }
+
+    /// `(device, profile)` pairs in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (&DeviceId, &DeviceProfile)> + '_ {
+        self.index.ids().iter().zip(&self.evidence)
+    }
+
+    /// The device's slot, assigned with an empty profile on first sight.
+    fn intern(&mut self, device: DeviceId) -> usize {
+        let slot = self.index.intern(device);
+        if slot == self.evidence.len() {
+            self.evidence.push(DeviceProfile::default());
+        }
+        slot
+    }
+
+    /// Fold `other` in: each of its devices maps to a slot here once, and
+    /// its profile merges into that slot's. Returns the slot map, in
+    /// `other`'s slot order, for every other store's fold.
+    fn merge(&mut self, other: DeviceProfiles) -> Vec<usize> {
+        let slots = self.index.remap(&other.index);
+        self.evidence
+            .resize_with(self.index.len(), DeviceProfile::default);
+        for (&s, p) in slots.iter().zip(other.evidence) {
+            self.evidence[s].merge(p);
+        }
+        slots
+    }
+}
+
+/// Everything accumulated over the study. Every public store is indexed
+/// by the slots of the collector's one device numbering, its
+/// [`profiles`](Self::profiles): a store is written only at slots that
+/// [`intern`](Self::intern) or [`slot`](Self::slot) handed out.
 #[derive(Default)]
 pub struct StudyCollector {
+    /// The devices seen, numbered in first-seen order, with their
+    /// classification evidence.
+    pub profiles: DeviceProfiles,
     /// Per-device daily total bytes.
     pub volume: VolumeMatrix,
     /// Per-device daily Zoom bytes.
@@ -99,17 +142,15 @@ pub struct StudyCollector {
     /// Per-device hourly bytes in the four Figure 3 weeks.
     pub hourweek: HourWeekMatrix,
     /// Per-device Steam usage by month.
-    pub steam: DeviceMap<SteamMonthly>,
+    pub steam: SlotValues<SteamMonthly>,
     /// Per-device social-app session durations by month.
-    pub social_hours: DeviceMap<SocialHours>,
+    pub social_hours: SlotValues<SocialHours>,
     /// Per-device daily Switch *gameplay* bytes (update domains filtered).
     pub switch_gameplay: SparseDaily,
-    /// Classification evidence per device.
-    pub profiles: DeviceMap<DeviceProfile>,
     /// Nintendo-traffic-fraction Switch detection.
     pub switch_detect: SwitchDetector,
     /// February destination midpoints (CDNs excluded).
-    pub midpoints: DeviceMap<MidpointAccumulator>,
+    pub midpoints: SlotValues<MidpointAccumulator>,
     /// Distinct registered domains per device per month.
     pub sites: DistinctSiteCounter,
     /// Domain classification memo (worker-local, not merged).
@@ -128,9 +169,9 @@ pub struct StudyCollector {
     stitcher: SessionStitcher,
     /// The day being streamed (worker-local).
     facts: Option<DayFacts>,
-    /// The current device's slots (worker-local; cleared by
-    /// [`finish_day`](Self::finish_day) and [`merge`](Self::merge)).
-    cursor: Option<Cursor>,
+    /// The previous flow's device and its slot (worker-local; slots
+    /// never move, so it stays valid).
+    cursor: Option<(DeviceId, usize)>,
 }
 
 impl StudyCollector {
@@ -139,10 +180,28 @@ impl StudyCollector {
         Self::default()
     }
 
+    /// The device's slot in every store, if the collector has seen it.
+    pub fn slot(&self, device: DeviceId) -> Option<usize> {
+        self.profiles.index.get(device)
+    }
+
+    /// The devices seen, in slot order: slot `i` belongs to
+    /// `devices()[i]`.
+    pub fn devices(&self) -> &[DeviceId] {
+        self.profiles.index.ids()
+    }
+
+    /// The device's slot, assigned on first sight. The `observe_*`
+    /// methods call it; a caller filling stores directly calls it too.
+    pub fn intern(&mut self, device: DeviceId) -> usize {
+        self.profiles.intern(device)
+    }
+
     /// Record hardware metadata for a device (from the DHCP stage, where
     /// the pipeline still sees the raw MAC before anonymization).
     pub fn observe_device_meta(&mut self, device: DeviceId, oui: Oui, locally_administered: bool) {
-        let p = self.profiles.entry(device);
+        let slot = self.intern(device);
+        let p = self.profiles.at_mut(slot);
         if p.oui.is_none() {
             p.oui = Some(oui);
         }
@@ -151,7 +210,8 @@ impl StudyCollector {
 
     /// Record a User-Agent sighting.
     pub fn observe_ua(&mut self, device: DeviceId, ua: &str) {
-        let p = self.profiles.entry(device);
+        let slot = self.intern(device);
+        let p = self.profiles.at_mut(slot);
         if !p.user_agents.iter().any(|u| **u == *ua) && p.user_agents.len() < 16 {
             let shared = match self.ua_memo.get(ua) {
                 Some(s) => Arc::clone(s),
@@ -181,23 +241,16 @@ impl StudyCollector {
         }
     }
 
-    /// The slots of `device`, reused while consecutive flows come from
-    /// it.
-    fn cursor(&mut self, device: DeviceId) -> Cursor {
+    /// The slot of `device`, resolved once while consecutive flows come
+    /// from it.
+    fn cursor(&mut self, device: DeviceId) -> usize {
         match self.cursor {
-            Some(c) if c.device == device => c,
-            _ => Cursor {
-                device,
-                volume: self.volume.slot(device),
-                profile: self.profiles.slot(device),
-                switch: self.switch_detect.slot(device),
-                hours: None,
-                zoom: None,
-                steam: None,
-                gameplay: None,
-                midpoint: None,
-                sites: None,
-            },
+            Some((d, slot)) if d == device => slot,
+            _ => {
+                let slot = self.intern(device);
+                self.cursor = Some((device, slot));
+                slot
+            }
         }
     }
 
@@ -219,39 +272,29 @@ impl StudyCollector {
         let dev = f.device;
         let bytes = f.total_bytes();
         let app = ctx.signatures.classify_flow(lf, table, &mut self.cache);
-        let mut cur = self.cursor(dev);
+        let slot = self.cursor(dev);
 
-        self.volume.add_at(cur.volume, day, bytes);
+        self.volume.add(slot, day, bytes);
         if let Some(week) = week {
-            let s = *cur.hours.get_or_insert_with(|| self.hourweek.slot(dev));
-            self.hourweek.add_at(s, week, f.ts, bytes);
+            self.hourweek.add(slot, week, f.ts, bytes);
         }
 
         match app {
-            Some(App::Zoom) => {
-                let s = *cur.zoom.get_or_insert_with(|| self.zoom.slot(dev));
-                self.zoom.add_at(s, day, bytes);
-            }
+            Some(App::Zoom) => self.zoom.add(slot, day, bytes),
             // Steam usage (Figure 7): bytes and connection counts.
             Some(App::Steam) => {
-                let s = *cur.steam.get_or_insert_with(|| self.steam.slot(dev));
-                let e = &mut self.steam.at_mut(s)[month.index()];
+                let e = &mut self.steam.entry(slot)[month.index()];
                 e.0 += bytes;
                 e.1 += 1;
             }
             // Switch gameplay (Figure 8): update/download domains filtered.
-            Some(App::SwitchGameplay) => {
-                let s = *cur
-                    .gameplay
-                    .get_or_insert_with(|| self.switch_gameplay.slot(dev));
-                self.switch_gameplay.add_at(s, day, bytes);
-            }
+            Some(App::SwitchGameplay) => self.switch_gameplay.add(slot, day, bytes),
             _ => {}
         }
-        self.switch_detect.observe_at(cur.switch, f.ts, app, bytes);
+        self.switch_detect.observe(slot, f.ts, app, bytes);
 
         // Classification evidence.
-        let profile = self.profiles.at_mut(cur.profile);
+        let profile = self.profiles.at_mut(slot);
         profile.total_bytes += bytes;
         if matches!(app, Some(App::SwitchGameplay | App::SwitchServices)) {
             profile.console_bytes += bytes;
@@ -277,22 +320,19 @@ impl StudyCollector {
                 }
             });
             if let Some((lat, lon)) = geo {
-                let s = *cur.midpoint.get_or_insert_with(|| self.midpoints.slot(dev));
-                self.midpoints.at_mut(s).add(lat, lon, bytes as f64);
+                self.midpoints.entry(slot).add(lat, lon, bytes as f64);
             }
         }
 
         // Distinct sites.
         if let Some(dom) = lf.domain {
-            let s = *cur.sites.get_or_insert_with(|| self.sites.slot(dev));
-            self.sites.record_at(s, month, dom, table);
+            self.sites.record(slot, month, dom, table);
         }
 
         // Social session stitching (Figure 6).
         if let Some(a @ (App::Facebook | App::Instagram | App::TikTok)) = app {
             self.stitcher.push(dev, a, f.ts, f.end(), bytes);
         }
-        self.cursor = Some(cur);
     }
 
     /// Close out the day's streaming state: sessions still open in the
@@ -300,7 +340,6 @@ impl StudyCollector {
     /// Must be called once after each day's flows (and before handing
     /// this collector to [`merge`](Self::merge)).
     pub fn finish_day(&mut self) {
-        self.cursor = None;
         for session in std::mem::take(&mut self.stitcher).finish() {
             let Some(ai) = social_index(session.app) else {
                 continue;
@@ -308,7 +347,8 @@ impl StudyCollector {
             let Some(m) = StudyCalendar::month_of(session.start) else {
                 continue;
             };
-            self.social_hours.entry(session.device)[ai][m.index()] += session.duration_hours();
+            let slot = self.intern(session.device);
+            self.social_hours.entry(slot)[ai][m.index()] += session.duration_hours();
         }
     }
 
@@ -328,42 +368,83 @@ impl StudyCollector {
         self.finish_day();
     }
 
-    /// Merge a worker's collector into this one: each accumulator maps
-    /// the other's devices into its own slots once and adds what they
-    /// hold — for a one-day collector, one day per device. Per-device
-    /// `f64` partial sums (social hours, midpoints) add in merge order,
-    /// so merging days in calendar order is deterministic.
+    /// Merge a worker's collector into this one: the other's devices map
+    /// into this collector's slots once, and every store adds what that
+    /// slot map says they hold — for a one-day collector, one day per
+    /// device. An empty collector takes the other's stores as they are.
+    /// Per-device `f64` partial sums (social hours, midpoints) add in
+    /// merge order, so merging days in calendar order is deterministic.
     pub fn merge(&mut self, other: StudyCollector) {
         debug_assert_eq!(
             other.stitcher.open_count(),
             0,
             "merge before finish_day: open social sessions would be lost"
         );
-        self.cursor = None;
-        self.volume.merge(other.volume);
-        self.zoom.merge(other.zoom);
-        self.hourweek.merge(other.hourweek);
-        self.steam.merge_with(other.steam, |mine, months| {
+        other.debug_assert_slots();
+        if self.profiles.evidence.is_empty() {
+            // Nothing to add to: take the other's devices and stores as
+            // they are. Its worker-local memos are dropped, as in any
+            // merge.
+            *self = StudyCollector {
+                cache: std::mem::take(&mut self.cache),
+                iot_memo: std::mem::take(&mut self.iot_memo),
+                geo_memo: std::mem::take(&mut self.geo_memo),
+                ua_memo: std::mem::take(&mut self.ua_memo),
+                ..other
+            };
+            return;
+        }
+        let slots = self.profiles.merge(other.profiles);
+        self.volume.merge(other.volume, &slots);
+        self.zoom.merge(other.zoom, &slots);
+        self.hourweek.merge(other.hourweek, &slots);
+        self.steam.merge_with(other.steam, &slots, |mine, months| {
             for (m, (b, c)) in mine.iter_mut().zip(months) {
                 m.0 += b;
                 m.1 += c;
             }
         });
         self.social_hours
-            .merge_with(other.social_hours, |mine, apps| {
+            .merge_with(other.social_hours, &slots, |mine, apps| {
                 for (m, a) in mine.iter_mut().zip(apps) {
                     for (h, x) in m.iter_mut().zip(a) {
                         *h += x;
                     }
                 }
             });
-        self.switch_gameplay.merge(other.switch_gameplay);
-        self.profiles
-            .merge_with(other.profiles, DeviceProfile::merge);
-        self.switch_detect.merge(other.switch_detect);
+        self.switch_gameplay.merge(other.switch_gameplay, &slots);
+        self.switch_detect.merge(other.switch_detect, &slots);
         self.midpoints
-            .merge_with(other.midpoints, MidpointAccumulator::merge);
-        self.sites.merge(other.sites);
+            .merge_with(other.midpoints, &slots, MidpointAccumulator::merge);
+        self.sites.merge(other.sites, &slots);
+    }
+
+    /// In debug builds, panics unless every store holds only slots this
+    /// collector handed out: a store filled at a slot no device holds
+    /// credits its values to no device, or to whichever device later
+    /// takes the slot.
+    pub(crate) fn debug_assert_slots(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let devices = self.profiles.evidence.len();
+        for (store, bound) in [
+            ("volume", self.volume.slot_bound()),
+            ("zoom", self.zoom.slot_bound()),
+            ("hourweek", self.hourweek.slot_bound()),
+            ("steam", self.steam.slot_bound()),
+            ("social_hours", self.social_hours.slot_bound()),
+            ("switch_gameplay", self.switch_gameplay.slot_bound()),
+            ("switch_detect", self.switch_detect.slot_bound()),
+            ("midpoints", self.midpoints.slot_bound()),
+            ("sites", self.sites.slot_bound()),
+        ] {
+            assert!(
+                bound <= devices,
+                "{store} holds slot {} of a collector with {devices} devices",
+                bound - 1
+            );
+        }
     }
 }
 
@@ -420,19 +501,22 @@ mod tests {
         ];
         c.observe_day(&ctx, &table, day, &flows);
 
-        assert_eq!(c.volume.get(DeviceId(1), day), 3_500_000);
-        assert_eq!(c.zoom.get(DeviceId(1), day), 1_000_000);
-        assert_eq!(c.steam[&DeviceId(2)][0], (9_000_000, 1));
-        assert_eq!(c.switch_gameplay.get(DeviceId(3), day), 800_000);
-        assert!(c.switch_detect.is_switch(DeviceId(3)));
+        let slot = |dev: u64| c.slot(DeviceId(dev)).unwrap();
+        assert_eq!(c.devices(), &[DeviceId(1), DeviceId(2), DeviceId(3)]);
+        assert_eq!(c.volume.get(slot(1), day), 3_500_000);
+        assert_eq!(c.zoom.get(slot(1), day), 1_000_000);
+        assert_eq!(c.zoom.row(slot(2)), None, "no Zoom row without Zoom");
+        assert_eq!(c.steam.get(slot(2)).unwrap()[0], (9_000_000, 1));
+        assert_eq!(c.switch_gameplay.get(slot(3), day), 800_000);
+        assert_eq!(c.switch_detect.switches().collect::<Vec<_>>(), [slot(3)]);
         // The FB+IG overlapping flows stitched into one Instagram session.
-        let hours = c.social_hours[&DeviceId(1)];
+        let hours = c.social_hours.get(slot(1)).unwrap();
         assert!(hours[1][0] > 0.0, "instagram hours {hours:?}");
         assert_eq!(hours[0][0], 0.0, "no separate facebook session");
         // Midpoints recorded (February, non-CDN, geolocatable).
-        assert!(c.midpoints.contains_key(&DeviceId(1)));
+        assert!(c.midpoints.get(slot(1)).is_some());
         // Sites counted.
-        assert!(c.sites.count(DeviceId(1), Month::Feb) >= 2);
+        assert!(c.sites.count(slot(1), Month::Feb) >= 2);
     }
 
     #[test]
@@ -475,8 +559,9 @@ mod tests {
             s.subpop.get(&DeviceId(2)),
             Some(&geoloc::SubPop::International)
         );
-        assert!(!c.midpoints.contains_key(&DeviceId(3)), "April-only");
-        assert!(!c.midpoints.contains_key(&DeviceId(4)), "CDN-only");
+        let midpoint = |dev| c.slot(DeviceId(dev)).and_then(|s| c.midpoints.get(s));
+        assert!(midpoint(3).is_none(), "April-only");
+        assert!(midpoint(4).is_none(), "CDN-only");
         assert_eq!(s.subpop.len(), 2);
     }
 
@@ -501,17 +586,25 @@ mod tests {
         w2.observe_day(&ctx, &table, day_b, &fbv);
         w1.merge(w2);
 
-        assert_eq!(
-            seq.volume.get(DeviceId(1), day_a),
-            w1.volume.get(DeviceId(1), day_a)
+        let (s, w) = (
+            seq.slot(DeviceId(1)).unwrap(),
+            w1.slot(DeviceId(1)).unwrap(),
         );
-        assert_eq!(
-            seq.volume.get(DeviceId(1), day_b),
-            w1.volume.get(DeviceId(1), day_b)
-        );
-        let sh_seq = seq.social_hours[&DeviceId(1)];
-        let sh_par = w1.social_hours[&DeviceId(1)];
+        assert_eq!(seq.volume.get(s, day_a), w1.volume.get(w, day_a));
+        assert_eq!(seq.volume.get(s, day_b), w1.volume.get(w, day_b));
+        let sh_seq = seq.social_hours.get(s).unwrap();
+        let sh_par = w1.social_hours.get(w).unwrap();
         assert!((sh_seq[0][0] - sh_par[0][0]).abs() < 1e-12);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "volume holds slot 1 of a collector with 1 devices")]
+    fn a_store_filled_past_the_devices_fails_the_fold() {
+        let mut c = StudyCollector::new();
+        let slot = c.intern(DeviceId(1));
+        c.volume.add(slot + 1, Day(0), 10);
+        StudyCollector::new().merge(c);
     }
 
     #[test]
@@ -521,8 +614,13 @@ mod tests {
         c.observe_device_meta(dev, Oui::new(0x18, 0xdb, 0xf2), false);
         c.observe_ua(dev, "Mozilla/5.0 (Windows NT 10.0; Win64; x64)");
         c.observe_ua(dev, "Mozilla/5.0 (Windows NT 10.0; Win64; x64)"); // dup
-        let p = &c.profiles[&dev];
+        let slot = c.slot(dev).unwrap();
+        let p = &c.profiles.evidence[slot];
         assert_eq!(p.oui, Some(Oui::new(0x18, 0xdb, 0xf2)));
         assert_eq!(p.user_agents.len(), 1);
+        // A device seen only through its lease has a slot and a profile,
+        // and no traffic row.
+        assert_eq!(c.volume.row(slot), None);
+        assert_eq!(c.volume.device_count(), 0);
     }
 }

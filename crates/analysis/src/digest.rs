@@ -314,6 +314,7 @@ pub struct DigestFigures {
 mod tests {
     use super::*;
     use crate::accuracy;
+    use crate::matrix::HourWeekMatrix;
     use appsig::App;
     use dnslog::{DomainId, DomainTable};
     use lockdown_testkit::{check, Gen};
@@ -404,36 +405,39 @@ mod tests {
             )
         });
         Box::new(move |c, table| {
+            let slot = c.intern(dev);
             for &(day, bytes, zoom) in &days {
-                c.volume.add(dev, day, bytes);
-                c.zoom.add(dev, day, zoom);
-                for &(hour, b) in &hours {
-                    c.hourweek
-                        .add(dev, day.start().add_secs(hour as i64 * 3600), b);
+                c.volume.add(slot, day, bytes);
+                c.zoom.add(slot, day, zoom);
+                if let Some(week) = HourWeekMatrix::week_of(day) {
+                    for &(hour, b) in &hours {
+                        let ts = day.start().add_secs(hour as i64 * 3600);
+                        c.hourweek.add(slot, week, ts, b);
+                    }
                 }
                 if switch {
                     c.switch_detect
-                        .observe(dev, day.start(), Some(App::SwitchGameplay), bytes);
-                    c.switch_gameplay.add(dev, day, bytes / 2);
+                        .observe(slot, day.start(), Some(App::SwitchGameplay), bytes);
+                    c.switch_gameplay.add(slot, day, bytes / 2);
                 }
             }
             if let Some(ua) = ua {
                 c.observe_ua(dev, ua);
             }
             if iot {
-                c.profiles.entry(dev).iot.add(1, true);
+                c.profiles.at_mut(slot).iot.add(1, true);
             }
             if let Some((lat, lon)) = midpoint {
-                c.midpoints.entry(dev).add(lat, lon, 1.0);
+                c.midpoints.entry(slot).add(lat, lon, 1.0);
             }
             if steam.iter().any(|&(b, _)| b > 0) {
-                *c.steam.entry(dev) = steam;
+                *c.steam.entry(slot) = steam;
             }
             if social.iter().flatten().any(|&h| h > 0.0) {
-                *c.social_hours.entry(dev) = social;
+                *c.social_hours.entry(slot) = social;
             }
             for &(month, site) in &visited {
-                c.sites.record(dev, month, site, table);
+                c.sites.record(slot, month, site, table);
             }
         })
     }
@@ -491,11 +495,11 @@ mod tests {
     fn synthetic_collector(dev_base: u64, n: u64) -> StudyCollector {
         let mut c = StudyCollector::new();
         for i in 0..n {
-            let dev = DeviceId(dev_base + i);
+            let slot = c.intern(DeviceId(dev_base + i));
             // Long-lived, post-shutdown-active device with varying volume.
             for d in 0..StudyCalendar::NUM_DAYS {
                 let bytes = 1000 + (i + 1) * (d as u64 % 17);
-                c.volume.add(dev, Day(d), bytes);
+                c.volume.add(slot, Day(d), bytes);
             }
         }
         c

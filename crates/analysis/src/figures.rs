@@ -66,29 +66,27 @@ impl StudySummary {
         let mut resident = HashSet::new();
         let mut post_shutdown = HashSet::new();
 
-        for dev in c.volume.devices() {
-            if c.volume.active_day_count(dev) < VISITOR_FILTER_DAYS {
+        c.debug_assert_slots();
+        let active = |days: &[u64]| days.iter().filter(|&&b| b > 0).count();
+        for (slot, (&dev, profile)) in c.profiles.iter().enumerate() {
+            let Some(row) = c.volume.row(slot) else {
+                continue;
+            };
+            if active(&row) < VISITOR_FILTER_DAYS {
                 continue;
             }
             resident.insert(dev);
-            let t = c
-                .profiles
-                .get(&dev)
-                .map(|p| classifier.classify(p))
-                .unwrap_or(DeviceType::Unclassified);
+            let t = classifier.classify(profile);
             device_types.insert(dev, t);
             buckets.insert(dev, t.figure_bucket());
-
-            let post_days = (BREAK_START.0..StudyCalendar::NUM_DAYS)
-                .filter(|&d| c.volume.active_on(dev, Day(d)))
-                .count();
-            if post_days >= POST_SHUTDOWN_MIN_DAYS {
+            if active(&row[BREAK_START.0 as usize..]) >= POST_SHUTDOWN_MIN_DAYS {
                 post_shutdown.insert(dev);
             }
         }
 
         let mut subpop = HashMap::new();
-        for (&dev, acc) in &c.midpoints {
+        for (slot, acc) in c.midpoints.iter() {
+            let dev = c.devices()[slot];
             if !post_shutdown.contains(&dev) {
                 continue;
             }
@@ -194,6 +192,11 @@ fn to_f64(sums: &[u64]) -> Vec<f64> {
     sums.iter().map(|&b| b as f64).collect()
 }
 
+/// A device's daily bytes in `c`, if it had any flow.
+fn volume_row(c: &StudyCollector, dev: DeviceId) -> Option<[u64; ND]> {
+    c.volume.row(c.slot(dev)?)
+}
+
 /// Figure 1: active devices per day, by figure bucket.
 #[derive(Debug, Clone)]
 pub struct Fig1 {
@@ -216,7 +219,7 @@ impl Fig1 {
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Fig1 {
         let mut f = Fig1::empty();
         for &dev in &s.resident {
-            let Some(row) = c.volume.row(dev) else {
+            let Some(row) = volume_row(c, dev) else {
                 continue;
             };
             let b = s.buckets[&dev].index();
@@ -273,7 +276,7 @@ impl<S: SampleStore> Fig2Parts<S> {
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::empty();
         for &dev in &s.resident {
-            let Some(row) = c.volume.row(dev) else {
+            let Some(row) = volume_row(c, dev) else {
                 continue;
             };
             let b = s.buckets[&dev].index();
@@ -343,12 +346,9 @@ impl<S: SampleStore> Fig3Parts<S> {
 
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::empty();
-        for dev in c.hourweek.devices() {
-            if !s.resident.contains(&dev) {
-                continue;
-            }
+        for slot in s.resident.iter().filter_map(|&dev| c.slot(dev)) {
             for (w, cells) in p.cells.iter_mut().enumerate() {
-                if let Some(row) = c.hourweek.row(dev, w) {
+                if let Some(row) = c.hourweek.row(slot, w) {
                     for (h, &b) in row.iter().enumerate() {
                         if b > 0 {
                             cells[h].record(b);
@@ -462,7 +462,7 @@ impl<S: SampleStore> Fig4Parts<S> {
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::empty();
         for &dev in &s.post_shutdown {
-            let Some(&sp) = s.subpop.get(&dev) else {
+            let (Some(&sp), Some(slot)) = (s.subpop.get(&dev), c.slot(dev)) else {
                 continue;
             };
             // Indices in `Fig4Series::ALL` order.
@@ -473,9 +473,12 @@ impl<S: SampleStore> Fig4Parts<S> {
                 (FigureBucket::Unclassified, SubPop::Domestic) => 3,
                 (FigureBucket::Iot, _) => continue, // "exclude IoT devices here"
             };
-            for (d, cell) in p.cells[series].iter_mut().enumerate() {
-                let day = Day(d as u16);
-                let v = c.volume.get(dev, day).saturating_sub(c.zoom.get(dev, day));
+            let Some(bytes) = c.volume.row(slot) else {
+                continue;
+            };
+            let zoom = c.zoom.row(slot).unwrap_or([0; ND]);
+            for ((cell, b), z) in p.cells[series].iter_mut().zip(bytes).zip(zoom) {
+                let v = b.saturating_sub(z);
                 if v > 0 {
                     cell.record(v);
                 }
@@ -526,8 +529,8 @@ impl Fig5Parts {
 
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::empty();
-        for &dev in &s.post_shutdown {
-            if let Some(row) = c.zoom.row(dev) {
+        for slot in s.post_shutdown.iter().filter_map(|&dev| c.slot(dev)) {
+            if let Some(row) = c.zoom.row(slot) {
                 add(&mut p.daily, &row);
             }
         }
@@ -568,7 +571,8 @@ pub(crate) struct Fig6Parts<S> {
 impl<S: SampleStore> Fig6Parts<S> {
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::default();
-        for (&dev, hours) in &c.social_hours {
+        for (slot, hours) in c.social_hours.iter() {
+            let dev = c.devices()[slot];
             if !s.post_shutdown.contains(&dev) {
                 continue;
             }
@@ -631,7 +635,8 @@ pub(crate) struct Fig7Parts<S> {
 impl<S: SampleStore> Fig7Parts<S> {
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::default();
-        for (&dev, months) in &c.steam {
+        for (slot, months) in c.steam.iter() {
+            let dev = c.devices()[slot];
             if !s.post_shutdown.contains(&dev) {
                 continue;
             }
@@ -695,15 +700,15 @@ impl Fig8Parts {
 
     pub(crate) fn select(c: &StudyCollector, _s: &StudySummary) -> Self {
         let mut p = Self::empty();
-        for dev in c.switch_detect.switches() {
+        for slot in c.switch_detect.switches() {
             let active = |m: Month| {
                 let first = m.first_day().0;
-                (first..first + m.num_days()).any(|d| c.volume.active_on(dev, Day(d)))
+                (first..first + m.num_days()).any(|d| c.volume.active_on(slot, Day(d)))
             };
             if active(Month::Feb) && active(Month::May) {
                 p.n_switches += 1;
                 for (d, total) in p.daily.iter_mut().enumerate() {
-                    *total += c.switch_gameplay.get(dev, Day(d as u16));
+                    *total += c.switch_gameplay.get(slot, Day(d as u16));
                 }
             }
         }
@@ -778,14 +783,14 @@ impl MonthTraffic {
         devices: impl IntoIterator<Item = &'a DeviceId>,
     ) -> MonthTraffic {
         let mut t = MonthTraffic::default();
-        for &dev in devices {
+        for slot in devices.into_iter().filter_map(|&dev| c.slot(dev)) {
             for (bytes, m) in t.bytes.iter_mut().zip(Month::ALL) {
-                *bytes += c.volume.month_total(dev, m);
+                *bytes += c.volume.month_total(slot, m);
             }
             for m in [Month::Apr, Month::May] {
                 let first = m.first_day().0;
                 t.aprmay_device_days += (first..first + m.num_days())
-                    .filter(|&d| c.volume.active_on(dev, Day(d)))
+                    .filter(|&d| c.volume.active_on(slot, Day(d)))
                     .count() as u64;
             }
         }
@@ -831,7 +836,13 @@ impl HeadlineParts {
     /// A Switch's flows all land in its owner's shard, so per-shard
     /// Switch counts add up to the run's.
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
-        let switches = c.switch_detect.switches();
+        let mut sites = [0; 4];
+        for slot in s.post_shutdown.iter().filter_map(|&dev| c.slot(dev)) {
+            for (n, m) in sites.iter_mut().zip(Month::ALL) {
+                *n += c.sites.count(slot, m) as u64;
+            }
+        }
+        let switches = || c.switch_detect.switches();
         HeadlineParts {
             post_shutdown: s.post_shutdown.len(),
             identified: s.subpop.len(),
@@ -841,25 +852,18 @@ impl HeadlineParts {
                 .filter(|&&sp| sp == SubPop::International)
                 .count(),
             traffic: MonthTraffic::over(c, &s.post_shutdown),
-            sites: Month::ALL.map(|m| {
-                s.post_shutdown
-                    .iter()
-                    .map(|&dev| c.sites.count(dev, m) as u64)
-                    .sum()
-            }),
-            switches_pre: switches
-                .iter()
-                .filter(|&&dev| {
+            sites,
+            switches_pre: switches()
+                .filter(|&slot| {
                     c.volume
-                        .first_active_day(dev)
+                        .first_active_day(slot)
                         .is_some_and(|f| (f.0 as usize) < SHUTDOWN_DAY)
                 })
                 .count(),
-            switches_post: switches
-                .iter()
-                .filter(|&&dev| c.volume.active_since(dev, BREAK_START))
+            switches_post: switches()
+                .filter(|&slot| c.volume.active_since(slot, BREAK_START))
                 .count(),
-            switches_new: c.switch_detect.new_switches_since(Day(60)).len(),
+            switches_new: c.switch_detect.new_switches_since(Day(60)).count(),
         }
     }
 
@@ -936,15 +940,15 @@ mod tests {
     #[test]
     fn month_traffic_counts_aprmay_device_days() {
         let mut c = StudyCollector::new();
+        let (one, two) = (c.intern(DeviceId(1)), c.intern(DeviceId(2)));
         // Device 1: every day of February and one April day.
         for d in 0..29u16 {
-            c.volume.add(DeviceId(1), Day(d), 10);
+            c.volume.add(one, Day(d), 10);
         }
-        c.volume.add(DeviceId(1), Month::Apr.first_day(), 300);
+        c.volume.add(one, Month::Apr.first_day(), 300);
         // Device 2: two May days.
-        c.volume.add(DeviceId(2), Month::May.first_day(), 100);
-        c.volume
-            .add(DeviceId(2), Day(Month::May.first_day().0 + 1), 200);
+        c.volume.add(two, Month::May.first_day(), 100);
+        c.volume.add(two, Day(Month::May.first_day().0 + 1), 200);
         let t = MonthTraffic::over(&c, &[DeviceId(1), DeviceId(2), DeviceId(3)]);
         assert_eq!(t.bytes, [290, 0, 300, 300]);
         assert_eq!(t.aprmay_device_days, 3);
@@ -955,12 +959,13 @@ mod tests {
     #[test]
     fn visitor_filter_excludes_short_lived_devices() {
         let mut c = StudyCollector::new();
+        let (one, two) = (c.intern(DeviceId(1)), c.intern(DeviceId(2)));
         // Device 1: 20 active days. Device 2: 3 active days.
         for d in 0..20u16 {
-            c.volume.add(DeviceId(1), Day(d), 100);
+            c.volume.add(one, Day(d), 100);
         }
         for d in 0..3u16 {
-            c.volume.add(DeviceId(2), Day(d), 100);
+            c.volume.add(two, Day(d), 100);
         }
         let s = StudySummary::finalize(&c);
         assert!(s.resident.contains(&DeviceId(1)));
@@ -972,12 +977,13 @@ mod tests {
     #[test]
     fn post_shutdown_requires_post_break_presence() {
         let mut c = StudyCollector::new();
+        let (one, two) = (c.intern(DeviceId(1)), c.intern(DeviceId(2)));
         for d in 40..80u16 {
-            c.volume.add(DeviceId(1), Day(d), 100);
+            c.volume.add(one, Day(d), 100);
         }
         // Leaver: active long enough but gone before break.
         for d in 0..40u16 {
-            c.volume.add(DeviceId(2), Day(d), 100);
+            c.volume.add(two, Day(d), 100);
         }
         let s = StudySummary::finalize(&c);
         assert!(s.post_shutdown.contains(&DeviceId(1)));

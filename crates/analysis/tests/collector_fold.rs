@@ -144,12 +144,15 @@ impl Model {
     fn assert_matches(&self, c: &StudyCollector, devices: u64, days: &[GenDay]) {
         assert_eq!(c.volume.device_count(), self.volume.len());
         for dev in (1..=devices + 1).map(DeviceId) {
+            // A device the collector never saw reads at a slot no device
+            // holds yet.
+            let slot = c.slot(dev).unwrap_or(c.devices().len());
             let row = self.volume.get(&dev);
-            assert_eq!(c.volume.row(dev).as_ref(), row, "volume row {dev}");
+            assert_eq!(c.volume.row(slot).as_ref(), row, "volume row {dev}");
             let active = row.map_or(0, |r| r.iter().filter(|&&b| b > 0).count());
-            assert_eq!(c.volume.active_day_count(dev), active);
+            assert_eq!(c.volume.active_day_count(slot), active);
             assert_eq!(
-                c.zoom.row(dev).as_ref(),
+                c.zoom.row(slot).as_ref(),
                 self.zoom.get(&dev),
                 "zoom row {dev}"
             );
@@ -158,30 +161,31 @@ impl Model {
                     month.first_day().0 as usize..(month.first_day().0 + month.num_days()) as usize;
                 let total =
                     |r: Option<&[u64; ND]>| r.map_or(0, |r| r[span.clone()].iter().sum::<u64>());
-                assert_eq!(c.volume.month_total(dev, month), total(row));
-                assert_eq!(c.zoom.month_total(dev, month), total(self.zoom.get(&dev)));
+                assert_eq!(c.volume.month_total(slot, month), total(row));
+                assert_eq!(c.zoom.month_total(slot, month), total(self.zoom.get(&dev)));
                 let sites = self
                     .sites
                     .get(&(dev, month.index()))
                     .map_or(0, BTreeSet::len);
-                assert_eq!(c.sites.count(dev, month), sites, "sites {dev} {month:?}");
+                assert_eq!(c.sites.count(slot, month), sites, "sites {dev} {month:?}");
             }
             for d in days {
                 let at = |r: Option<&[u64; ND]>| r.map_or(0, |r| r[d.day.0 as usize]);
-                assert_eq!(c.volume.get(dev, d.day), at(row));
-                assert_eq!(c.zoom.get(dev, d.day), at(self.zoom.get(&dev)));
+                assert_eq!(c.volume.get(slot, d.day), at(row));
+                assert_eq!(c.zoom.get(slot, d.day), at(self.zoom.get(&dev)));
                 let play = self.gameplay.get(&(dev, d.day)).copied().unwrap_or(0);
-                assert_eq!(c.switch_gameplay.get(dev, d.day), play, "gameplay {dev}");
+                assert_eq!(c.switch_gameplay.get(slot, d.day), play, "gameplay {dev}");
             }
             for w in 0..4 {
                 let want = self.hours.get(&dev).map(|h| h[w]);
-                assert_eq!(c.hourweek.row(dev, w), want, "hours {dev} week {w}");
+                assert_eq!(c.hourweek.row(slot, w), want, "hours {dev} week {w}");
             }
-            assert_eq!(c.steam.get(&dev), self.steam.get(&dev), "steam {dev}");
+            assert_eq!(c.steam.get(slot), self.steam.get(&dev), "steam {dev}");
             let p = c
                 .profiles
-                .get(&dev)
-                .map(|p| (p.total_bytes, p.console_bytes));
+                .iter()
+                .nth(slot)
+                .map(|(_, p)| (p.total_bytes, p.console_bytes));
             assert_eq!(p.as_ref(), self.profiles.get(&dev), "profile {dev}");
         }
     }
@@ -210,11 +214,13 @@ fn fold_days(
 /// The per-device `f64` state, printed exactly (`{:?}` round-trips).
 fn float_state(c: &StudyCollector) -> BTreeMap<DeviceId, String> {
     let mut out: BTreeMap<DeviceId, String> = BTreeMap::new();
-    for (dev, h) in &c.social_hours {
-        out.entry(*dev).or_default().push_str(&format!("{h:?}"));
+    for (slot, h) in c.social_hours.iter() {
+        let dev = c.devices()[slot];
+        out.entry(dev).or_default().push_str(&format!("{h:?}"));
     }
-    for (dev, m) in &c.midpoints {
-        out.entry(*dev).or_default().push_str(&format!(" {m:?}"));
+    for (slot, m) in c.midpoints.iter() {
+        let dev = c.devices()[slot];
+        out.entry(dev).or_default().push_str(&format!(" {m:?}"));
     }
     out
 }
@@ -251,16 +257,20 @@ fn day_folds_match_the_naive_model_and_every_other_path() {
                 direct.observe_day(&ctx, &table, d.day, &d.flows);
             }
             model.assert_matches(&direct, devices, &days);
+            // `direct`'s value for the device at `folded`'s `slot`.
+            let theirs = |slot: usize| direct.slot(folded.devices()[slot]).unwrap();
             assert_eq!(direct.social_hours.len(), folded.social_hours.len());
-            for (dev, h) in &folded.social_hours {
-                let other = direct.social_hours[dev];
+            for (slot, h) in folded.social_hours.iter() {
+                let dev = folded.devices()[slot];
+                let other = direct.social_hours.get(theirs(slot)).unwrap();
                 for (a, b) in h.iter().flatten().zip(other.iter().flatten()) {
                     assert!((a - b).abs() < 1e-12, "social hours {dev}: {a} vs {b}");
                 }
             }
             assert_eq!(direct.midpoints.len(), folded.midpoints.len());
-            for (dev, m) in &folded.midpoints {
-                let other = direct.midpoints[dev];
+            for (slot, m) in folded.midpoints.iter() {
+                let dev = folded.devices()[slot];
+                let other = direct.midpoints.get(theirs(slot)).unwrap();
                 assert_eq!(m.total_weight(), other.total_weight());
                 match (m.midpoint(), other.midpoint()) {
                     (Some(a), Some(b)) => assert!(

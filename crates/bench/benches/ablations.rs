@@ -138,7 +138,7 @@ fn ablate_iot_threshold(s: &Study) {
         let classifier = Classifier::new().with_iot_threshold(threshold);
         let mut iot = 0usize;
         let mut correct_iot = 0usize;
-        for (dev, p) in &s.collector.profiles {
+        for (dev, p) in s.collector.profiles.iter() {
             if classifier.classify(p) == devclass::DeviceType::Iot {
                 iot += 1;
                 if truth.get(dev).copied() == Some(devclass::DeviceType::Iot) {
@@ -152,8 +152,8 @@ fn ablate_iot_threshold(s: &Study) {
         bench(&format!("ablate_iot_threshold/{threshold}"), None, || {
             s.collector
                 .profiles
-                .values()
-                .filter(|p| classifier.classify(p) == devclass::DeviceType::Iot)
+                .iter()
+                .filter(|(_, p)| classifier.classify(p) == devclass::DeviceType::Iot)
                 .count()
         });
     }
@@ -225,21 +225,18 @@ fn ablate_midpoint() {
 /// Visitor-filter sweep (§3's 14-day rule): shorter filters admit
 /// transient devices, inflating population counts.
 fn ablate_visitor_filter(s: &Study) {
+    let c = &s.collector;
     for days in [1usize, 7, VISITOR_FILTER_DAYS, 30] {
-        let resident = s
-            .collector
-            .volume
-            .devices()
-            .filter(|&d| s.collector.volume.active_day_count(d) >= days)
-            .count();
-        eprintln!("ablate_visitor_filter: >= {days} days -> {resident} residents");
-        bench(&format!("ablate_visitor_filter/{days}"), None, || {
-            s.collector
-                .volume
-                .devices()
-                .filter(|&d| s.collector.volume.active_day_count(d) >= days)
+        let residents = || {
+            (0..c.devices().len())
+                .filter(|&slot| c.volume.active_day_count(slot) >= days)
                 .count()
-        });
+        };
+        eprintln!(
+            "ablate_visitor_filter: >= {days} days -> {} residents",
+            residents()
+        );
+        bench(&format!("ablate_visitor_filter/{days}"), None, residents);
     }
     // Keep the default-path finalize honest too.
     bench("summary_finalize_default_filter", None, || {

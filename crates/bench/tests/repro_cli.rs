@@ -149,6 +149,17 @@ fn compare_holds_fig2_means_exact_against_a_digest_run() {
         assert_eq!(within, file != "fig2.csv", "{file}");
     }
 
+    // An empty fig2.csv on both sides holds no value to compare: it is
+    // flagged, not within.
+    for dir in [&doctored, &exact] {
+        std::fs::write(dir.join("fig2.csv"), "").expect("truncate fig2.csv");
+    }
+    let (code, verdicts) = compare(&doctored, &exact);
+    assert_eq!(code, Some(1), "{verdicts:?}");
+    for (file, within) in verdicts {
+        assert_eq!(within, file != "fig2.csv", "{file}");
+    }
+
     for dir in [exact, digest, doctored] {
         std::fs::remove_dir_all(dir).ok();
     }

@@ -57,11 +57,15 @@ use crate::rng;
 pub const MAX_SHARD_DEVICES: u64 = 49_152;
 
 /// Per-device working-set estimate used to derive a shard count from a
-/// memory budget, calibrated from the memory pass of
-/// `results/BENCH_overhead.json`
-/// (collector dominates: two dense 121-day volume rows ≈ 2 KiB, plus
-/// profiles/midpoints/site sets and the device table itself). Biased
-/// high so a budget is a ceiling, not a target.
+/// memory budget. What a shard holds per device was measured at scale
+/// 0.2, seed 7 (EXPERIMENTS.md, "one device numbering per collector"):
+/// its run collector keeps about 5.3 KB per device after 121 days,
+/// three fifths of it figure-3 hour rows and a quarter 121-day volume
+/// rows, and a day collector about 0.8 KB per device active that day
+/// on a figure-3-week day, which `crates/core/tests/day_collector_heap.rs`
+/// bounds at 2 KiB. The estimate sets K, so it is not refitted to these
+/// figures here; it is biased high so a budget is a ceiling, not a
+/// target.
 pub const BYTES_PER_DEVICE_EST: u64 = 4096;
 
 /// Fixed per-run overhead reserved out of the budget before dividing

@@ -711,8 +711,8 @@ mod tests {
         process_day(opts, &mut collector, &trace);
         let truth: std::collections::HashSet<DeviceId> =
             sim.population().devices.iter().map(|d| d.id).collect();
-        for dev in collector.volume.devices() {
-            assert!(truth.contains(&dev), "unknown device {dev}");
+        for dev in collector.devices() {
+            assert!(truth.contains(dev), "unknown device {dev}");
         }
     }
 
@@ -723,11 +723,12 @@ mod tests {
             b.volume.device_count(),
             "device count: {label}"
         );
-        for dev in a.volume.devices() {
+        for (slot, &dev) in a.devices().iter().enumerate() {
+            let theirs = b.slot(dev).expect("device in both");
             for m in [nettrace::time::Month::Feb, nettrace::time::Month::Mar] {
                 assert_eq!(
-                    a.volume.month_total(dev, m),
-                    b.volume.month_total(dev, m),
+                    a.volume.month_total(slot, m),
+                    b.volume.month_total(theirs, m),
                     "volume divergence for {dev}: {label}"
                 );
             }

@@ -91,8 +91,8 @@ pub fn digest_text_report(d: &DigestStudy) -> String {
     let _span = trace::span("report.text");
     let sh = d.sharding();
     let mut out = format!(
-        "== digest mode: {} shards, merge depth {}, headline exact, distribution figures ≤2× ==\n\n",
-        sh.shards, sh.merge_depth
+        "== digest mode: {} shards, merge depth {}, headline exact, distribution figures ≤{:.0}× ==\n\n",
+        sh.shards, sh.merge_depth, analysis::QUANTILE_BOUND
     );
     out.push_str(&figures_text(&d.figures, d.cfg.scale, d.growth_vs_2019()));
     out
@@ -525,14 +525,31 @@ fn accuracy_section(mode: &str, counterfactual: bool, h: &HeadlineStats) -> Accu
     }
 }
 
+/// The approximate classes of the digest contract
+/// ([`FIGURE_CLASSES`](analysis::accuracy::FIGURE_CLASSES)) held to a
+/// bound other than the shared [`QUANTILE_BOUND`](analysis::QUANTILE_BOUND),
+/// each with its bound: `" (fig3 ≤4×)"`, empty when there are none.
+fn distribution_bounds() -> String {
+    let others: Vec<String> = analysis::accuracy::FIGURE_CLASSES
+        .iter()
+        .filter(|c| !c.exact && c.bound != analysis::QUANTILE_BOUND)
+        .map(|c| format!("{} ≤{:.0}×", c.figure, c.bound))
+        .collect();
+    if others.is_empty() {
+        String::new()
+    } else {
+        format!(" ({})", others.join(", "))
+    }
+}
+
 /// One-line accuracy contract of a partitioned run, for the text
 /// report.
 fn accuracy_line(sh: &ShardingReport) -> String {
     if sh.mode == "digest" {
         format!(
-            "-- Accuracy: digest mode — headline exact, distribution figures ≤{:.0}× (fig3 ≤{:.0}×) --",
+            "-- Accuracy: digest mode — headline exact, distribution figures ≤{:.0}×{} --",
             analysis::QUANTILE_BOUND,
-            analysis::QUANTILE_BOUND * analysis::QUANTILE_BOUND,
+            distribution_bounds(),
         )
     } else {
         "-- Accuracy: exact mode — figures byte-identical to the one-shard reduction --".to_string()
@@ -719,6 +736,29 @@ mod tests {
             assert!(dir.join(f).exists(), "{f}");
         }
         std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn distribution_bounds_name_every_class_off_the_shared_bound() {
+        let others = distribution_bounds();
+        for c in analysis::accuracy::FIGURE_CLASSES.iter() {
+            let entry = format!("{} ≤{:.0}×", c.figure, c.bound);
+            let off = !c.exact && c.bound != analysis::QUANTILE_BOUND;
+            assert_eq!(others.contains(&entry), off, "{entry} in {others:?}");
+        }
+        let digest = ShardingReport {
+            shards: 3,
+            mode: "digest",
+            merge_depth: 3,
+            per_shard_peak_bytes: Vec::new(),
+            per_shard_flows: Vec::new(),
+            per_shard_bytes: Vec::new(),
+            per_shard_wall_ns: Vec::new(),
+        };
+        assert_eq!(
+            accuracy_line(&digest),
+            "-- Accuracy: digest mode — headline exact, distribution figures ≤2× (fig3 ≤4×) --"
+        );
     }
 
     #[test]

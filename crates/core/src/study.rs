@@ -1643,8 +1643,9 @@ mod tests {
     fn traffic(devices: std::ops::Range<u64>, base: u64, first: u16) -> StudyCollector {
         let mut c = StudyCollector::new();
         for d in devices {
+            let slot = c.intern(DeviceId(d));
             for day in (first..StudyCalendar::NUM_DAYS).step_by(3) {
-                c.volume.add(DeviceId(d), Day(day), base + d);
+                c.volume.add(slot, Day(day), base + d);
             }
         }
         c

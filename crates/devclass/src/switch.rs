@@ -7,7 +7,7 @@
 //! toward detection; only gameplay counts in Figure 8).
 
 use appsig::App;
-use nettrace::{Day, DeviceId, DeviceMap, StudyCalendar, Timestamp};
+use nettrace::{Day, SlotValues, StudyCalendar, Timestamp};
 
 /// The detection threshold (fraction of total bytes to Nintendo servers).
 pub const SWITCH_THRESHOLD: f64 = 0.5;
@@ -34,13 +34,18 @@ impl SwitchScore {
             (a, b) => a.or(b),
         };
     }
+
+    fn is_switch(&self) -> bool {
+        self.total_bytes > 0
+            && self.nintendo_bytes as f64 / self.total_bytes as f64 >= SWITCH_THRESHOLD
+    }
 }
 
-/// Streaming Switch detector over classified flows: one score per device
-/// in dense slots.
+/// Streaming Switch detector over classified flows: one score per
+/// device slot that saw a flow, indexed by the collector's slots.
 #[derive(Debug, Default)]
 pub struct SwitchDetector {
-    scores: DeviceMap<SwitchScore>,
+    scores: SlotValues<SwitchScore>,
 }
 
 impl SwitchDetector {
@@ -49,22 +54,10 @@ impl SwitchDetector {
         Self::default()
     }
 
-    /// Record a flow: `app` is the signature classification (or `None`),
-    /// `bytes` the flow's total bytes.
-    pub fn observe(&mut self, device: DeviceId, ts: Timestamp, app: Option<App>, bytes: u64) {
-        let slot = self.slot(device);
-        self.observe_at(slot, ts, app, bytes);
-    }
-
-    /// The device's slot for [`observe_at`](Self::observe_at), assigned on
-    /// first sight; it stays valid as the detector grows and merges.
-    pub fn slot(&mut self, device: DeviceId) -> usize {
-        self.scores.slot(device)
-    }
-
-    /// [`observe`](Self::observe) for the device at `slot`.
-    pub fn observe_at(&mut self, slot: usize, ts: Timestamp, app: Option<App>, bytes: u64) {
-        let s = self.scores.at_mut(slot);
+    /// Record a flow of the device at `slot`: `app` is the signature
+    /// classification (or `None`), `bytes` the flow's total bytes.
+    pub fn observe(&mut self, slot: usize, ts: Timestamp, app: Option<App>, bytes: u64) {
+        let s = self.scores.entry(slot);
         s.total_bytes += bytes;
         if matches!(app, Some(App::SwitchGameplay | App::SwitchServices)) {
             s.nintendo_bytes += bytes;
@@ -73,56 +66,37 @@ impl SwitchDetector {
         s.last_seen = Some(s.last_seen.map_or(ts, |t| t.max(ts)));
     }
 
-    /// Is this device a Switch (at the default threshold)?
-    pub fn is_switch(&self, device: DeviceId) -> bool {
-        self.is_switch_at(device, SWITCH_THRESHOLD)
-    }
-
-    /// Threshold-parameterized variant for the ablation bench.
-    pub fn is_switch_at(&self, device: DeviceId, threshold: f64) -> bool {
-        self.scores.get(&device).is_some_and(|s| {
-            s.total_bytes > 0 && s.nintendo_bytes as f64 / s.total_bytes as f64 >= threshold
-        })
-    }
-
-    /// All detected Switch devices.
-    pub fn switches(&self) -> Vec<DeviceId> {
-        let mut v: Vec<DeviceId> = self
-            .scores
-            .keys()
-            .copied()
-            .filter(|&d| self.is_switch(d))
-            .collect();
-        v.sort();
-        v
+    /// The slots of all detected Switches, in the order they were first
+    /// seen.
+    pub fn switches(&self) -> impl Iterator<Item = usize> + '_ {
+        self.scores
+            .iter()
+            .filter(|(_, s)| s.is_switch())
+            .map(|(slot, _)| slot)
     }
 
     /// The study day a Switch first appeared, if detected.
-    pub fn first_seen_day(&self, device: DeviceId) -> Option<Day> {
-        let s = self.scores.get(&device)?;
-        StudyCalendar::day_of(s.first_seen?)
+    pub fn first_seen_day(&self, slot: usize) -> Option<Day> {
+        StudyCalendar::day_of(self.scores.get(slot)?.first_seen?)
     }
 
     /// Switches that first appeared on or after `day` — the paper counts
     /// "40 new Switches that first appeared in April and May".
-    pub fn new_switches_since(&self, day: Day) -> Vec<DeviceId> {
-        let mut v: Vec<DeviceId> = self
-            .switches()
-            .into_iter()
-            .filter(|&d| self.first_seen_day(d).is_some_and(|f| f >= day))
-            .collect();
-        v.sort();
-        v
+    pub fn new_switches_since(&self, day: Day) -> impl Iterator<Item = usize> + '_ {
+        self.switches()
+            .filter(move |&s| self.first_seen_day(s).is_some_and(|f| f >= day))
     }
 
-    /// Merge another detector (parallel reduction).
-    pub fn merge(&mut self, other: SwitchDetector) {
-        self.scores.merge_with(other.scores, SwitchScore::merge);
+    /// One past the highest slot with a flow.
+    pub fn slot_bound(&self) -> usize {
+        self.scores.slot_bound()
     }
 
-    /// Number of devices observed (Switch or not).
-    pub fn observed_devices(&self) -> usize {
-        self.scores.len()
+    /// Fold another detector in, its slot `i` being this detector's
+    /// `slots[i]`.
+    pub fn merge(&mut self, other: SwitchDetector, slots: &[usize]) {
+        self.scores
+            .merge_with(other.scores, slots, SwitchScore::merge);
     }
 }
 
@@ -137,55 +111,48 @@ mod tests {
     #[test]
     fn majority_nintendo_traffic_is_a_switch() {
         let mut d = SwitchDetector::new();
-        let dev = DeviceId(1);
-        d.observe(dev, ts(0), Some(App::SwitchGameplay), 600);
-        d.observe(dev, ts(0), None, 400);
-        assert!(d.is_switch(dev));
-        assert_eq!(d.switches(), vec![dev]);
+        d.observe(1, ts(0), Some(App::SwitchGameplay), 600);
+        d.observe(1, ts(0), None, 400);
+        // Slot 0 saw no flow.
+        assert_eq!(d.switches().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
     fn services_traffic_counts_toward_detection() {
         let mut d = SwitchDetector::new();
-        let dev = DeviceId(2);
-        d.observe(dev, ts(0), Some(App::SwitchServices), 600);
-        d.observe(dev, ts(0), None, 400);
-        assert!(d.is_switch(dev));
+        d.observe(0, ts(0), Some(App::SwitchServices), 600);
+        d.observe(0, ts(0), None, 400);
+        assert_eq!(d.switches().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
     fn minority_nintendo_traffic_is_not_a_switch() {
         let mut d = SwitchDetector::new();
-        let dev = DeviceId(3);
         // A laptop that also plays some Nintendo online service.
-        d.observe(dev, ts(0), Some(App::SwitchGameplay), 400);
-        d.observe(dev, ts(0), None, 600);
-        assert!(!d.is_switch(dev));
-        assert!(d.is_switch_at(dev, 0.3)); // but a looser threshold flips it
+        d.observe(0, ts(0), Some(App::SwitchGameplay), 400);
+        d.observe(0, ts(0), None, 600);
+        assert_eq!(d.switches().count(), 0);
     }
 
     #[test]
     fn first_seen_day_tracks_minimum() {
         let mut d = SwitchDetector::new();
-        let dev = DeviceId(4);
-        d.observe(dev, ts(70), Some(App::SwitchGameplay), 100);
-        d.observe(dev, ts(65), Some(App::SwitchGameplay), 100);
-        assert_eq!(d.first_seen_day(dev), Some(Day(65)));
+        d.observe(0, ts(70), Some(App::SwitchGameplay), 100);
+        d.observe(0, ts(65), Some(App::SwitchGameplay), 100);
+        assert_eq!(d.first_seen_day(0), Some(Day(65)));
         // April starts on study day 60.
-        assert_eq!(d.new_switches_since(Day(60)), vec![dev]);
-        assert!(d.new_switches_since(Day(66)).is_empty());
+        assert_eq!(d.new_switches_since(Day(60)).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(d.new_switches_since(Day(66)).count(), 0);
     }
 
     #[test]
     fn merge_equals_sequential() {
-        let dev = DeviceId(5);
         let mut a = SwitchDetector::new();
         let mut b = SwitchDetector::new();
-        a.observe(dev, ts(10), Some(App::SwitchGameplay), 700);
-        b.observe(dev, ts(5), None, 300);
-        a.merge(b);
-        assert!(a.is_switch(dev));
-        assert_eq!(a.first_seen_day(dev), Some(Day(5)));
-        assert_eq!(a.observed_devices(), 1);
+        a.observe(0, ts(10), Some(App::SwitchGameplay), 700);
+        b.observe(0, ts(5), None, 300);
+        a.merge(b, &[0]);
+        assert_eq!(a.switches().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(a.first_seen_day(0), Some(Day(5)));
     }
 }

@@ -11,7 +11,7 @@
 //! thousands of sites — 64-bit hash collisions are negligible.)
 
 use crate::domain::{DomainId, DomainTable};
-use nettrace::{DeviceId, DeviceIndex, FastMap, FastSet, Month};
+use nettrace::{FastMap, FastSet, Month};
 
 /// FNV-1a over a string, used as the site key.
 pub fn site_key(registered_domain: &str) -> u64 {
@@ -37,16 +37,15 @@ const NO_ROW: u32 = u32::MAX;
 ///
 /// Sites get dense ids in the order their domains appear in the
 /// [`DomainTable`], so counters recording against one table agree on
-/// every id. The first 512 ids are bits in a 64-byte row per (device
-/// slot, month) that saw any; later ids go into one set of packed
-/// `(slot, month, site id)` entries. A dense per-slot table counts each
-/// month's distinct sites. Recording allocates nothing per device, and a
-/// merge maps the other counter's devices once and ORs their rows in,
-/// translating site ids only when the two counters numbered sites
-/// differently.
+/// every id. Devices are the slots of the collector's device index. The
+/// first 512 ids are bits in a 64-byte row per (slot, month) that saw
+/// any; later ids go into one set of packed `(slot, month, site id)`
+/// entries. A dense per-slot table counts each month's distinct sites.
+/// Recording allocates nothing per device, and a merge takes the fold's
+/// slot map and ORs the other counter's rows in, translating site ids
+/// only when the two counters numbered sites differently.
 #[derive(Debug, Default)]
 pub struct DistinctSiteCounter {
-    index: DeviceIndex,
     /// Distinct sites per slot and month.
     counts: Vec<[u32; 4]>,
     /// Per slot and month, its row in `head`, or [`NO_ROW`].
@@ -85,31 +84,9 @@ impl DistinctSiteCounter {
         Self::default()
     }
 
-    /// Record that `device` contacted `domain` during `month`.
-    pub fn record(
-        &mut self,
-        device: DeviceId,
-        month: Month,
-        domain: DomainId,
-        table: &DomainTable,
-    ) {
-        let slot = self.slot(device);
-        self.record_at(slot, month, domain, table);
-    }
-
-    /// The device's slot for [`record_at`](Self::record_at), assigned on
-    /// first sight; it stays valid as the counter grows and merges.
-    pub fn slot(&mut self, device: DeviceId) -> usize {
-        let s = self.index.intern(device);
-        if s == self.counts.len() {
-            self.counts.push([0; 4]);
-            self.rows.push([NO_ROW; 4]);
-        }
-        s
-    }
-
-    /// [`record`](Self::record) for the device at `slot`.
-    pub fn record_at(&mut self, slot: usize, month: Month, domain: DomainId, table: &DomainTable) {
+    /// Record that the device at `slot` contacted `domain` during
+    /// `month`.
+    pub fn record(&mut self, slot: usize, month: Month, domain: DomainId, table: &DomainTable) {
         let d = domain.0 as usize;
         while self.site_of.len() <= d {
             let name = table.name(DomainId(self.site_of.len() as u32));
@@ -131,6 +108,7 @@ impl DistinctSiteCounter {
 
     /// The head bitset of (`slot`, `month`), created on first use.
     fn head_row(&mut self, slot: usize, month: usize) -> &mut [u64; HEAD_WORDS] {
+        self.cover(slot);
         let row = &mut self.rows[slot][month];
         if *row == NO_ROW {
             *row = self.head.len() as u32;
@@ -139,7 +117,16 @@ impl DistinctSiteCounter {
         &mut self.head[*row as usize]
     }
 
+    /// Size the per-slot tables to hold `slot`.
+    fn cover(&mut self, slot: usize) {
+        if self.counts.len() <= slot {
+            self.counts.resize(slot + 1, [0; 4]);
+            self.rows.resize(slot + 1, [NO_ROW; 4]);
+        }
+    }
+
     fn insert(&mut self, slot: usize, month: usize, site: u32) {
+        self.cover(slot);
         let new = if site < HEAD_SITES {
             let word = &mut self.head_row(slot, month)[site as usize / 64];
             let bit = 1 << (site % 64);
@@ -154,18 +141,21 @@ impl DistinctSiteCounter {
         }
     }
 
-    /// Distinct sites `device` visited in `month`.
-    pub fn count(&self, device: DeviceId, month: Month) -> usize {
-        self.index
-            .get(device)
-            .map_or(0, |s| self.counts[s][month.index()] as usize)
+    /// Distinct sites the device at `slot` visited in `month`.
+    pub fn count(&self, slot: usize, month: Month) -> usize {
+        self.counts
+            .get(slot)
+            .map_or(0, |c| c[month.index()] as usize)
     }
 
-    /// Merge another counter into this one (parallel reduction).
-    pub fn merge(&mut self, other: DistinctSiteCounter) {
-        let slots = self.index.remap(&other.index);
-        self.counts.resize(self.index.len(), [0; 4]);
-        self.rows.resize(self.index.len(), [NO_ROW; 4]);
+    /// One past the highest slot with a site.
+    pub fn slot_bound(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Fold another counter in, its slot `i` being this counter's
+    /// `slots[i]`.
+    pub fn merge(&mut self, other: DistinctSiteCounter, slots: &[usize]) {
         let sites: Vec<u32> = other.sites.iter().map(|&k| self.site_id(k)).collect();
         // Counters fed from one table number sites alike, and their rows
         // OR in as they are.
@@ -208,11 +198,6 @@ impl DistinctSiteCounter {
             self.insert(slots[slot], month, sites[site as usize]);
         }
     }
-
-    /// Devices with any recorded activity.
-    pub fn device_count(&self) -> usize {
-        self.index.len()
-    }
 }
 
 #[cfg(test)]
@@ -226,12 +211,13 @@ mod tests {
         let b = t.intern_str("b.facebook.com").unwrap();
         let c = t.intern_str("store.steampowered.com").unwrap();
         let mut ctr = DistinctSiteCounter::new();
-        let dev = DeviceId(1);
+        let dev = 1;
         ctr.record(dev, Month::Feb, a, &t);
         ctr.record(dev, Month::Feb, b, &t);
         ctr.record(dev, Month::Feb, c, &t);
         assert_eq!(ctr.count(dev, Month::Feb), 2); // facebook.com + steampowered.com
         assert_eq!(ctr.count(dev, Month::Mar), 0);
+        assert_eq!(ctr.count(0, Month::Feb), 0, "a slot without sites");
     }
 
     #[test]
@@ -241,12 +227,11 @@ mod tests {
         let b = t.intern_str("y.other.org").unwrap();
         let mut c1 = DistinctSiteCounter::new();
         let mut c2 = DistinctSiteCounter::new();
-        c1.record(DeviceId(1), Month::May, a, &t);
-        c2.record(DeviceId(1), Month::May, a, &t);
-        c2.record(DeviceId(1), Month::May, b, &t);
-        c1.merge(c2);
-        assert_eq!(c1.count(DeviceId(1), Month::May), 2);
-        assert_eq!(c1.device_count(), 1);
+        c1.record(0, Month::May, a, &t);
+        c2.record(0, Month::May, a, &t);
+        c2.record(0, Month::May, b, &t);
+        c1.merge(c2, &[0]);
+        assert_eq!(c1.count(0, Month::May), 2);
     }
 
     #[test]
@@ -262,23 +247,23 @@ mod tests {
             .rev()
             .map(|i| t2.intern_str(&format!("www.site{i}.com")).unwrap())
             .collect();
-        let (dev, other) = (DeviceId(1), DeviceId(2));
+        // `b` numbers `dev` 1 and `other` 0.
+        let (dev, other) = (0, 1);
         let mut a = DistinctSiteCounter::new();
         let mut b = DistinctSiteCounter::new();
         for &d in &domains {
             a.record(dev, Month::Mar, d, &t);
         }
         for &d in &reversed {
-            b.record(dev, Month::Mar, d, &t2);
-            b.record(other, Month::Apr, d, &t2);
+            b.record(1, Month::Mar, d, &t2);
+            b.record(0, Month::Apr, d, &t2);
         }
         let n = domains.len();
         assert_eq!(a.count(dev, Month::Mar), n);
-        a.merge(b);
+        a.merge(b, &[other, dev]);
         assert_eq!(a.count(dev, Month::Mar), n);
         assert_eq!(a.count(other, Month::Apr), n);
         assert_eq!(a.count(other, Month::Mar), 0);
-        assert_eq!(a.device_count(), 2);
     }
 
     #[test]

@@ -2,17 +2,22 @@
 //!
 //! The study's accumulators hold one value (or one small row) per device.
 //! Keeping those values in `Vec`s indexed by a dense *slot* instead of in
-//! a map keyed by [`DeviceId`] means a device costs one hash lookup where
-//! an accumulator first meets it, and plain indexing after that: a caller
-//! streaming flows device by device resolves the slot once per device.
-//! Slots are assigned in first-seen order and never change, so a slot
-//! stays valid while the accumulator grows and while others merge into
-//! it.
+//! maps keyed by [`DeviceId`] means a device costs one hash lookup where a
+//! collector first meets it, and plain indexing after that. A study
+//! collector holds the one [`DeviceIndex`], and every store it feeds is
+//! indexed by that index's slots; a caller streaming flows device by
+//! device resolves the slot once per device. Slots are assigned in
+//! first-seen order and never change, so a slot stays valid while the
+//! collector grows and while others fold into it: a fold maps each of
+//! the other collector's devices once ([`DeviceIndex::remap`]) and hands
+//! that one slot map to every store.
+//!
+//! [`SlotValues`] is the store for a signal only some devices have: a
+//! slot without the signal costs four bytes.
 
 use crate::{DeviceId, FastMap};
-use std::ops::Index;
 
-/// Dense numbering of the devices an accumulator has seen: slot `i`
+/// Dense numbering of the devices a collector has seen: slot `i`
 /// belongs to `ids()[i]`.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceIndex {
@@ -58,122 +63,112 @@ impl DeviceIndex {
 
     /// The slot in `self` of each of `other`'s devices, in `other`'s slot
     /// order, interning the devices `self` has not seen: the one lookup
-    /// per device a merge needs.
+    /// per device a fold needs.
     pub fn remap(&mut self, other: &DeviceIndex) -> Vec<usize> {
         other.ids.iter().map(|&d| self.intern(d)).collect()
     }
 }
 
-/// A map from device to `T`, stored as a [`DeviceIndex`] plus a `Vec<T>`
-/// in slot order. Iteration follows first-seen order.
+/// Marks a slot without a value.
+const NONE: u32 = u32::MAX;
+
+/// One value per slot that has one, created on first use: a position
+/// per slot, and the values with their slots in creation order.
 #[derive(Debug, Clone)]
-pub struct DeviceMap<T> {
-    index: DeviceIndex,
+pub struct SlotValues<T> {
+    /// Per slot, its value's position in `values`, or [`NONE`].
+    at: Vec<u32>,
+    /// The slot of each value.
+    slots: Vec<u32>,
     values: Vec<T>,
 }
 
-impl<T> Default for DeviceMap<T> {
+impl<T> Default for SlotValues<T> {
     fn default() -> Self {
-        DeviceMap {
-            index: DeviceIndex::default(),
+        SlotValues {
+            at: Vec::new(),
+            slots: Vec::new(),
             values: Vec::new(),
         }
     }
 }
 
-impl<T> DeviceMap<T> {
-    /// Empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of devices.
+impl<T> SlotValues<T> {
+    /// Number of slots with a value.
     pub fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// No devices yet?
+    /// No values yet?
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 
-    /// The device's value, if it has one.
-    pub fn get(&self, device: &DeviceId) -> Option<&T> {
-        self.index.get(*device).map(|s| &self.values[s])
+    /// One past the highest slot with a value (0 when none has one).
+    pub fn slot_bound(&self) -> usize {
+        self.at.len()
     }
 
-    /// Does the device have a value?
-    pub fn contains_key(&self, device: &DeviceId) -> bool {
-        self.index.get(*device).is_some()
-    }
-
-    /// Devices in slot order.
-    pub fn keys(&self) -> impl Iterator<Item = &DeviceId> + '_ {
-        self.index.ids().iter()
-    }
-
-    /// Values in slot order.
-    pub fn values(&self) -> impl Iterator<Item = &T> + '_ {
-        self.values.iter()
-    }
-
-    /// `(device, value)` pairs in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (&DeviceId, &T)> + '_ {
-        self.index.ids().iter().zip(&self.values)
-    }
-
-    /// The value at `slot` (from [`slot`](Self::slot)).
-    pub fn at_mut(&mut self, slot: usize) -> &mut T {
-        &mut self.values[slot]
-    }
-}
-
-impl<T: Default> DeviceMap<T> {
-    /// The device's slot, inserting a default value on first sight.
-    pub fn slot(&mut self, device: DeviceId) -> usize {
-        let s = self.index.intern(device);
-        if s == self.values.len() {
-            self.values.push(T::default());
+    /// The value at `slot`, if it has one.
+    pub fn get(&self, slot: usize) -> Option<&T> {
+        match self.at.get(slot) {
+            Some(&i) if i != NONE => Some(&self.values[i as usize]),
+            _ => None,
         }
-        s
     }
 
-    /// The device's value, inserting a default on first sight.
-    pub fn entry(&mut self, device: DeviceId) -> &mut T {
-        let s = self.slot(device);
-        &mut self.values[s]
+    /// The value at `slot`, created by `init` on first use.
+    pub fn get_or_insert_with(&mut self, slot: usize, init: impl FnOnce() -> T) -> &mut T {
+        if self.at.len() <= slot {
+            self.at.resize(slot + 1, NONE);
+        }
+        if self.at[slot] == NONE {
+            self.at[slot] = self.values.len() as u32;
+            self.slots.push(slot as u32);
+            self.values.push(init());
+        }
+        &mut self.values[self.at[slot] as usize]
     }
 
-    /// Fold `other` in: each of its values is combined into this map's
-    /// value for the same device (a default on first sight) by `fold`,
-    /// in `other`'s slot order.
-    pub fn merge_with(&mut self, other: DeviceMap<T>, mut fold: impl FnMut(&mut T, T)) {
-        let slots = self.index.remap(&other.index);
-        self.values.resize_with(self.index.len(), T::default);
-        for (s, v) in slots.into_iter().zip(other.values) {
-            fold(&mut self.values[s], v);
+    /// `(slot, value)` pairs in creation order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
+        self.slots.iter().map(|&s| s as usize).zip(&self.values)
+    }
+
+    /// `(slot, value)` pairs in creation order, by value.
+    pub fn into_pairs(self) -> impl Iterator<Item = (usize, T)> {
+        self.slots.into_iter().map(|s| s as usize).zip(self.values)
+    }
+
+    /// The same slots holding `f` of each value.
+    pub fn map<U>(self, f: impl FnMut(T) -> U) -> SlotValues<U> {
+        SlotValues {
+            at: self.at,
+            slots: self.slots,
+            values: self.values.into_iter().map(f).collect(),
         }
     }
 }
 
-impl<T> Index<&DeviceId> for DeviceMap<T> {
-    type Output = T;
-
-    /// Panics when the device has no value, like `HashMap`'s `Index`.
-    fn index(&self, device: &DeviceId) -> &T {
-        match self.get(device) {
-            Some(v) => v,
-            None => panic!("device {device} not in map"),
-        }
+impl<T: Default> SlotValues<T> {
+    /// The value at `slot`, a default on first use.
+    pub fn entry(&mut self, slot: usize) -> &mut T {
+        self.get_or_insert_with(slot, T::default)
     }
-}
 
-impl<'a, T> IntoIterator for &'a DeviceMap<T> {
-    type Item = (&'a DeviceId, &'a T);
-    type IntoIter = std::iter::Zip<std::slice::Iter<'a, DeviceId>, std::slice::Iter<'a, T>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.index.ids().iter().zip(&self.values)
+    /// Fold `other` in, its slot `i` being this store's `slots[i]` (a
+    /// [`DeviceIndex::remap`]): each of its values is combined into this
+    /// store's value there (a default on first use) by `fold`, in
+    /// `other`'s creation order.
+    pub fn merge_with(
+        &mut self,
+        other: SlotValues<T>,
+        slots: &[usize],
+        mut fold: impl FnMut(&mut T, T),
+    ) {
+        for (s, v) in other.into_pairs() {
+            fold(self.entry(slots[s]), v);
+        }
     }
 }
 
@@ -197,24 +192,21 @@ mod tests {
     }
 
     #[test]
-    fn device_map_reads_like_a_map_and_merges_in_order() {
-        let mut a: DeviceMap<u64> = DeviceMap::new();
-        *a.entry(DeviceId(1)) += 5;
-        let s = a.slot(DeviceId(2));
-        *a.at_mut(s) += 7;
-        let mut b: DeviceMap<u64> = DeviceMap::new();
-        *b.entry(DeviceId(3)) += 1;
-        *b.entry(DeviceId(1)) += 2;
-        a.merge_with(b, |x, y| *x += y);
-        assert_eq!(a[&DeviceId(1)], 7);
-        assert_eq!(a[&DeviceId(2)], 7);
-        assert_eq!(a.get(&DeviceId(3)), Some(&1));
-        assert!(!a.contains_key(&DeviceId(4)));
-        let pairs: Vec<(DeviceId, u64)> = a.iter().map(|(&d, &v)| (d, v)).collect();
+    fn slot_values_hold_only_the_slots_written_and_merge_through_a_slot_map() {
+        let mut a: SlotValues<u64> = SlotValues::default();
+        *a.entry(3) += 5;
+        *a.entry(1) += 7;
         assert_eq!(
-            pairs,
-            vec![(DeviceId(1), 7), (DeviceId(2), 7), (DeviceId(3), 1)]
+            (a.get(0), a.get(1), a.get(3), a.get(9)),
+            (None, Some(&7), Some(&5), None)
         );
-        assert_eq!((&a).into_iter().count(), a.len());
+        let mut b: SlotValues<u64> = SlotValues::default();
+        *b.entry(0) += 1;
+        *b.entry(2) += 2;
+        // b's slot 0 is a's slot 3, b's slot 2 a new slot 4.
+        a.merge_with(b, &[3, 0, 4], |x, y| *x += y);
+        let pairs: Vec<(usize, u64)> = a.iter().map(|(s, &v)| (s, v)).collect();
+        assert_eq!(pairs, vec![(3, 6), (1, 7), (4, 2)]);
+        assert_eq!(a.len(), 3);
     }
 }

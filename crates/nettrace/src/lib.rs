@@ -24,8 +24,9 @@
 //! * [`fasthash`] — the deterministic fxhash-style hasher behind every
 //!   hot-path map (device ids and interned ids are trusted keys; SipHash
 //!   hardening is wasted on them).
-//! * [`devmap`] — dense per-device slots, the index behind the study's
-//!   column-oriented accumulators.
+//! * [`devmap`] — dense per-device slots: the one index a study collector
+//!   numbers its devices with, and the slot-indexed store for signals
+//!   only some devices have.
 //!
 //! The crate is deliberately free of I/O beyond `pcap` and free of
 //! dependencies; everything above it (DHCP normalization,
@@ -52,7 +53,7 @@ pub mod udp;
 pub mod zeek;
 
 pub use batch::{BatchIo, BatchStage, FlowBatch, NO_LABEL};
-pub use devmap::{DeviceIndex, DeviceMap};
+pub use devmap::{DeviceIndex, SlotValues};
 pub use error::{Error, Result};
 pub use fasthash::{FastMap, FastSet};
 pub use flow::{FlowKey, FlowRecord, Proto};

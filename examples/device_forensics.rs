@@ -36,7 +36,7 @@ fn main() {
 
     let mut confusion: HashMap<(DeviceType, FigureBucket), usize> = HashMap::new();
     let mut evidence_counts = [0usize; 4]; // ua, iot, console, oui
-    for (dev, profile) in &collector.profiles {
+    for (dev, profile) in collector.profiles.iter() {
         let Some(kind) = truth.get(dev) else { continue };
         let predicted = classifier.classify(profile);
         *confusion
@@ -69,11 +69,10 @@ fn main() {
     }
 
     // A concrete Switch detection example.
-    let switches = collector.switch_detect.switches();
     println!();
     println!(
         "Switch detector: {} devices exceed the 50% Nintendo-traffic threshold",
-        switches.len()
+        collector.switch_detect.switches().count()
     );
     let true_switches = sim
         .population()

@@ -39,7 +39,8 @@ fn main() {
     let mut fp = 0; // true domestic classified international
     let mut tn = 0;
     let mut examples = Vec::new();
-    for (dev, acc) in &collector.midpoints {
+    for (slot, acc) in collector.midpoints.iter() {
+        let dev = collector.devices()[slot];
         let Some((lat, lon)) = acc.midpoint() else {
             continue;
         };
@@ -48,13 +49,13 @@ fn main() {
         } else {
             SubPop::International
         };
-        let t = truth[dev];
+        let t = truth[&dev];
         match (t, measured) {
             (SubPop::International, SubPop::International) => tp += 1,
             (SubPop::International, SubPop::Domestic) => {
                 fn_ += 1;
                 if examples.len() < 3 {
-                    examples.push((*dev, lat, lon));
+                    examples.push((dev, lat, lon));
                 }
             }
             (SubPop::Domestic, SubPop::International) => fp += 1,

@@ -90,8 +90,8 @@ fn pipeline_attributes_all_flows_across_many_days() {
 
     // Every attributed device is a real ground-truth device.
     let truth: HashSet<DeviceId> = sim.population().devices.iter().map(|d| d.id).collect();
-    for dev in collector.volume.devices() {
-        assert!(truth.contains(&dev));
+    for dev in collector.devices() {
+        assert!(truth.contains(dev));
     }
 }
 
@@ -145,7 +145,11 @@ fn ground_truth_device_kinds_survive_the_pipeline() {
         );
         lockdown_core::process_day(opts, &mut collector, &trace);
     }
-    let detected: HashSet<DeviceId> = collector.switch_detect.switches().into_iter().collect();
+    let detected: HashSet<DeviceId> = collector
+        .switch_detect
+        .switches()
+        .map(|slot| collector.devices()[slot])
+        .collect();
     let true_switches: HashSet<DeviceId> = sim
         .population()
         .devices
@@ -157,7 +161,8 @@ fn ground_truth_device_kinds_survive_the_pipeline() {
     // else is (Switch traffic is ~100% Nintendo, nothing else comes
     // close to 50%).
     for dev in &true_switches {
-        if collector.volume.active_day_count(*dev) > 0 {
+        let slot = collector.slot(*dev);
+        if slot.is_some_and(|s| collector.volume.active_day_count(s) > 0) {
             assert!(detected.contains(dev), "missed switch {dev}");
         }
     }
