@@ -34,7 +34,7 @@
 use crate::collect::StudyCollector;
 use crate::digest::{DigestFigures, QUANTILE_BOUND};
 use crate::export::{ExportError, FIGURE_FILES};
-use crate::figures::{self, HeadlineStats, StudySummary};
+use crate::figures::{self, HeadlineParts, HeadlineStats, StudySummary};
 use lockdown_obs::json::{self, Value};
 
 /// Slack for float comparison against an approximate class's bound: the
@@ -154,10 +154,13 @@ pub fn headline_fields(h: &HeadlineStats) -> [(&'static str, f64); 10] {
 /// both sides of [`compare`] share one type. This *is* the exact
 /// computation: each `figures::figureN` runs the same selection as the
 /// digest over every sample and renders it before the next figure
-/// selects, so only one figure's samples are alive at a time.
+/// selects, so only one figure's samples are alive at a time. The
+/// headline reads Figure 1's daily totals, as a digest's does.
 pub fn exact_figures(c: &StudyCollector, s: &StudySummary) -> DigestFigures {
+    let fig1 = figures::figure1(c, s);
     DigestFigures {
-        fig1: figures::figure1(c, s),
+        headline: HeadlineParts::select(c, s).render(&fig1.total),
+        fig1,
         fig2: figures::figure2(c, s),
         fig3: figures::figure3(c, s),
         fig4: figures::figure4(c, s),
@@ -165,7 +168,6 @@ pub fn exact_figures(c: &StudyCollector, s: &StudySummary) -> DigestFigures {
         fig6: figures::figure6(c, s),
         fig7: figures::figure7(c, s),
         fig8: figures::figure8(c, s),
-        headline: figures::headline_stats(c, s),
     }
 }
 

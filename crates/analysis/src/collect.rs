@@ -18,9 +18,12 @@
 //! stream arrives device by device, so the collector resolves the
 //! current device's slot once and indexes every store directly for the
 //! rest of its flows; the day's month and figure-3 week are resolved
-//! once per day. Readers resolve a device's slot once through
-//! [`StudyCollector::slot`] (or walk [`StudyCollector::devices`] or the
-//! profile table) and read each store by slot.
+//! once per day. The figures read the stores through the
+//! [`StudySummary`](crate::figures::StudySummary) finalized from the
+//! collector, which is indexed by the same slots, so after the last fold
+//! no reader translates between slots and device ids; only a reader
+//! that meets two collectors (the vs-2019 comparison) resolves a
+//! device's slot through [`StudyCollector::slot`].
 
 use crate::matrix::{HourWeekMatrix, SparseDaily, VolumeMatrix};
 use appsig::{App, MatchCache, SessionStitcher, SignatureSet};
@@ -57,18 +60,17 @@ impl PipelineCtx {
 /// Per-device Steam usage by month: (bytes, connections).
 pub type SteamMonthly = [(u64, u32); 4];
 
-/// Per-device social durations: `[app][month]` hours.
-/// App order: Facebook, Instagram, TikTok.
+/// The social apps of §5.2, in the order of the paper's Figure 6 and of
+/// [`SocialHours`].
+pub const SOCIAL_APPS: [App; 3] = [App::Facebook, App::Instagram, App::TikTok];
+
+/// Per-device social durations: `[app][month]` hours, apps in
+/// [`SOCIAL_APPS`] order.
 pub type SocialHours = [[f64; 4]; 3];
 
-/// Index of a social app in [`SocialHours`].
+/// Index of a social app in [`SOCIAL_APPS`].
 pub fn social_index(app: App) -> Option<usize> {
-    match app {
-        App::Facebook => Some(0),
-        App::Instagram => Some(1),
-        App::TikTok => Some(2),
-        _ => None,
-    }
+    SOCIAL_APPS.iter().position(|&a| a == app)
 }
 
 /// The calendar facts of the day being streamed.
@@ -553,16 +555,20 @@ mod tests {
         }
 
         let s = crate::figures::StudySummary::finalize(&c);
-        assert_eq!(s.post_shutdown.len(), 4);
-        assert_eq!(s.subpop.get(&DeviceId(1)), Some(&geoloc::SubPop::Domestic));
-        assert_eq!(
-            s.subpop.get(&DeviceId(2)),
-            Some(&geoloc::SubPop::International)
-        );
+        assert_eq!(s.post_shutdown(&c).count(), 4);
+        let residents = s.by_device(&c);
+        let subpop = |dev| residents[&DeviceId(dev)].subpop;
+        assert_eq!(subpop(1), Some(geoloc::SubPop::Domestic));
+        assert_eq!(subpop(2), Some(geoloc::SubPop::International));
         let midpoint = |dev| c.slot(DeviceId(dev)).and_then(|s| c.midpoints.get(s));
         assert!(midpoint(3).is_none(), "April-only");
         assert!(midpoint(4).is_none(), "CDN-only");
-        assert_eq!(s.subpop.len(), 2);
+        assert_eq!(
+            s.post_shutdown(&c)
+                .filter(|(_, r)| r.subpop.is_some())
+                .count(),
+            2
+        );
     }
 
     #[test]

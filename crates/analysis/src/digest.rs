@@ -198,12 +198,6 @@ pub struct ShardDigest {
     headline: HeadlineParts,
 }
 
-impl Default for ShardDigest {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
 impl ShardDigest {
     /// An all-zero digest (the identity element of `merge`).
     pub fn empty() -> Self {
@@ -226,7 +220,7 @@ impl ShardDigest {
     /// that is the whole point.
     pub fn extract(c: &StudyCollector, s: &StudySummary) -> ShardDigest {
         ShardDigest {
-            resident: s.resident.len(),
+            resident: s.residents(c).count(),
             fig1: Fig1::select(c, s),
             fig2: Fig2Parts::select(c, s),
             fig3: Fig3Parts::select(c, s),
@@ -479,7 +473,7 @@ mod tests {
             assert_eq!(digest.fig5.daily, exact.fig5.daily);
             assert_eq!(digest.fig8.daily_ma, exact.fig8.daily_ma);
             assert_eq!(digest.fig8.n_switches, exact.fig8.n_switches);
-            assert_eq!(merged.resident_devices(), summary.resident.len());
+            assert_eq!(merged.resident_devices(), summary.residents(&whole).count());
             let counts = |f: &DigestFigures| -> Vec<Option<usize>> {
                 let fig6 = f.fig6.boxes.as_flattened().as_flattened().iter();
                 let fig7 = f.fig7.bytes.iter().chain(&f.fig7.conns).flatten();

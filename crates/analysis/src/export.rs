@@ -4,11 +4,13 @@
 //! compared against the paper (EXPERIMENTS.md) or re-plotted elsewhere.
 //! [`FIGURE_FILES`] names those files and pairs each with its exporter.
 
+use crate::collect::SOCIAL_APPS;
 use crate::digest::DigestFigures;
 use crate::figures::{Fig1, Fig2, Fig3, Fig4, Fig4Series, Fig5, Fig6, Fig7, Fig8};
 use crate::stats::BoxStats;
 use devclass::FigureBucket;
-use nettrace::time::{Day, StudyCalendar};
+use geoloc::SubPop;
+use nettrace::time::{Day, Month, StudyCalendar};
 use std::fmt::{self, Write as _};
 
 /// A figure export failed to serialize. Writing the plain figure tables
@@ -175,35 +177,35 @@ fn box_table_json(rows: &[BoxRow]) -> String {
     out
 }
 
+/// One row per (sub-population, month) box of `table`, labelled
+/// `first`, then by [`SubPop::ALL`] and [`Month::ALL`].
+fn subpop_month_rows<'a>(
+    rows: &mut Vec<BoxRow<'a>>,
+    first: (&'a str, &'a str),
+    table: &'a [[Option<BoxStats>; 4]; 2],
+) {
+    for (sp, months) in SubPop::ALL.iter().zip(table) {
+        for (m, b) in Month::ALL.iter().zip(months) {
+            let labels = [first, ("subpop", sp.label()), ("month", m.name())];
+            rows.push((labels, b.as_ref()));
+        }
+    }
+}
+
 /// JSON for Figure 6: app → subpop → month → box stats.
 pub fn fig6_json(f: &Fig6) -> Result<String, ExportError> {
-    let apps = ["Facebook", "Instagram", "TikTok"];
-    let subpops = ["Domestic", "International"];
-    let months = ["February", "March", "April", "May"];
     let mut rows = Vec::new();
-    for (ai, app) in apps.iter().enumerate() {
-        for (si, sp) in subpops.iter().enumerate() {
-            for (mi, m) in months.iter().enumerate() {
-                let labels = [("app", *app), ("subpop", *sp), ("month", *m)];
-                rows.push((labels, f.boxes[ai][si][mi].as_ref()));
-            }
-        }
+    for (app, table) in SOCIAL_APPS.iter().zip(&f.boxes) {
+        subpop_month_rows(&mut rows, ("app", app.name()), table);
     }
     Ok(box_table_json(&rows))
 }
 
 /// JSON for Figure 7: metric → subpop → month → box stats.
 pub fn fig7_json(f: &Fig7) -> Result<String, ExportError> {
-    let subpops = ["Domestic", "International"];
-    let months = ["February", "March", "April", "May"];
     let mut rows = Vec::new();
     for (metric, table) in [("bytes", &f.bytes), ("connections", &f.conns)] {
-        for (si, sp) in subpops.iter().enumerate() {
-            for (mi, m) in months.iter().enumerate() {
-                let labels = [("metric", metric), ("subpop", *sp), ("month", *m)];
-                rows.push((labels, table[si][mi].as_ref()));
-            }
-        }
+        subpop_month_rows(&mut rows, ("metric", metric), table);
     }
     Ok(box_table_json(&rows))
 }

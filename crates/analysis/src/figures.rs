@@ -1,13 +1,14 @@
 //! Finalization and the one reduction behind every figure.
 //!
 //! After the one-pass collection, devices are classified, segmented and
-//! filtered exactly once (§3–4 of the paper) into a [`StudySummary`].
-//! Each figure then has one *selection*, which picks the figure's
-//! devices from the summary and records what they contribute, and one
-//! *render*, which turns the selection into the series or boxes the
-//! paper plots. Counts and byte sums are kept as integers. A quantile
-//! cell keeps its samples in a [`SampleStore`], and that is the only
-//! place exact and digest runs differ:
+//! filtered exactly once (§3–4 of the paper) into a [`StudySummary`],
+//! indexed by the slots of the collector's stores. Each figure then has
+//! one *selection*, which picks the figure's devices from the summary
+//! and records what they contribute, and one *render*, which turns the
+//! selection into the series or boxes the paper plots. Counts and byte
+//! sums are kept as integers. A quantile cell keeps its samples in a
+//! [`SampleStore`], and that is the only place exact and digest runs
+//! differ:
 //!
 //! * `Vec<f64>` keeps every sample. [`figure1`]..[`figure8`] and
 //!   [`headline_stats`] select and render one figure each over it, so
@@ -15,14 +16,19 @@
 //! * [`LogHist`](crate::LogHist) keeps a fixed-size histogram.
 //!   [`ShardDigest`](crate::ShardDigest) holds every selection of one
 //!   shard over it, adds shards together, and renders after the merge.
+//!
+//! Selections walk devices in slot order, which reaches no output: a
+//! sample store sorts before it reads, and all else is integer sums.
 
 use crate::collect::StudyCollector;
 use crate::stats::{self, moving_average, BoxStats};
 use devclass::{Classifier, DeviceType, FigureBucket};
-use geoloc::{in_united_states, SubPop};
+use geoloc::SubPop;
+use nettrace::fasthash::FastBuildHasher;
 use nettrace::time::{Day, Month, StudyCalendar};
 use nettrace::DeviceId;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::hash::BuildHasher;
 use std::ops::AddAssign;
 
 /// Minimum active days before a device counts as a resident rather than
@@ -42,81 +48,89 @@ const SHUTDOWN_DAY: usize = 47;
 /// The academic break begins (2020-03-22).
 const BREAK_START: Day = Day(50);
 
-/// The classified, segmented device universe.
+/// What finalization decided about one resident: a device that passed
+/// the 14-day visitor filter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resident {
+    /// Its classified type.
+    pub device_type: DeviceType,
+    /// Whether it is a post-shutdown user.
+    pub post_shutdown: bool,
+    /// Its sub-population, if it is an *identified* post-shutdown user:
+    /// one with a usable February midpoint, as the paper's 18 % counts.
+    pub subpop: Option<SubPop>,
+}
+
+/// The classified, segmented device universe of one collector, indexed
+/// by that collector's slots. It reads only the collector it was
+/// finalized from; debug builds check the pairing at every walk.
 pub struct StudySummary {
-    /// Device type per (visitor-filtered) device.
-    pub device_types: HashMap<DeviceId, DeviceType>,
-    /// Figure bucket per device.
-    pub buckets: HashMap<DeviceId, FigureBucket>,
-    /// Sub-population per *identified* device (those with usable February
-    /// geolocation midpoints; the paper's 18% statistic is over these).
-    pub subpop: HashMap<DeviceId, SubPop>,
-    /// Devices passing the 14-day visitor filter.
-    pub resident: HashSet<DeviceId>,
-    /// The post-shutdown user set.
-    pub post_shutdown: HashSet<DeviceId>,
+    /// Per slot: `None` for a visitor, else what was decided.
+    slots: Vec<Option<Resident>>,
+    /// The [`fingerprint`] of the collector it was finalized from.
+    numbering: u64,
+}
+
+/// A fingerprint of `c`'s device numbering.
+fn fingerprint(c: &StudyCollector) -> u64 {
+    FastBuildHasher::default().hash_one(c.devices())
 }
 
 impl StudySummary {
-    /// Classify, segment and filter the collected universe.
+    /// Classify, segment and filter the collected universe, in one pass
+    /// over the profile table.
     pub fn finalize(c: &StudyCollector) -> StudySummary {
         let classifier = Classifier::new();
-        let mut device_types = HashMap::new();
-        let mut buckets = HashMap::new();
-        let mut resident = HashSet::new();
-        let mut post_shutdown = HashSet::new();
-
         c.debug_assert_slots();
         let active = |days: &[u64]| days.iter().filter(|&&b| b > 0).count();
-        for (slot, (&dev, profile)) in c.profiles.iter().enumerate() {
-            let Some(row) = c.volume.row(slot) else {
-                continue;
-            };
-            if active(&row) < VISITOR_FILTER_DAYS {
-                continue;
-            }
-            resident.insert(dev);
-            let t = classifier.classify(profile);
-            device_types.insert(dev, t);
-            buckets.insert(dev, t.figure_bucket());
-            if active(&row[BREAK_START.0 as usize..]) >= POST_SHUTDOWN_MIN_DAYS {
-                post_shutdown.insert(dev);
-            }
-        }
-
-        let mut subpop = HashMap::new();
-        for (slot, acc) in c.midpoints.iter() {
-            let dev = c.devices()[slot];
-            if !post_shutdown.contains(&dev) {
-                continue;
-            }
-            if let Some((lat, lon)) = acc.midpoint() {
-                subpop.insert(
-                    dev,
-                    if in_united_states(lat, lon) {
-                        SubPop::Domestic
-                    } else {
-                        SubPop::International
-                    },
-                );
-            }
-        }
-
-        StudySummary {
-            device_types,
-            buckets,
-            subpop,
-            resident,
-            post_shutdown,
-        }
+        let slots = c
+            .profiles
+            .iter()
+            .enumerate()
+            .map(|(slot, (_, profile))| {
+                let row = c.volume.row(slot)?;
+                if active(&row) < VISITOR_FILTER_DAYS {
+                    return None;
+                }
+                let post_shutdown =
+                    active(&row[BREAK_START.0 as usize..]) >= POST_SHUTDOWN_MIN_DAYS;
+                let midpoint = c.midpoints.get(slot).filter(|_| post_shutdown);
+                Some(Resident {
+                    device_type: classifier.classify(profile),
+                    post_shutdown,
+                    subpop: midpoint.and_then(|m| m.subpop()),
+                })
+            })
+            .collect();
+        let numbering = fingerprint(c);
+        StudySummary { slots, numbering }
     }
 
-    /// Box index of an identified device's sub-population (domestic = 0).
-    fn subpop_index(&self, dev: DeviceId) -> Option<usize> {
-        self.subpop.get(&dev).map(|sp| match sp {
-            SubPop::Domestic => 0,
-            SubPop::International => 1,
-        })
+    /// The residents of `c` with their slots, in slot order. `c` must be
+    /// the collector this summary was finalized from.
+    pub fn residents(&self, c: &StudyCollector) -> impl Iterator<Item = (usize, Resident)> + '_ {
+        debug_assert!(
+            self.numbering == fingerprint(c),
+            "summary read with another collector"
+        );
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(slot, r)| Some((slot, (*r)?)))
+    }
+
+    /// The post-shutdown users of `c` with their slots, in slot order.
+    pub fn post_shutdown(
+        &self,
+        c: &StudyCollector,
+    ) -> impl Iterator<Item = (usize, Resident)> + '_ {
+        self.residents(c).filter(|(_, r)| r.post_shutdown)
+    }
+
+    /// The residents of `c` keyed by device: the view that compares the
+    /// summaries of collectors whose slots differ.
+    pub fn by_device(&self, c: &StudyCollector) -> BTreeMap<DeviceId, Resident> {
+        self.residents(c)
+            .map(|(slot, r)| (c.devices()[slot], r))
+            .collect()
     }
 }
 
@@ -192,11 +206,6 @@ fn to_f64(sums: &[u64]) -> Vec<f64> {
     sums.iter().map(|&b| b as f64).collect()
 }
 
-/// A device's daily bytes in `c`, if it had any flow.
-fn volume_row(c: &StudyCollector, dev: DeviceId) -> Option<[u64; ND]> {
-    c.volume.row(c.slot(dev)?)
-}
-
 /// Figure 1: active devices per day, by figure bucket.
 #[derive(Debug, Clone)]
 pub struct Fig1 {
@@ -218,11 +227,11 @@ impl Fig1 {
     /// The counts are the figure.
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Fig1 {
         let mut f = Fig1::empty();
-        for &dev in &s.resident {
-            let Some(row) = volume_row(c, dev) else {
+        for (slot, r) in s.residents(c) {
+            let Some(row) = c.volume.row(slot) else {
                 continue;
             };
-            let b = s.buckets[&dev].index();
+            let b = r.device_type.figure_bucket().index();
             for (d, &bytes) in row.iter().enumerate() {
                 if bytes > 0 {
                     f.per_bucket[b][d] += 1;
@@ -275,11 +284,11 @@ impl<S: SampleStore> Fig2Parts<S> {
 
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::empty();
-        for &dev in &s.resident {
-            let Some(row) = volume_row(c, dev) else {
+        for (slot, r) in s.residents(c) {
+            let Some(row) = c.volume.row(slot) else {
                 continue;
             };
-            let b = s.buckets[&dev].index();
+            let b = r.device_type.figure_bucket().index();
             for (d, &bytes) in row.iter().enumerate() {
                 if bytes > 0 {
                     p.sum[b][d] += bytes;
@@ -346,7 +355,7 @@ impl<S: SampleStore> Fig3Parts<S> {
 
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::empty();
-        for slot in s.resident.iter().filter_map(|&dev| c.slot(dev)) {
+        for (slot, _) in s.residents(c) {
             for (w, cells) in p.cells.iter_mut().enumerate() {
                 if let Some(row) = c.hourweek.row(slot, w) {
                     for (h, &b) in row.iter().enumerate() {
@@ -461,12 +470,10 @@ impl<S: SampleStore> Fig4Parts<S> {
 
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::empty();
-        for &dev in &s.post_shutdown {
-            let (Some(&sp), Some(slot)) = (s.subpop.get(&dev), c.slot(dev)) else {
-                continue;
-            };
+        for (slot, r) in s.post_shutdown(c) {
+            let Some(sp) = r.subpop else { continue };
             // Indices in `Fig4Series::ALL` order.
-            let series = match (s.buckets[&dev], sp) {
+            let series = match (r.device_type.figure_bucket(), sp) {
                 (FigureBucket::Mobile | FigureBucket::LaptopDesktop, SubPop::International) => 0,
                 (FigureBucket::Mobile | FigureBucket::LaptopDesktop, SubPop::Domestic) => 1,
                 (FigureBucket::Unclassified, SubPop::International) => 2,
@@ -529,7 +536,7 @@ impl Fig5Parts {
 
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::empty();
-        for slot in s.post_shutdown.iter().filter_map(|&dev| c.slot(dev)) {
+        for (slot, _) in s.post_shutdown(c) {
             if let Some(row) = c.zoom.row(slot) {
                 add(&mut p.daily, &row);
             }
@@ -571,19 +578,16 @@ pub(crate) struct Fig6Parts<S> {
 impl<S: SampleStore> Fig6Parts<S> {
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::default();
-        for (slot, hours) in c.social_hours.iter() {
-            let dev = c.devices()[slot];
-            if !s.post_shutdown.contains(&dev) {
-                continue;
-            }
-            if s.buckets.get(&dev) != Some(&FigureBucket::Mobile) {
-                continue;
-            }
-            let Some(spi) = s.subpop_index(dev) else {
+        for (slot, r) in s.post_shutdown(c) {
+            let (FigureBucket::Mobile, Some(sp), Some(hours)) = (
+                r.device_type.figure_bucket(),
+                r.subpop,
+                c.social_hours.get(slot),
+            ) else {
                 continue;
             };
             for (cells, months) in p.cells.iter_mut().zip(hours) {
-                for (cell, &h) in cells[spi].iter_mut().zip(months) {
+                for (cell, &h) in cells[sp.index()].iter_mut().zip(months) {
                     if h > 0.0 {
                         cell.record_hours(h);
                     }
@@ -635,18 +639,14 @@ pub(crate) struct Fig7Parts<S> {
 impl<S: SampleStore> Fig7Parts<S> {
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
         let mut p = Self::default();
-        for (slot, months) in c.steam.iter() {
-            let dev = c.devices()[slot];
-            if !s.post_shutdown.contains(&dev) {
-                continue;
-            }
-            let Some(spi) = s.subpop_index(dev) else {
+        for (slot, r) in s.post_shutdown(c) {
+            let (Some(sp), Some(months)) = (r.subpop, c.steam.get(slot)) else {
                 continue;
             };
             for (mi, &(b, n)) in months.iter().enumerate() {
                 if b > 0 {
-                    p.bytes[spi][mi].record(b);
-                    p.conns[spi][mi].record(u64::from(n));
+                    p.bytes[sp.index()][mi].record(b);
+                    p.conns[sp.index()][mi].record(u64::from(n));
                 }
             }
         }
@@ -777,13 +777,10 @@ pub struct MonthTraffic {
 }
 
 impl MonthTraffic {
-    /// Tally `devices` in `c`.
-    pub fn over<'a>(
-        c: &StudyCollector,
-        devices: impl IntoIterator<Item = &'a DeviceId>,
-    ) -> MonthTraffic {
+    /// Tally the devices at `slots` in `c`.
+    pub fn over(c: &StudyCollector, slots: impl IntoIterator<Item = usize>) -> MonthTraffic {
         let mut t = MonthTraffic::default();
-        for slot in devices.into_iter().filter_map(|&dev| c.slot(dev)) {
+        for slot in slots {
             for (bytes, m) in t.bytes.iter_mut().zip(Month::ALL) {
                 *bytes += c.volume.month_total(slot, m);
             }
@@ -836,23 +833,9 @@ impl HeadlineParts {
     /// A Switch's flows all land in its owner's shard, so per-shard
     /// Switch counts add up to the run's.
     pub(crate) fn select(c: &StudyCollector, s: &StudySummary) -> Self {
-        let mut sites = [0; 4];
-        for slot in s.post_shutdown.iter().filter_map(|&dev| c.slot(dev)) {
-            for (n, m) in sites.iter_mut().zip(Month::ALL) {
-                *n += c.sites.count(slot, m) as u64;
-            }
-        }
         let switches = || c.switch_detect.switches();
-        HeadlineParts {
-            post_shutdown: s.post_shutdown.len(),
-            identified: s.subpop.len(),
-            intl: s
-                .subpop
-                .values()
-                .filter(|&&sp| sp == SubPop::International)
-                .count(),
-            traffic: MonthTraffic::over(c, &s.post_shutdown),
-            sites,
+        let mut h = HeadlineParts {
+            traffic: MonthTraffic::over(c, s.post_shutdown(c).map(|(slot, _)| slot)),
             switches_pre: switches()
                 .filter(|&slot| {
                     c.volume
@@ -864,7 +847,17 @@ impl HeadlineParts {
                 .filter(|&slot| c.volume.active_since(slot, BREAK_START))
                 .count(),
             switches_new: c.switch_detect.new_switches_since(Day(60)).count(),
+            ..Self::default()
+        };
+        for (slot, r) in s.post_shutdown(c) {
+            h.post_shutdown += 1;
+            h.identified += usize::from(r.subpop.is_some());
+            h.intl += usize::from(r.subpop == Some(SubPop::International));
+            for (n, m) in h.sites.iter_mut().zip(Month::ALL) {
+                *n += c.sites.count(slot, m) as u64;
+            }
         }
+        h
     }
 
     pub(crate) fn merge(&mut self, other: &Self) {
@@ -925,7 +918,7 @@ mod tests {
     fn empty_collector_produces_empty_figures() {
         let c = StudyCollector::new();
         let s = StudySummary::finalize(&c);
-        assert!(s.resident.is_empty());
+        assert!(s.residents(&c).next().is_none());
         let f1 = figure1(&c, &s);
         assert!(f1.total.iter().all(|&x| x == 0));
         let f5 = figure5(&c, &s);
@@ -949,11 +942,11 @@ mod tests {
         // Device 2: two May days.
         c.volume.add(two, Month::May.first_day(), 100);
         c.volume.add(two, Day(Month::May.first_day().0 + 1), 200);
-        let t = MonthTraffic::over(&c, &[DeviceId(1), DeviceId(2), DeviceId(3)]);
+        let t = MonthTraffic::over(&c, [one, two]);
         assert_eq!(t.bytes, [290, 0, 300, 300]);
         assert_eq!(t.aprmay_device_days, 3);
         assert_eq!(t.aprmay_daily(), 200.0);
-        assert_eq!(MonthTraffic::over(&c, &[]).aprmay_daily(), 0.0);
+        assert_eq!(MonthTraffic::over(&c, []).aprmay_daily(), 0.0);
     }
 
     #[test]
@@ -968,10 +961,11 @@ mod tests {
             c.volume.add(two, Day(d), 100);
         }
         let s = StudySummary::finalize(&c);
-        assert!(s.resident.contains(&DeviceId(1)));
-        assert!(!s.resident.contains(&DeviceId(2)));
+        let residents = s.by_device(&c);
+        assert!(residents.contains_key(&DeviceId(1)));
+        assert!(!residents.contains_key(&DeviceId(2)));
         // Neither is post-shutdown (no late activity).
-        assert!(s.post_shutdown.is_empty());
+        assert!(s.post_shutdown(&c).next().is_none());
     }
 
     #[test]
@@ -986,7 +980,20 @@ mod tests {
             c.volume.add(two, Day(d), 100);
         }
         let s = StudySummary::finalize(&c);
-        assert!(s.post_shutdown.contains(&DeviceId(1)));
-        assert!(!s.post_shutdown.contains(&DeviceId(2)));
+        let residents = s.by_device(&c);
+        assert!(residents[&DeviceId(1)].post_shutdown);
+        assert!(!residents[&DeviceId(2)].post_shutdown);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "summary read with another collector")]
+    fn a_summary_read_with_another_collector_panics() {
+        // As many devices, other ones: only the numbering tells them apart.
+        let (mut a, mut b) = (StudyCollector::new(), StudyCollector::new());
+        a.intern(DeviceId(1));
+        b.intern(DeviceId(2));
+        let s = StudySummary::finalize(&a);
+        figure1(&b, &s);
     }
 }

@@ -8,7 +8,7 @@ use campussim::{packets, CampusSim};
 use devclass::Classifier;
 use dhcplog::{LeaseIndex, Normalizer, DEFAULT_MAX_LEASE_SECS};
 use dnslog::ResolverMap;
-use geoloc::{builtin_geodb, cdn_prefixes, in_united_states, MidpointAccumulator};
+use geoloc::{builtin_geodb, cdn_prefixes, MidpointAccumulator, SubPop};
 use lockdown_bench::bench_config;
 use lockdown_bench::timer::bench;
 use lockdown_core::Study;
@@ -197,13 +197,9 @@ fn ablate_midpoint() {
         }
         let mut intl = 0;
         let mut total = 0;
-        for a in acc.values() {
-            if let Some((lat, lon)) = a.midpoint() {
-                total += 1;
-                if !in_united_states(lat, lon) {
-                    intl += 1;
-                }
-            }
+        for sp in acc.values().filter_map(MidpointAccumulator::subpop) {
+            total += 1;
+            intl += usize::from(sp == SubPop::International);
         }
         (intl, total)
     };

@@ -10,17 +10,20 @@
 use crate::error::{DegradedReport, StudyError};
 use crate::study::{DigestStudy, MatrixRun, ShardingReport, Study, StudyRun};
 use analysis::ascii;
+use analysis::collect::SOCIAL_APPS;
 use analysis::export::FIGURE_FILES;
 use analysis::figures::Fig4Series;
 use analysis::figures::HeadlineStats;
-use analysis::DigestFigures;
+use analysis::{BoxStats, DigestFigures};
 use campussim::SimConfig;
 use devclass::FigureBucket;
+use geoloc::SubPop;
 use lockdown_obs::manifest::{
     fnv1a_64, AccuracySection, DegradedEntry, FigureContract, MemorySection, RunManifest,
     ShardingSection, StageMemory,
 };
 use lockdown_obs::{trace, MetricsSnapshot, Trace};
+use nettrace::time::Month;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -96,6 +99,17 @@ pub fn digest_text_report(d: &DigestStudy) -> String {
     );
     out.push_str(&figures_text(&d.figures, d.cfg.scale, d.growth_vs_2019()));
     out
+}
+
+/// One [`ascii::box_row`] line per (sub-population, month) box of
+/// `table` (Figures 6 and 7), values printed by `fmt`.
+fn subpop_month_rows(out: &mut String, table: &[[Option<BoxStats>; 4]; 2], fmt: fn(f64) -> String) {
+    for (sp, months) in SubPop::ALL.iter().zip(table) {
+        for (m, b) in Month::ALL.iter().zip(months) {
+            let label = format!("{} ({})", m.name(), sp.label());
+            let _ = writeln!(out, "  {}", ascii::box_row(&label, b.as_ref(), fmt));
+        }
+    }
 }
 
 /// The figure/headline body shared by the exact and digest reports.
@@ -176,44 +190,17 @@ fn figures_text(figs: &DigestFigures, scale: f64, growth_vs_2019: Option<f64>) -
         out,
         "-- Figure 6: monthly social session duration per mobile device (hours) --"
     );
-    let apps = ["Facebook", "Instagram", "TikTok"];
-    let months = ["February", "March", "April", "May"];
-    for (ai, app) in apps.iter().enumerate() {
-        let _ = writeln!(out, " {app}:");
-        for (si, sp) in ["Domestic", "International"].iter().enumerate() {
-            for (mi, m) in months.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "  {}",
-                    ascii::box_row(
-                        &format!("{m} ({sp})"),
-                        f6.boxes[ai][si][mi].as_ref(),
-                        |v| format!("{v:.3}h")
-                    )
-                );
-            }
-        }
+    for (app, table) in SOCIAL_APPS.iter().zip(&f6.boxes) {
+        let _ = writeln!(out, " {}:", app.name());
+        subpop_month_rows(&mut out, table, |v| format!("{v:.3}h"));
     }
     let _ = writeln!(out);
 
     let _ = writeln!(out, "-- Figure 7: monthly Steam usage per device --");
-    for (metric, table) in [("bytes", &f7.bytes), ("connections", &f7.conns)] {
-        let _ = writeln!(out, " {metric}:");
-        for (si, sp) in ["Domestic", "International"].iter().enumerate() {
-            for (mi, m) in months.iter().enumerate() {
-                let fmt: fn(f64) -> String = if metric == "bytes" {
-                    |v| ascii::fmt_bytes(v)
-                } else {
-                    |v| format!("{v:.0}")
-                };
-                let _ = writeln!(
-                    out,
-                    "  {}",
-                    ascii::box_row(&format!("{m} ({sp})"), table[si][mi].as_ref(), fmt)
-                );
-            }
-        }
-    }
+    let _ = writeln!(out, " bytes:");
+    subpop_month_rows(&mut out, &f7.bytes, ascii::fmt_bytes);
+    let _ = writeln!(out, " connections:");
+    subpop_month_rows(&mut out, &f7.conns, |v| format!("{v:.0}"));
     let _ = writeln!(out);
 
     let _ = writeln!(

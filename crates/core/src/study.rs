@@ -79,7 +79,7 @@ use lockdown_obs::{
 };
 use nettrace::time::{Day, StudyCalendar};
 use nettrace::DeviceId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -253,15 +253,34 @@ struct CohortTraffic {
     twin: MonthTraffic,
 }
 
-impl CohortTraffic {
-    /// Tally `cohort` in the study's and the twin's collectors.
-    fn over(study: &StudyCollector, twin: &StudyCollector, cohort: &HashSet<DeviceId>) -> Self {
-        CohortTraffic {
-            study: MonthTraffic::over(study, cohort),
-            twin: MonthTraffic::over(twin, cohort),
+/// A study collector's post-shutdown cohort: its devices and traffic.
+struct Cohort {
+    devices: Vec<DeviceId>,
+    traffic: MonthTraffic,
+}
+
+impl Cohort {
+    /// The post-shutdown users of `summary`, finalized from `study`.
+    fn of(study: &StudyCollector, summary: &StudySummary) -> Cohort {
+        let slots = || summary.post_shutdown(study).map(|(slot, _)| slot);
+        Cohort {
+            devices: slots().map(|slot| study.devices()[slot]).collect(),
+            traffic: MonthTraffic::over(study, slots()),
         }
     }
 
+    /// Its tallies in the study and in `twin`, which numbers its devices
+    /// on its own: the one place a cohort device is resolved to a slot.
+    fn against(self, twin: &StudyCollector) -> CohortTraffic {
+        let slots = self.devices.iter().filter_map(|&dev| twin.slot(dev));
+        CohortTraffic {
+            study: self.traffic,
+            twin: MonthTraffic::over(twin, slots),
+        }
+    }
+}
+
+impl CohortTraffic {
     fn merge(&mut self, other: &CohortTraffic) {
         self.study.merge(&other.study);
         self.twin.merge(&other.twin);
@@ -304,14 +323,11 @@ struct Seat<'a> {
 }
 
 impl Seat<'_> {
-    /// Hand the join what it needs of a sealed shard: a study shard's
-    /// post-shutdown devices and their traffic, or a twin's collector.
-    fn offer(self, collector: StudyCollector, post_shutdown: HashSet<DeviceId>) {
+    /// Hand the join what it needs of a sealed shard and the summary
+    /// finalized from it: a study shard's cohort, or a twin's collector.
+    fn offer(self, collector: StudyCollector, summary: &StudySummary) {
         let half = match self.side {
-            Side::Study => Half::Cohort {
-                traffic: MonthTraffic::over(&collector, &post_shutdown),
-                devices: post_shutdown.into_iter().collect(),
-            },
+            Side::Study => Half::Cohort(Cohort::of(&collector, summary)),
             Side::Twin => Half::Twin(Box::new(collector)),
         };
         self.join.meet(self.shard, half);
@@ -320,11 +336,8 @@ impl Seat<'_> {
 
 /// One side of a shard pair, waiting at the join for the other.
 enum Half {
-    /// A study shard's post-shutdown devices and their 2020 traffic.
-    Cohort {
-        devices: Vec<DeviceId>,
-        traffic: MonthTraffic,
-    },
+    /// A study shard's post-shutdown cohort.
+    Cohort(Cohort),
     /// A twin shard's collector.
     Twin(Box<StudyCollector>),
 }
@@ -368,11 +381,9 @@ impl CohortJoin {
             }
         };
         let pair = match (half, other) {
-            (Half::Cohort { devices, traffic }, Half::Twin(twin))
-            | (Half::Twin(twin), Half::Cohort { devices, traffic }) => CohortTraffic {
-                study: traffic,
-                twin: MonthTraffic::over(&twin, &devices),
-            },
+            (Half::Cohort(cohort), Half::Twin(twin)) | (Half::Twin(twin), Half::Cohort(cohort)) => {
+                cohort.against(&twin)
+            }
             _ => unreachable!("shard {shard} sealed twice in one pass"),
         };
         lock(&self.total).merge(&pair);
@@ -934,8 +945,10 @@ impl Study {
     /// against generator ground truth (§3: 84 correct / 2 affirmative
     /// errors / 14 conservative unknowns).
     pub fn classification_audit(&self, sample: usize) -> AuditReport {
+        let devices = self.collector.devices();
+        let predicted = self.summary.residents(&self.collector);
         audit_sample(
-            &self.summary.device_types,
+            predicted.map(|(slot, r)| (devices[slot], r.device_type)),
             self.ground_truth_types(),
             sample,
             self.sim.config().seed,
@@ -1419,9 +1432,9 @@ impl RunSink for StudyRun {
         let study = Study::from_pass(main, &directory, degraded);
         let counterfactual = counterfactual.map(|cf| {
             let cf = Study::from_pass(cf, &directory, DegradedReport::default());
-            let cohort = &study.summary.post_shutdown;
             Counterfactual {
-                growth_vs_2019: CohortTraffic::over(&study.collector, &cf.collector, cohort)
+                growth_vs_2019: Cohort::of(&study.collector, &study.summary)
+                    .against(&cf.collector)
                     .growth(),
                 study: cf,
             }
@@ -1448,7 +1461,7 @@ impl RunSink for DigestStudy {
         let summary = StudySummary::finalize(&collector);
         let digest = ShardDigest::extract(&collector, &summary);
         if let Some(seat) = seat {
-            seat.offer(collector, summary.post_shutdown);
+            seat.offer(collector, &summary);
         }
         digest
     }
@@ -1639,12 +1652,16 @@ mod tests {
     }
 
     /// A collector in which device `d` of `devices` moves `base + d`
-    /// bytes on every third day, from `first` on.
-    fn traffic(devices: std::ops::Range<u64>, base: u64, first: u16) -> StudyCollector {
+    /// bytes on every third day of `days(d)`.
+    fn traffic(
+        devices: std::ops::Range<u64>,
+        base: u64,
+        days: impl Fn(u64) -> std::ops::Range<u16>,
+    ) -> StudyCollector {
         let mut c = StudyCollector::new();
         for d in devices {
             let slot = c.intern(DeviceId(d));
-            for day in (first..StudyCalendar::NUM_DAYS).step_by(3) {
+            for day in days(d).step_by(3) {
                 c.volume.add(slot, Day(day), base + d);
             }
         }
@@ -1653,46 +1670,53 @@ mod tests {
 
     #[test]
     fn cohort_join_meets_in_either_order() {
-        // Two shard pairs, devices 0..6 and 6..12: the study's active
-        // from day 40, the twin's from day 0 with less traffic, and a
-        // cohort of every other device.
+        // Two shard pairs, devices 0..6 and 6..12. In the study the even
+        // devices are active from day 40 on, so they are the cohort, and
+        // the odd ones leave before the break; the twin's are all active
+        // from day 0, with less traffic.
+        const ND: u16 = StudyCalendar::NUM_DAYS;
         let shards = [0..6, 6..12];
-        let study = |shard: usize| traffic(shards[shard].clone(), 900, 40);
-        let twin = |shard: usize| traffic(shards[shard].clone(), 600, 0);
-        let cohort = |shard: usize| -> HashSet<DeviceId> {
-            shards[shard].clone().step_by(2).map(DeviceId).collect()
-        };
+        let study = |devices| traffic(devices, 900, |d| if d % 2 == 0 { 40..ND } else { 0..50 });
+        let twin = |devices| traffic(devices, 600, |_| 0..ND);
+        let cohort = |c: &StudyCollector| Cohort::of(c, &StudySummary::finalize(c));
         let mut expect = CohortTraffic::default();
-        for shard in 0..2 {
-            expect
-                .study
-                .merge(&MonthTraffic::over(&study(shard), &cohort(shard)));
-            expect
-                .twin
-                .merge(&MonthTraffic::over(&twin(shard), &cohort(shard)));
+        for devices in &shards {
+            let study = study(devices.clone());
+            let cohort = cohort(&study);
+            let evens: Vec<DeviceId> = devices.clone().step_by(2).map(DeviceId).collect();
+            assert_eq!(cohort.devices, evens);
+            expect.merge(&cohort.against(&twin(devices.clone())));
         }
         // The shard pairs add up to the whole campus, as an exact run
         // tallies it.
-        let campus: HashSet<DeviceId> = (0..12).step_by(2).map(DeviceId).collect();
-        let whole = CohortTraffic::over(&traffic(0..12, 900, 40), &traffic(0..12, 600, 0), &campus);
+        let whole = cohort(&study(0..12)).against(&twin(0..12));
         assert_eq!(whole, expect);
         assert!(expect.growth() > 0.0);
+        // A cohort device the twin never saw adds nothing on its side.
+        let mut with_stranger = cohort(&study(0..12));
+        with_stranger.devices.push(DeviceId(99));
+        assert_eq!(with_stranger.against(&twin(0..12)), expect);
         // Study first in both pairs, twin first in both, and one of each.
         for order in [[true, true], [false, false], [true, false]] {
             let join = CohortJoin::new(2);
             for (shard, study_first) in order.into_iter().enumerate() {
-                let seat = |side| Seat {
-                    join: &join,
-                    side,
-                    shard,
+                let offer = |side, c: StudyCollector| {
+                    let summary = StudySummary::finalize(&c);
+                    Seat {
+                        join: &join,
+                        side,
+                        shard,
+                    }
+                    .offer(c, &summary);
                 };
+                let devices = &shards[shard];
                 if study_first {
-                    seat(Side::Study).offer(study(shard), cohort(shard));
-                    seat(Side::Twin).offer(twin(shard), HashSet::new());
+                    offer(Side::Study, study(devices.clone()));
+                    offer(Side::Twin, twin(devices.clone()));
                 } else {
-                    seat(Side::Twin).offer(twin(shard), HashSet::new());
+                    offer(Side::Twin, twin(devices.clone()));
                     assert!(lock(&join.waiting)[shard].is_some(), "the twin parks");
-                    seat(Side::Study).offer(study(shard), cohort(shard));
+                    offer(Side::Study, study(devices.clone()));
                 }
                 assert!(lock(&join.waiting)[shard].is_none(), "the pair is reduced");
             }
@@ -1709,8 +1733,10 @@ mod tests {
             .unwrap()
             .into_study();
         assert_eq!(a.norm_stats, b.norm_stats);
-        assert_eq!(a.summary.resident.len(), b.summary.resident.len());
-        assert_eq!(a.summary.post_shutdown.len(), b.summary.post_shutdown.len());
+        assert_eq!(
+            a.summary.by_device(&a.collector),
+            b.summary.by_device(&b.collector)
+        );
         // Bit-exact, floats included: the ordered reduction folds day
         // collectors in calendar order regardless of which worker ran
         // which day, so no float tolerance is needed.

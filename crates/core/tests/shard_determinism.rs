@@ -61,8 +61,8 @@ fn sharded_exact_is_byte_identical_to_monolithic() {
         assert_eq!(mono.headline(), sharded.headline(), "K={k} T={threads}");
         assert_eq!(mono.norm_stats, sharded.norm_stats, "K={k} T={threads}");
         assert_eq!(
-            mono.summary.resident.len(),
-            sharded.summary.resident.len(),
+            mono.summary.by_device(&mono.collector),
+            sharded.summary.by_device(&sharded.collector),
             "K={k} T={threads}"
         );
         assert_eq!(

@@ -69,32 +69,31 @@ pub fn audit_one(predicted: DeviceType, truth: DeviceType) -> AuditOutcome {
     }
 }
 
-/// Deterministically sample `n` devices and audit them.
+/// Deterministically sample `n` `(device, predicted type)` pairs and
+/// audit them against `truth`.
 ///
 /// Sampling uses a SplitMix-style hash of (device id, seed) so the sample
-/// is stable across runs and independent of map iteration order.
+/// is stable across runs and independent of the order of `predictions`.
 pub fn audit_sample(
-    predictions: &HashMap<DeviceId, DeviceType>,
+    predictions: impl IntoIterator<Item = (DeviceId, DeviceType)>,
     truth: &HashMap<DeviceId, DeviceType>,
     n: usize,
     seed: u64,
 ) -> AuditReport {
-    let mut keyed: Vec<(u64, DeviceId)> = predictions
-        .keys()
-        .filter(|d| truth.contains_key(d))
-        .map(|&d| {
+    let mut keyed: Vec<(u64, DeviceId, DeviceType, DeviceType)> = predictions
+        .into_iter()
+        .filter_map(|(d, predicted)| {
             let mut x = d.0 ^ seed;
             x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (x ^ (x >> 31), d)
+            Some((x ^ (x >> 31), d, predicted, *truth.get(&d)?))
         })
         .collect();
     keyed.sort_unstable();
     let mut report = AuditReport::default();
-    for &(_, dev) in keyed.iter().take(n) {
-        let outcome = audit_one(predictions[&dev], truth[&dev]);
+    for &(_, _, predicted, truth) in keyed.iter().take(n) {
         report.sampled += 1;
-        match outcome {
+        match audit_one(predicted, truth) {
             AuditOutcome::Correct => report.correct += 1,
             AuditOutcome::AffirmativeError => report.affirmative_errors += 1,
             AuditOutcome::ConservativeUnknown => report.conservative_unknown += 1,
@@ -128,10 +127,10 @@ mod tests {
 
     #[test]
     fn sample_is_deterministic_and_bounded() {
-        let mut pred = HashMap::new();
+        let mut pred = Vec::new();
         let mut truth = HashMap::new();
         for i in 0..500u64 {
-            pred.insert(DeviceId(i), DeviceType::Mobile);
+            pred.push((DeviceId(i), DeviceType::Mobile));
             truth.insert(
                 DeviceId(i),
                 if i % 10 == 0 {
@@ -141,8 +140,9 @@ mod tests {
                 },
             );
         }
-        let a = audit_sample(&pred, &truth, 100, 7);
-        let b = audit_sample(&pred, &truth, 100, 7);
+        let a = audit_sample(pred.iter().copied(), &truth, 100, 7);
+        // The sample does not depend on the order devices arrive in.
+        let b = audit_sample(pred.iter().rev().copied(), &truth, 100, 7);
         assert_eq!(a, b);
         assert_eq!(a.sampled, 100);
         assert_eq!(
@@ -152,19 +152,19 @@ mod tests {
         // Different seed draws a different sample (with high probability
         // the error counts differ at least slightly, but determinism of
         // each is what matters).
-        let c = audit_sample(&pred, &truth, 100, 8);
+        let c = audit_sample(pred, &truth, 100, 8);
         assert_eq!(c.sampled, 100);
     }
 
     #[test]
     fn sample_larger_than_population_audits_everything() {
-        let mut pred = HashMap::new();
+        let mut pred = Vec::new();
         let mut truth = HashMap::new();
         for i in 0..10u64 {
-            pred.insert(DeviceId(i), DeviceType::Iot);
+            pred.push((DeviceId(i), DeviceType::Iot));
             truth.insert(DeviceId(i), DeviceType::Iot);
         }
-        let r = audit_sample(&pred, &truth, 100, 0);
+        let r = audit_sample(pred, &truth, 100, 0);
         assert_eq!(r.sampled, 10);
         assert_eq!(r.correct, 10);
         assert!((r.accuracy() - 1.0).abs() < 1e-12);
@@ -172,12 +172,13 @@ mod tests {
 
     #[test]
     fn devices_without_truth_are_skipped() {
-        let mut pred = HashMap::new();
+        let pred = [
+            (DeviceId(1), DeviceType::Mobile),
+            (DeviceId(2), DeviceType::Mobile),
+        ];
         let mut truth = HashMap::new();
-        pred.insert(DeviceId(1), DeviceType::Mobile);
-        pred.insert(DeviceId(2), DeviceType::Mobile);
         truth.insert(DeviceId(1), DeviceType::Mobile);
-        let r = audit_sample(&pred, &truth, 10, 0);
+        let r = audit_sample(pred, &truth, 10, 0);
         assert_eq!(r.sampled, 1);
     }
 }

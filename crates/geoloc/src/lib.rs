@@ -4,12 +4,14 @@
 //! device contacted in February (excluding CDNs), compute the
 //! byte-weighted geographic midpoint per device, and test whether that
 //! midpoint falls inside the United States (domestic) or not
-//! (international). The study's classifier is `analysis`'s collector and
-//! summary, which apply these pieces.
+//! (international). The study applies these pieces in `analysis`: its
+//! collector accumulates the midpoints, and its summary labels each
+//! post-shutdown device by [`MidpointAccumulator::subpop`].
 //!
 //! * [`atlas`] — the longest-prefix-match geolocation database and the
 //!   built-in synthetic world the trace generator and pipeline share.
-//! * [`midpoint`] — spherical weighted midpoints and the US border test.
+//! * [`midpoint`] — spherical weighted midpoints, the US border test and
+//!   the rule that turns a midpoint into a [`SubPop`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,10 +10,11 @@
 //!
 //! The midpoint is the standard great-circle centroid: convert each
 //! destination to a 3-D unit vector, average with byte weights, convert
-//! back. The study applies them in `analysis`: the collector adds each
-//! February flow's destination to its device's accumulator, skipping
-//! CDN destinations, and the study summary labels a post-shutdown
-//! device with a midpoint by [`in_united_states`].
+//! back. [`MidpointAccumulator::subpop`] is the rule that turns it into
+//! a sub-population. The study applies them in `analysis`: the collector
+//! adds each February flow's destination to its device's accumulator,
+//! skipping CDN destinations, and the study summary labels each
+//! post-shutdown device by its accumulator's `subpop`.
 
 /// The two sub-populations the paper contrasts throughout §4–5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +26,15 @@ pub enum SubPop {
 }
 
 impl SubPop {
+    /// Both sub-populations, domestic first: the order of the paper's
+    /// legends and of every per-sub-population array.
+    pub const ALL: [SubPop; 2] = [SubPop::Domestic, SubPop::International];
+
+    /// Position in [`SubPop::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Label used in figure legends.
     pub fn label(self) -> &'static str {
         match self {
@@ -144,6 +154,17 @@ impl MidpointAccumulator {
         Some((z.atan2(hyp).to_degrees(), y.atan2(x).to_degrees()))
     }
 
+    /// §4.2's rule: domestic when the midpoint lies inside the United
+    /// States, international outside it, `None` without a midpoint.
+    pub fn subpop(&self) -> Option<SubPop> {
+        let (lat, lon) = self.midpoint()?;
+        Some(if in_united_states(lat, lon) {
+            SubPop::Domestic
+        } else {
+            SubPop::International
+        })
+    }
+
     /// Total accumulated weight.
     pub fn total_weight(&self) -> f64 {
         self.weight
@@ -229,9 +250,22 @@ mod tests {
     fn empty_and_zero_weight_yield_none() {
         let acc = MidpointAccumulator::default();
         assert!(acc.midpoint().is_none());
+        assert_eq!(acc.subpop(), None);
         let mut acc = MidpointAccumulator::default();
         acc.add(10.0, 10.0, 0.0);
         assert!(acc.midpoint().is_none());
+    }
+
+    #[test]
+    fn subpop_follows_the_border() {
+        let at = |lat, lon| {
+            let mut acc = MidpointAccumulator::default();
+            acc.add(lat, lon, 1.0);
+            acc.subpop()
+        };
+        assert_eq!(at(41.26, -95.94), Some(SubPop::Domestic)); // Omaha
+        assert_eq!(at(43.65, -79.38), Some(SubPop::International)); // Toronto
+        assert_eq!(SubPop::ALL.map(SubPop::index), [0, 1]);
     }
 
     #[test]

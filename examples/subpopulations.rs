@@ -10,7 +10,7 @@
 
 use analysis::collect::{PipelineCtx, StudyCollector};
 use campussim::{CampusSim, SimConfig};
-use geoloc::{in_united_states, SubPop};
+use geoloc::SubPop;
 use lockdown_core::{process_day, PipelineOptions};
 use nettrace::time::Day;
 
@@ -41,21 +41,15 @@ fn main() {
     let mut examples = Vec::new();
     for (slot, acc) in collector.midpoints.iter() {
         let dev = collector.devices()[slot];
-        let Some((lat, lon)) = acc.midpoint() else {
+        let Some(measured) = acc.subpop() else {
             continue;
         };
-        let measured = if in_united_states(lat, lon) {
-            SubPop::Domestic
-        } else {
-            SubPop::International
-        };
-        let t = truth[&dev];
-        match (t, measured) {
+        match (truth[&dev], measured) {
             (SubPop::International, SubPop::International) => tp += 1,
             (SubPop::International, SubPop::Domestic) => {
                 fn_ += 1;
                 if examples.len() < 3 {
-                    examples.push((dev, lat, lon));
+                    examples.extend(acc.midpoint().map(|(lat, lon)| (dev, lat, lon)));
                 }
             }
             (SubPop::Domestic, SubPop::International) => fp += 1,

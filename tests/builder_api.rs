@@ -32,9 +32,10 @@ fn builder_runs_are_deterministic_across_thread_counts() {
         .unwrap()
         .into_study();
     assert_eq!(a.norm_stats, b.norm_stats);
-    assert_eq!(a.summary.resident, b.summary.resident);
-    assert_eq!(a.summary.post_shutdown, b.summary.post_shutdown);
-    assert_eq!(a.summary.device_types, b.summary.device_types);
+    assert_eq!(
+        a.summary.by_device(&a.collector),
+        b.summary.by_device(&b.collector)
+    );
     // Bitwise: HeadlineStats derives PartialEq over its f64 fields.
     assert_eq!(a.headline(), b.headline());
     // A clean run records no degraded days.

@@ -61,8 +61,9 @@ fn run_batched(cfg: SimConfig, rows: usize) -> (StudyCollector, NormalizeStats) 
     (collector, stats)
 }
 
-/// Full-study comparison of two collectors: summary sets, device
-/// classifications, and bit-exact headline statistics.
+/// Full-study comparison of two collectors: every device's summary
+/// (resident, classification, post-shutdown, sub-population), and
+/// bit-exact headline statistics.
 fn assert_equivalent(
     a: &StudyCollector,
     b: &StudyCollector,
@@ -73,14 +74,10 @@ fn assert_equivalent(
     assert_eq!(a_stats, b_stats, "normalization stats diverge: {label}");
     let sa = StudySummary::finalize(a);
     let sb = StudySummary::finalize(b);
-    assert_eq!(sa.resident, sb.resident, "resident set diverges: {label}");
     assert_eq!(
-        sa.post_shutdown, sb.post_shutdown,
-        "post-shutdown set diverges: {label}"
-    );
-    assert_eq!(
-        sa.device_types, sb.device_types,
-        "device classification diverges: {label}"
+        sa.by_device(a),
+        sb.by_device(b),
+        "device summaries diverge: {label}"
     );
     assert_eq!(
         headline_stats(a, &sa),
@@ -102,9 +99,10 @@ fn streaming_study_matches_batch_study() {
     );
 
     let oracle_summary = StudySummary::finalize(&oracle_collector);
-    assert_eq!(streamed.summary.resident, oracle_summary.resident);
-    assert_eq!(streamed.summary.post_shutdown, oracle_summary.post_shutdown);
-    assert_eq!(streamed.summary.device_types, oracle_summary.device_types);
+    assert_eq!(
+        streamed.summary.by_device(&streamed.collector),
+        oracle_summary.by_device(&oracle_collector)
+    );
 
     let hs = streamed.headline();
     let ho = headline_stats(&oracle_collector, &oracle_summary);
