@@ -155,23 +155,26 @@ pub struct StudyCollector {
     pub midpoints: SlotValues<MidpointAccumulator>,
     /// Distinct registered domains per device per month.
     pub sites: DistinctSiteCounter,
-    /// Domain classification memo (worker-local, not merged).
+    /// Domain classification memo. Like every memo here it lives as
+    /// long as this collector and is never merged; a study run streams
+    /// each (shard, day) cell into a fresh collector, so its memos start
+    /// empty every day.
     cache: MatchCache,
-    /// Domain → IoT-backend verdict memo (worker-local, not merged;
+    /// Domain → IoT-backend verdict memo (per collector, not merged;
     /// the interned table is append-only so entries never go stale).
     iot_memo: FastMap<DomainId, bool>,
     /// Remote IP → February geolocation memo: `None` for CDN-excluded
-    /// or unlocatable addresses (worker-local, not merged).
+    /// or unlocatable addresses (per collector, not merged).
     geo_memo: FastMap<Ipv4Addr, Option<(f64, f64)>>,
-    /// User-Agent strings handed out so far (worker-local, not merged).
+    /// User-Agent strings handed out so far (per collector, not merged).
     ua_memo: FastSet<Arc<str>>,
     /// Open social sessions for the day currently being streamed
-    /// (worker-local; drained by [`finish_day`](Self::finish_day),
+    /// (per collector; drained by [`finish_day`](Self::finish_day),
     /// never merged).
     stitcher: SessionStitcher,
-    /// The day being streamed (worker-local).
+    /// The day being streamed (per collector).
     facts: Option<DayFacts>,
-    /// The previous flow's device and its slot (worker-local; slots
+    /// The previous flow's device and its slot (per collector; slots
     /// never move, so it stays valid).
     cursor: Option<(DeviceId, usize)>,
 }
@@ -385,8 +388,7 @@ impl StudyCollector {
         other.debug_assert_slots();
         if self.profiles.evidence.is_empty() {
             // Nothing to add to: take the other's devices and stores as
-            // they are. Its worker-local memos are dropped, as in any
-            // merge.
+            // they are. Its memos are dropped, as in any merge.
             *self = StudyCollector {
                 cache: std::mem::take(&mut self.cache),
                 iot_memo: std::mem::take(&mut self.iot_memo),

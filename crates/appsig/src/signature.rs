@@ -119,8 +119,9 @@ impl SignatureSet {
 ///
 /// Both memos assume the [`SignatureSet`] they were filled against; a
 /// cache must not be reused across different signature sets. The
-/// pipeline keeps one per worker collector, always paired with the
-/// immutable study signatures.
+/// pipeline keeps one per collector, always paired with the immutable
+/// study signatures; a study run streams every day into a fresh
+/// collector, so each day's cache starts empty.
 #[derive(Debug, Default)]
 pub struct MatchCache {
     by_domain: FastMap<DomainId, Option<App>>,

@@ -29,7 +29,7 @@
 
 use analysis::collect::{PipelineCtx, StudyCollector};
 use campussim::{CampusSim, SimConfig};
-use lockdown_bench::timer::{fmt_series, median};
+use lockdown_bench::timer::median;
 use lockdown_bench::{bench_config, BENCH_SCALE};
 use lockdown_core::{process_day_batched, PipelineOptions, Study, DEFAULT_BATCH_ROWS};
 use lockdown_obs::alloc::{self, AllocScope, TrackingAlloc};
@@ -136,21 +136,20 @@ fn run_one(mode: &str, scale: f64, shards: u32) -> Result<String, String> {
         .max()
         .copied()
         .unwrap_or(0);
-    Ok(format!(
-        concat!(
-            "{{\"label\":\"{mode}@{scale}\",\"mode\":\"{mode}\",\"scale\":{scale},",
-            "\"shards\":{},\"wall_ns\":{},\"flows\":{},\"ns_per_flow\":{:.1},",
-            "\"peak_bytes\":{},\"peak_shard_bytes\":{}}}"
-        ),
-        sharding.shards,
-        wall_ns,
-        flows,
-        wall_ns as f64 / flows.max(1) as f64,
-        alloc::stats().peak_bytes,
-        peak_shard,
-        mode = mode,
-        scale = scale,
-    ))
+    Ok(json::object(|o| {
+        o.field("label", format!("{mode}@{scale}"))
+            .field("mode", mode)
+            .num("scale", scale)
+            .field("shards", sharding.shards)
+            .field("wall_ns", wall_ns)
+            .field("flows", flows)
+            .num(
+                "ns_per_flow",
+                format_args!("{:.1}", wall_ns as f64 / flows.max(1) as f64),
+            )
+            .field("peak_bytes", alloc::stats().peak_bytes)
+            .field("peak_shard_bytes", peak_shard);
+    }))
 }
 
 /// Re-exec this binary in `--one` mode: the child's JSON line, parsed.
@@ -274,12 +273,9 @@ fn run(reps: usize, out: &str, check_path: Option<&str>) -> Result<Vec<String>, 
     let mem_on = series(&sim, &ctx, reps, rows, false, true);
     alloc::disable();
     let off_b = series(&sim, &ctx, reps, rows, false, false);
-    let sweep: Vec<String> = SWEEP_ROWS
+    let sweep: Vec<(usize, f64)> = SWEEP_ROWS
         .iter()
-        .map(|&rows| {
-            let ns = median(&series(&sim, &ctx, reps, rows, false, false));
-            format!("{{\"batch_rows\":{rows},\"ns_per_flow\":{ns:.1}}}")
-        })
+        .map(|&rows| (rows, median(&series(&sim, &ctx, reps, rows, false, false))))
         .collect();
 
     // Deterministic allocation shape, one counted pass.
@@ -319,56 +315,64 @@ fn run(reps: usize, out: &str, check_path: Option<&str>) -> Result<Vec<String>, 
     let noise_ns = spread(&off_a).max(spread(&off_b));
     let off_delta_ns = (ma - mb).abs();
     let (trace_pct, mem_pct) = (100.0 * (m_trace / ma - 1.0), 100.0 * (m_mem / ma - 1.0));
-    let fields = [
-        format!(
-            "\"bench\":\"overhead\",\"scale\":{BENCH_SCALE},\"days_per_pass\":{}",
-            DAYS.len()
-        ),
-        format!(
-            "\"flows_per_pass\":{flows_per_pass},\"reps\":{reps},\"batch_rows_default\":{rows}"
-        ),
-        format!("\"spans_recorded\":{spans}"),
-        format!(
-            "\"off_a_ns_per_flow\":{},\"off_b_ns_per_flow\":{}",
-            fmt_series(&off_a),
-            fmt_series(&off_b)
-        ),
-        format!("\"trace_on_ns_per_flow\":{}", fmt_series(&trace_on)),
-        format!("\"mem_on_ns_per_flow\":{}", fmt_series(&mem_on)),
-        format!("\"median_off_a\":{ma:.1},\"median_off_b\":{mb:.1}"),
-        format!("\"median_trace_on\":{m_trace:.1},\"median_mem_on\":{m_mem:.1}"),
-        format!("\"noise_band_ns\":{noise_ns:.1},\"off_delta_ns\":{off_delta_ns:.1}"),
-        format!("\"off_within_noise\":{}", off_delta_ns <= noise_ns),
-        format!("\"trace_on_overhead_pct\":{trace_pct:.2}"),
-        format!("\"mem_on_overhead_pct\":{mem_pct:.2}"),
-        format!("\"sweep\":[{}]", sweep.join(",")),
-        format!(
-            "\"allocs\":{},\"alloc_bytes\":{}",
-            counted.allocs, counted.alloc_bytes
-        ),
-        format!(
-            "\"freed_bytes\":{},\"allocs_per_flow\":{allocs_per_flow:.3}",
-            counted.freed_bytes
-        ),
-        format!("\"peak_net_bytes\":{}", counted.peak_net_bytes),
-        format!(
-            "\"scale_lo\":{SCALE_LO},\"scale_hi\":{SCALE_HI},\"scale_ratio\":{:.1}",
-            SCALE_HI / SCALE_LO
-        ),
-        format!("\"budget_bytes\":{BUDGET_BYTES},\"threads\":{threads}"),
-        format!("\"exact_overhead_k4_pct\":{k4_pct:.2}"),
-        format!("\"digest_flows_ratio\":{:.2}", ratio(3, 4, "flows")),
-        format!("\"digest_peak_ratio_10x\":{peak_ratio:.3}"),
-        format!("\"peak_within_2x\":{}", peak_ratio <= MAX_PEAK_RATIO),
-        format!(
-            "\"runs\":[{}]",
-            runs.iter()
-                .map(|(line, _)| line.as_str())
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
-    ];
-    let json = format!("{{{}}}", fields.join(","));
+    // ns/flow series with one decimal per value.
+    let ns_series = |a: &mut json::Array<'_>, xs: &[f64]| {
+        for x in xs {
+            a.num(format_args!("{x:.1}"));
+        }
+    };
+    let json = json::object(|o| {
+        o.field("bench", "overhead")
+            .num("scale", BENCH_SCALE)
+            .field("days_per_pass", DAYS.len())
+            .field("flows_per_pass", flows_per_pass)
+            .field("reps", reps)
+            .field("batch_rows_default", rows)
+            .field("spans_recorded", spans)
+            .array("off_a_ns_per_flow", |a| ns_series(a, &off_a))
+            .array("off_b_ns_per_flow", |a| ns_series(a, &off_b))
+            .array("trace_on_ns_per_flow", |a| ns_series(a, &trace_on))
+            .array("mem_on_ns_per_flow", |a| ns_series(a, &mem_on))
+            .num("median_off_a", format_args!("{ma:.1}"))
+            .num("median_off_b", format_args!("{mb:.1}"))
+            .num("median_trace_on", format_args!("{m_trace:.1}"))
+            .num("median_mem_on", format_args!("{m_mem:.1}"))
+            .num("noise_band_ns", format_args!("{noise_ns:.1}"))
+            .num("off_delta_ns", format_args!("{off_delta_ns:.1}"))
+            .field("off_within_noise", off_delta_ns <= noise_ns)
+            .num("trace_on_overhead_pct", format_args!("{trace_pct:.2}"))
+            .num("mem_on_overhead_pct", format_args!("{mem_pct:.2}"))
+            .array("sweep", |a| {
+                for &(rows, ns) in &sweep {
+                    a.object(|o| {
+                        o.field("batch_rows", rows)
+                            .num("ns_per_flow", format_args!("{ns:.1}"));
+                    });
+                }
+            })
+            .field("allocs", counted.allocs)
+            .field("alloc_bytes", counted.alloc_bytes)
+            .field("freed_bytes", counted.freed_bytes)
+            .num("allocs_per_flow", format_args!("{allocs_per_flow:.3}"))
+            .field("peak_net_bytes", counted.peak_net_bytes)
+            .num("scale_lo", SCALE_LO)
+            .num("scale_hi", SCALE_HI)
+            .num("scale_ratio", format_args!("{:.1}", SCALE_HI / SCALE_LO))
+            .field("budget_bytes", BUDGET_BYTES)
+            .field("threads", threads)
+            .num("exact_overhead_k4_pct", format_args!("{k4_pct:.2}"))
+            .num(
+                "digest_flows_ratio",
+                format_args!("{:.2}", ratio(3, 4, "flows")),
+            )
+            .num("digest_peak_ratio_10x", format_args!("{peak_ratio:.3}"))
+            .field("peak_within_2x", peak_ratio <= MAX_PEAK_RATIO)
+            .array("runs", |a| {
+                for (line, _) in &runs {
+                    a.item(json::Raw(line));
+                }
+            });
+    });
     if let Some(parent) = std::path::Path::new(out)
         .parent()
         .filter(|p| !p.as_os_str().is_empty())

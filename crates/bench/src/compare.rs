@@ -23,7 +23,7 @@
 use analysis::accuracy::{self, FigureFileDiff};
 use analysis::export::FIGURE_FILES;
 use lockdown_core::{Study, StudyError};
-use lockdown_obs::json::{self, quoted, Value};
+use lockdown_obs::json::{self, Value};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -42,6 +42,8 @@ pub struct HeadlineDrift {
     /// `|a − b| / max(|a|, |b|, ε)`.
     pub rel_delta: f64,
 }
+
+lockdown_obs::encode_fields!(HeadlineDrift: stat, a, b, rel_delta);
 
 /// The full typed comparison of two run directories.
 #[derive(Debug, Clone)]
@@ -194,60 +196,39 @@ impl CompareReport {
 
     /// Render as a strict JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"a\":{}", quoted(&self.a.display().to_string()));
-        let _ = write!(out, ",\"b\":{}", quoted(&self.b.display().to_string()));
-        let _ = write!(out, ",\"mode_a\":{}", quoted(&self.mode_a));
-        let _ = write!(out, ",\"mode_b\":{}", quoted(&self.mode_b));
-        let _ = write!(out, ",\"config_hash_matches\":{}", self.config_hash_matches);
-        let _ = write!(out, ",\"scenario_matches\":{}", self.scenario_matches);
-        let _ = write!(out, ",\"seed_matches\":{}", self.seed_matches);
-        let _ = write!(out, ",\"scale_a\":{:?}", self.scale_a);
-        let _ = write!(out, ",\"scale_b\":{:?}", self.scale_b);
-        let _ = write!(out, ",\"crates_match\":{}", self.crates_match);
-        let _ = write!(out, ",\"degraded_a\":{}", self.degraded_a);
-        let _ = write!(out, ",\"degraded_b\":{}", self.degraded_b);
-        let _ = write!(out, ",\"shards_a\":{}", self.shards_a);
-        let _ = write!(out, ",\"shards_b\":{}", self.shards_b);
-        let _ = write!(
-            out,
-            ",\"headline_max_rel_delta\":{:?}",
-            self.headline_max_rel_delta()
-        );
-        out.push_str(",\"headline\":[");
-        for (i, h) in self.headline.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"stat\":{},\"a\":{:?},\"b\":{:?},\"rel_delta\":{:?}}}",
-                quoted(&h.stat),
-                h.a,
-                h.b,
-                h.rel_delta
-            );
-        }
-        out.push_str("],\"figures\":[");
-        for (i, f) in self.figures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"file\":{},\"tolerance\":{:?},\"compared\":{},\"mismatched\":{},\"max_ratio\":{:?},\"max_abs_delta\":{:?},\"within\":{}",
-                quoted(f.file), f.tolerance, f.compared, f.mismatched, f.max_ratio,
-                f.max_abs_delta, f.within(),
-            );
-            match &f.note {
-                Some(n) => {
-                    let _ = write!(out, ",\"note\":{}}}", quoted(n));
-                }
-                None => out.push_str(",\"note\":null}"),
-            }
-        }
-        let _ = write!(out, "],\"within_tolerance\":{}}}", self.within_tolerance());
-        out
+        json::object(|o| {
+            o.field("a", self.a.display().to_string())
+                .field("b", self.b.display().to_string())
+                .field("mode_a", &self.mode_a)
+                .field("mode_b", &self.mode_b)
+                .field("config_hash_matches", self.config_hash_matches)
+                .field("scenario_matches", self.scenario_matches)
+                .field("seed_matches", self.seed_matches)
+                .field("scale_a", self.scale_a)
+                .field("scale_b", self.scale_b)
+                .field("crates_match", self.crates_match)
+                .field("degraded_a", self.degraded_a)
+                .field("degraded_b", self.degraded_b)
+                .field("shards_a", self.shards_a)
+                .field("shards_b", self.shards_b)
+                .field("headline_max_rel_delta", self.headline_max_rel_delta())
+                .field("headline", &self.headline)
+                .array("figures", |rows| {
+                    for f in &self.figures {
+                        rows.object(|r| {
+                            r.field("file", f.file)
+                                .field("tolerance", f.tolerance)
+                                .field("compared", f.compared)
+                                .field("mismatched", f.mismatched)
+                                .field("max_ratio", f.max_ratio)
+                                .field("max_abs_delta", f.max_abs_delta)
+                                .field("within", f.within())
+                                .field("note", &f.note);
+                        });
+                    }
+                })
+                .field("within_tolerance", self.within_tolerance());
+        })
     }
 }
 
@@ -385,6 +366,9 @@ pub struct ConvergencePoint {
     pub trough_peak_ratio: f64,
 }
 
+lockdown_obs::encode_fields!(ConvergencePoint: scale, shards, traffic_growth, sites_growth,
+    intl_share, post_share, trough_peak_ratio);
+
 /// Accessor for one scale-invariant ratio of a [`ConvergencePoint`].
 type InvariantFn = fn(&ConvergencePoint) -> f64;
 
@@ -438,31 +422,18 @@ impl ConvergenceReport {
 
     /// Render as a strict JSON artifact (`BENCH_convergence.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"seed\":{}", self.seed);
-        let _ = write!(out, ",\"mem_budget\":{}", self.mem_budget);
-        let _ = write!(out, ",\"threads\":{}", self.threads);
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"scale\":{:?},\"shards\":{},\"traffic_growth\":{:?},\"sites_growth\":{:?},\"intl_share\":{:?},\"post_share\":{:?},\"trough_peak_ratio\":{:?}}}",
-                p.scale, p.shards, p.traffic_growth, p.sites_growth, p.intl_share,
-                p.post_share, p.trough_peak_ratio,
-            );
-        }
-        out.push_str("],\"drift\":{");
-        for (i, (name, d)) in self.drifts().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{:?}", quoted(name), d);
-        }
-        let _ = write!(out, "}},\"max_drift\":{:?}}}", self.max_drift());
-        out
+        json::object(|o| {
+            o.field("seed", self.seed)
+                .field("mem_budget", self.mem_budget)
+                .field("threads", self.threads)
+                .field("points", &self.points)
+                .object("drift", |drift| {
+                    for (name, d) in self.drifts() {
+                        drift.field(name, d);
+                    }
+                })
+                .field("max_drift", self.max_drift());
+        })
     }
 
     /// Render as an aligned text table.

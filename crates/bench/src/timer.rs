@@ -25,12 +25,6 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// `xs` as a JSON array with one decimal per value.
-pub fn fmt_series(xs: &[f64]) -> String {
-    let body: Vec<String> = xs.iter().map(|x| format!("{x:.1}")).collect();
-    format!("[{}]", body.join(","))
-}
-
 /// Time `routine` and print `name`'s median ns/iter; with `elements`,
 /// also ns per element.
 pub fn bench<O>(name: &str, elements: Option<u64>, mut routine: impl FnMut() -> O) {
@@ -71,12 +65,6 @@ mod tests {
     fn median_of_odd_and_even_counts() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-    }
-
-    #[test]
-    fn series_format_is_a_json_array() {
-        assert_eq!(fmt_series(&[1.0, 2.26]), "[1.0,2.3]");
-        assert_eq!(fmt_series(&[]), "[]");
     }
 
     #[test]

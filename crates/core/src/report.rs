@@ -48,7 +48,7 @@ impl<'a> RunView<'a> {
     /// An exact run, its figures rendered on first use.
     pub fn exact(run: &'a StudyRun) -> Self {
         RunView {
-            cfg: run.sim.config(),
+            cfg: &run.cfg,
             figures: run.figures(),
             metrics: run.metrics(),
             degraded: run.degraded(),
@@ -74,7 +74,7 @@ impl<'a> RunView<'a> {
 /// the headline statistics, with the paper's values alongside.
 pub fn text_report(study: &Study, growth_vs_2019: Option<f64>) -> String {
     let _span = trace::span("report.text");
-    let mut out = figures_text(study.figures(), study.sim.config().scale, growth_vs_2019);
+    let mut out = figures_text(study.figures(), study.cfg.scale, growth_vs_2019);
     let audit = study.classification_audit(100);
     let _ = writeln!(
         out,

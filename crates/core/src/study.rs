@@ -155,11 +155,17 @@ impl<T: Fold> OrderedReducer<T> {
     }
 
     /// Fold in `index`: stats and metrics immediately (commutative),
-    /// the payload in index order.
-    fn submit(&mut self, index: usize, part: T, stats: NormalizeStats, metrics: &MetricsSnapshot) {
+    /// the payload, if any, in index order.
+    fn submit(
+        &mut self,
+        index: usize,
+        part: Option<T>,
+        stats: NormalizeStats,
+        metrics: &MetricsSnapshot,
+    ) {
         self.stats += stats;
         self.metrics.merge(metrics);
-        self.offer(index, Some(part));
+        self.offer(index, part);
     }
 
     /// Record that `index` will never arrive (dropped after two failed
@@ -206,7 +212,8 @@ impl<T: Fold> OrderedReducer<T> {
 /// What a run reduces each sealed shard to, and what it returns. The
 /// result type picks the implementation: [`StudyRun`] keeps every
 /// shard's full collector (byte-identical figures at any shard count),
-/// [`DigestStudy`] extracts a fixed-size [`ShardDigest`] per shard.
+/// [`DigestStudy`] extracts a fixed-size [`ShardDigest`] per study
+/// shard.
 trait RunSink: Sized {
     /// What one sealed shard contributes to the run.
     type Part: Fold + Send;
@@ -214,11 +221,12 @@ trait RunSink: Sized {
     const MODE: &'static str;
     /// [`ShardingReport::merge_depth`] over `shards` shards.
     fn merge_depth(shards: u32) -> u32;
-    /// Reduce a sealed shard's day-ordered collector to its part. When
+    /// Reduce a sealed shard's day-ordered collector to its part, or to
+    /// nothing when the shard's only reader is the [`CohortJoin`]. When
     /// the run compares against its counterfactual, `seat` is the
-    /// shard's place at the [`CohortJoin`]; a sink that keeps whole
-    /// collectors compares them at assembly and leaves its seat empty.
-    fn seal(collector: StudyCollector, seat: Option<Seat<'_>>) -> Self::Part;
+    /// shard's place at that join; a sink that keeps whole collectors
+    /// compares them at assembly and leaves its seat empty.
+    fn seal(collector: StudyCollector, seat: Option<Seat<'_>>) -> Option<Self::Part>;
     /// Build the run's result from its drained passes.
     fn assemble(run: Drained<Self::Part>) -> Self;
 }
@@ -235,7 +243,6 @@ struct Pass<P> {
 
 /// A drained run, handed to its [`RunSink`] for assembly.
 struct Drained<P> {
-    directory: Arc<ServiceDirectory>,
     main: Pass<P>,
     counterfactual: Option<Pass<P>>,
     /// What the [`CohortJoin`] summed, when the counterfactual ran.
@@ -320,18 +327,6 @@ struct Seat<'a> {
     join: &'a CohortJoin,
     side: Side,
     shard: usize,
-}
-
-impl Seat<'_> {
-    /// Hand the join what it needs of a sealed shard and the summary
-    /// finalized from it: a study shard's cohort, or a twin's collector.
-    fn offer(self, collector: StudyCollector, summary: &StudySummary) {
-        let half = match self.side {
-            Side::Study => Half::Cohort(Cohort::of(&collector, summary)),
-            Side::Twin => Half::Twin(Box::new(collector)),
-        };
-        self.join.meet(self.shard, half);
-    }
 }
 
 /// One side of a shard pair, waiting at the join for the other.
@@ -676,7 +671,7 @@ impl<'a, S: RunSink> Grid<'a, S> {
                 );
                 slot.wall_ns.fetch_add(out.duration_ns, Ordering::Relaxed);
                 if let Some(days) = lock(&slot.days).as_mut() {
-                    days.submit(day_index, out.collector, out.stats, &out.metrics);
+                    days.submit(day_index, Some(out.collector), out.stats, &out.metrics);
                 }
                 self.day_resolved(run, slot);
                 Ok(())
@@ -781,8 +776,8 @@ impl<'a, S: RunSink> Grid<'a, S> {
 
     /// Seal a drained shard: close its day-ordered reduction, record
     /// its peak, reduce it to the sink's part (seating it at the
-    /// vs-2019 join) and fold that into the run, and drop its
-    /// sub-campus.
+    /// vs-2019 join), fold that part, if any, and the shard's stats and
+    /// metrics into the run, and drop its sub-campus.
     fn seal(&self, run: &RunShared, slot: &ShardSlot) {
         let _span = trace::span("seal_shard").attr("shard", u64::from(slot.shard.id()));
         let Some(days) = lock(&slot.days).take() else {
@@ -831,8 +826,8 @@ impl<'a, S: RunSink> Grid<'a, S> {
 
 /// A completed study run.
 pub struct Study {
-    /// The synthetic campus it ran against.
-    pub sim: CampusSim,
+    /// The configuration it ran.
+    pub cfg: SimConfig,
     /// Everything collected by the pipeline.
     pub collector: StudyCollector,
     /// Classified, segmented device universe.
@@ -845,9 +840,8 @@ pub struct Study {
     /// The rendered figures, built on first request (never inside
     /// [`StudyBuilder::run`]).
     figures: OnceLock<DigestFigures>,
-    /// Lazily materialized ground-truth device types (built once on
-    /// first request, then borrowed — callers used to pay a
-    /// full-population clone per call).
+    /// Ground-truth device types, from a population rebuilt on first
+    /// request (an audit's), then borrowed.
     truth_types: OnceLock<HashMap<DeviceId, DeviceType>>,
 }
 
@@ -858,23 +852,11 @@ impl Study {
     }
 
     /// Finalize one exact pass: classify and segment the merged
-    /// collector, and rebuild the whole campus for ground truth and
-    /// audits — after the drain, so it never adds to the run's sharded
-    /// working set. The rebuild is byte-identical to the shard union
-    /// (the population plan's compatibility guarantee).
-    fn from_pass(
-        pass: Pass<StudyCollector>,
-        directory: &Arc<ServiceDirectory>,
-        degraded: DegradedReport,
-    ) -> Study {
+    /// collector.
+    fn from_pass(pass: Pass<StudyCollector>, degraded: DegradedReport) -> Study {
         let summary = StudySummary::finalize(&pass.part);
-        let sim = {
-            let _span = trace::span("ground_truth");
-            let population = Population::build(&pass.cfg);
-            CampusSim::for_shard(pass.cfg, population, Arc::clone(directory))
-        };
         Study {
-            sim,
+            cfg: pass.cfg,
             collector: pass.part,
             summary,
             norm_stats: pass.stats,
@@ -923,17 +905,18 @@ impl Study {
     /// The scenario this study ran (the config's scenario; for a
     /// counterfactual run, the scenario's no-event twin).
     pub fn scenario(&self) -> &Scenario {
-        self.sim.scenario()
+        &self.cfg.scenario
     }
 
     /// Ground-truth device types from the generator (for validation).
-    /// Built once on first call and cached; the returned map is
-    /// borrowed from the study, so repeated audits no longer clone the
-    /// full device table.
+    /// The first call rebuilds the whole campus's population, which is
+    /// byte-identical to the shard union the run drained (the
+    /// population plan's compatibility guarantee); the map is cached
+    /// and borrowed from then on.
     pub fn ground_truth_types(&self) -> &HashMap<DeviceId, DeviceType> {
         self.truth_types.get_or_init(|| {
-            self.sim
-                .population()
+            let _span = trace::span("ground_truth");
+            Population::build(&self.cfg)
                 .devices
                 .iter()
                 .map(|d| (d.id, d.kind.true_type()))
@@ -951,7 +934,7 @@ impl Study {
             predicted.map(|(slot, r)| (devices[slot], r.device_type)),
             self.ground_truth_types(),
             sample,
-            self.sim.config().seed,
+            self.cfg.seed,
         )
     }
 }
@@ -1202,8 +1185,9 @@ impl StudyBuilder {
     /// in-flight shards' collectors. Headline statistics are exact at
     /// any shard count; distribution figures are ≤2× approximations
     /// (see [`analysis::digest`]). The counterfactual, when requested,
-    /// streams through its own shards, and each twin shard is joined
-    /// with its study shard's post-shutdown cohort, so
+    /// streams through its own shards, and each twin shard goes only to
+    /// the join with its study shard's post-shutdown cohort (no digest),
+    /// so
     /// [`DigestStudy::growth_vs_2019`] is the exact run's statistic;
     /// there is no classification audit — the full device table is
     /// never materialized.
@@ -1390,7 +1374,6 @@ impl StudyBuilder {
             m
         });
         let result = S::assemble(Drained {
-            directory,
             main,
             counterfactual,
             cohort: run.join.map(CohortJoin::into_total),
@@ -1415,23 +1398,22 @@ impl RunSink for StudyRun {
         }
     }
 
-    fn seal(collector: StudyCollector, _seat: Option<Seat<'_>>) -> StudyCollector {
-        collector
+    fn seal(collector: StudyCollector, _seat: Option<Seat<'_>>) -> Option<StudyCollector> {
+        Some(collector)
     }
 
     /// Both passes keep their whole collectors, so the cohort is
     /// tallied here, over the whole campus, not at the join.
     fn assemble(run: Drained<StudyCollector>) -> StudyRun {
         let Drained {
-            directory,
             main,
             counterfactual,
             degraded,
             ..
         } = run;
-        let study = Study::from_pass(main, &directory, degraded);
+        let study = Study::from_pass(main, degraded);
         let counterfactual = counterfactual.map(|cf| {
-            let cf = Study::from_pass(cf, &directory, DegradedReport::default());
+            let cf = Study::from_pass(cf, DegradedReport::default());
             Counterfactual {
                 growth_vs_2019: Cohort::of(&study.collector, &study.summary)
                     .against(&cf.collector)
@@ -1454,19 +1436,30 @@ impl RunSink for DigestStudy {
         3
     }
 
-    fn seal(collector: StudyCollector, seat: Option<Seat<'_>>) -> ShardDigest {
+    /// A twin shard's only reader is the vs-2019 join, so it goes there
+    /// whole and adds nothing to its pass's fold.
+    fn seal(collector: StudyCollector, seat: Option<Seat<'_>>) -> Option<ShardDigest> {
+        if let Some(Seat {
+            join,
+            side: Side::Twin,
+            shard,
+        }) = seat
+        {
+            join.meet(shard, Half::Twin(Box::new(collector)));
+            return None;
+        }
         // Classification and segmentation are per-device and a device's
         // whole history lives in its one shard, so the per-shard summary
         // equals the device's slice of the run-level one.
         let summary = StudySummary::finalize(&collector);
         let digest = ShardDigest::extract(&collector, &summary);
-        if let Some(seat) = seat {
-            seat.offer(collector, &summary);
+        if let Some(Seat { join, shard, .. }) = seat {
+            join.meet(shard, Half::Cohort(Cohort::of(&collector, &summary)));
         }
-        digest
+        Some(digest)
     }
 
-    /// The twin's digests have no reader: the comparison is the join's.
+    /// The twin's pass folded no digests: the comparison is the join's.
     fn assemble(run: Drained<ShardDigest>) -> DigestStudy {
         let Drained {
             main,
@@ -1637,7 +1630,12 @@ mod tests {
         // attempts; index 5 never arrives (an aborted run), so 6 and 7
         // are still pending at finish.
         for i in [2, 0, 7, 4, 1, 6] {
-            r.submit(i, vec![i], stats(i as u64), &MetricsSnapshot::default());
+            r.submit(
+                i,
+                Some(vec![i]),
+                stats(i as u64),
+                &MetricsSnapshot::default(),
+            );
         }
         r.skip(3);
         assert_eq!(r.acc, [0, 1, 2, 4], "folded exactly up to the gap");
@@ -1701,13 +1699,12 @@ mod tests {
             let join = CohortJoin::new(2);
             for (shard, study_first) in order.into_iter().enumerate() {
                 let offer = |side, c: StudyCollector| {
-                    let summary = StudySummary::finalize(&c);
-                    Seat {
+                    let seat = Seat {
                         join: &join,
                         side,
                         shard,
-                    }
-                    .offer(c, &summary);
+                    };
+                    DigestStudy::seal(c, Some(seat));
                 };
                 let devices = &shards[shard];
                 if study_first {
@@ -1722,6 +1719,51 @@ mod tests {
             }
             assert_eq!(join.into_total(), expect, "study first: {order:?}");
         }
+    }
+
+    #[test]
+    fn digest_twin_seal_folds_nothing_and_reaches_the_join() {
+        const ND: u16 = StudyCalendar::NUM_DAYS;
+        let study = || traffic(0..6, 900, |d| if d % 2 == 0 { 40..ND } else { 0..50 });
+        let twin = || traffic(0..6, 600, |_| 0..ND);
+        let expect = {
+            let study = study();
+            Cohort::of(&study, &StudySummary::finalize(&study)).against(&twin())
+        };
+        let join = CohortJoin::new(1);
+        let seat = |side| {
+            Some(Seat {
+                join: &join,
+                side,
+                shard: 0,
+            })
+        };
+        // The twin's pass folds no payload for the shard, but its stats
+        // and metrics still merge.
+        let part = DigestStudy::seal(twin(), seat(Side::Twin));
+        assert!(part.is_none(), "a twin shard seals no digest");
+        assert!(
+            matches!(lock(&join.waiting)[0], Some(Half::Twin(_))),
+            "the twin's collector waits at the join"
+        );
+        let mut pass = OrderedReducer::<ShardDigest>::new();
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("pipeline.flows_in".into(), 7);
+        let stats = NormalizeStats {
+            attributed: 5,
+            ..Default::default()
+        };
+        pass.submit(0, part, stats, &metrics);
+        assert_eq!(pass.next, 1, "the fold stepped over the shard");
+        let (folded, stats, metrics) = pass.finish();
+        assert_eq!(folded.resident_devices(), 0);
+        assert_eq!(stats.attributed, 5);
+        assert_eq!(metrics.counter("pipeline.flows_in"), 7);
+        // The study shard seals its digest and completes the pair.
+        let digest = DigestStudy::seal(study(), seat(Side::Study)).expect("a study digest");
+        assert!(digest.resident_devices() > 0);
+        assert!(lock(&join.waiting)[0].is_none(), "the pair is reduced");
+        assert_eq!(join.into_total(), expect);
     }
 
     #[test]
@@ -1785,12 +1827,21 @@ mod tests {
 
     #[test]
     fn audit_mostly_correct() {
+        let rec = SpanRecorder::new();
         let s = Study::builder(tiny())
             .threads(4)
+            .trace(&rec)
             .run()
             .unwrap()
             .into_study();
+        // The run leaves ground truth to the audit, which builds it once.
+        let spans = rec.finish().counts_by_name();
+        assert!(spans.contains_key("finalize") && !spans.contains_key("ground_truth"));
+        let lane = rec.install(0, "audit");
         let audit = s.classification_audit(100);
+        assert_eq!(s.classification_audit(100), audit);
+        drop(lane);
+        assert_eq!(rec.finish().counts_by_name().get("ground_truth"), Some(&1));
         assert!(audit.sampled > 50);
         assert!(
             audit.accuracy() > 0.6,

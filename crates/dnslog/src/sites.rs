@@ -59,8 +59,8 @@ pub struct DistinctSiteCounter {
     /// Site key → site id.
     site_ids: FastMap<u64, u32>,
     /// Site id of every `DomainId` below its length, numbered in table
-    /// order (worker-local; dropped on merge — the interned table is
-    /// append-only, so entries never go stale).
+    /// order (per counter, so per day in a study run; dropped on merge
+    /// — the interned table is append-only, so entries never go stale).
     site_of: Vec<u32>,
 }
 

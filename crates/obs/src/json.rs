@@ -1,17 +1,22 @@
-//! JSON for every hand-rolled emitter in this workspace (metrics
-//! snapshots, the JSONL event sink, the Chrome trace exporter, the run
-//! manifest) and the one strict reader that reads such documents back.
+//! JSON for the whole workspace: the one encoder every document is
+//! written through (run manifests, metrics, `/progress` and `/healthz`,
+//! Chrome traces, comparison and bench reports) and the one strict
+//! reader that reads such documents back.
 //!
-//! The emitters deliberately avoid a serialization dependency — their
-//! payloads are numbers and short identifiers — but "short identifier"
-//! is a convention, not an invariant: metric names, stage names, and
-//! manifest values are ordinary strings that may one day carry quotes,
-//! control characters, or non-ASCII text. [`quoted`] makes every
-//! emitted string strict-parser safe: `"` and `\` are backslash-escaped,
-//! control characters use the conventional short escapes (falling back
-//! to `\u00XX`), and all non-ASCII characters are emitted as `\uXXXX`
-//! (UTF-16 units, surrogate pairs for astral code points), so the
-//! output is plain-ASCII JSON any parser accepts.
+//! The encoder streams into a `String`, with no value tree between, so
+//! a document keeps its writer's key order. [`object`] opens an
+//! [`Object`] whose methods add one member each, nested objects and
+//! [`Array`]s included; the builders own separators, key quoting and
+//! `null` for a `None`. A value is anything [`Encode`] (strings,
+//! booleans, integers, floats in shortest round-trip form, options,
+//! vectors, string-keyed maps, and types that implement it, often
+//! through [`encode_fields!`](crate::encode_fields)), or through `num`
+//! a number in the caller's `Display` form (`{:.1}`, a trace's `µs.ns`).
+//! Every string goes through [`escape_into`]: `"` and `\` are
+//! backslash-escaped, control characters use the short escapes or
+//! `\u00XX`, and non-ASCII characters become `\uXXXX` (surrogate pairs
+//! for astral code points), so the output is plain-ASCII JSON any
+//! parser accepts.
 //!
 //! [`parse`] is the reading half: RFC 8259 exactly (no comments, no
 //! trailing commas, no leading zeros, one top-level value), with
@@ -19,7 +24,7 @@
 //! stack.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// Append `s` to `out` with every character JSON-escaped (no
 /// surrounding quotes).
@@ -50,11 +55,213 @@ pub fn escape_into(out: &mut String, s: &str) {
 /// `s` escaped and wrapped in double quotes, ready to splice into a
 /// JSON document as a string literal or object key.
 pub fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
+    to_string(s)
+}
+
+/// A value the encoder can write.
+pub trait Encode {
+    /// Append this value's JSON to `out`.
+    fn encode(&self, out: &mut String);
+}
+
+/// Implement [`Encode`] for a struct as an object of the listed
+/// fields, each keyed by its own name, in the listed order:
+/// `encode_fields!(Type: field, field, …)`.
+#[macro_export]
+macro_rules! encode_fields {
+    ($t:ident: $($field:ident),+ $(,)?) => {
+        impl $crate::json::Encode for $t {
+            fn encode(&self, out: &mut String) {
+                $crate::json::write_object(out, |o| {
+                    $(o.field(stringify!($field), &self.$field);)*
+                });
+            }
+        }
+    };
+}
+
+/// `value` as a JSON document.
+pub fn to_string(value: &(impl Encode + ?Sized)) -> String {
+    let mut out = String::new();
+    value.encode(&mut out);
     out
+}
+
+/// A JSON object document whose members `members` adds.
+pub fn object(members: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, members);
+    out
+}
+
+/// Append a JSON object to `out`; `members` adds its members.
+pub fn write_object(out: &mut String, members: impl FnOnce(&mut Object<'_>)) {
+    out.push('{');
+    members(&mut Object(Seq { out, first: true }));
+    out.push('}');
+}
+
+fn write_array(out: &mut String, items: impl FnOnce(&mut Array<'_>)) {
+    out.push('[');
+    items(&mut Array(Seq { out, first: true }));
+    out.push(']');
+}
+
+/// The open body of an object or array: the one place a separator is
+/// written.
+struct Seq<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Seq<'_> {
+    /// The buffer, positioned for the next entry.
+    fn next(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        self.out
+    }
+}
+
+/// An open JSON object, members written in call order.
+pub struct Object<'a>(Seq<'a>);
+
+impl Object<'_> {
+    /// The buffer, positioned for the value of member `key`.
+    fn key(&mut self, key: &str) -> &mut String {
+        let out = self.0.next();
+        key.encode(out);
+        out.push(':');
+        out
+    }
+
+    /// Add member `key` with `value`.
+    pub fn field(&mut self, key: &str, value: impl Encode) -> &mut Self {
+        value.encode(self.key(key));
+        self
+    }
+
+    /// Add member `key` with the number `n` in its `Display` form.
+    pub fn num(&mut self, key: &str, n: impl Display) -> &mut Self {
+        let _ = write!(self.key(key), "{n}");
+        self
+    }
+
+    /// Add member `key` with an object whose members `members` adds.
+    pub fn object(&mut self, key: &str, members: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        write_object(self.key(key), members);
+        self
+    }
+
+    /// Add member `key` with an array whose elements `items` adds.
+    pub fn array(&mut self, key: &str, items: impl FnOnce(&mut Array<'_>)) -> &mut Self {
+        write_array(self.key(key), items);
+        self
+    }
+}
+
+/// An open JSON array, elements written in call order.
+pub struct Array<'a>(Seq<'a>);
+
+impl Array<'_> {
+    /// Add `value`.
+    pub fn item(&mut self, value: impl Encode) -> &mut Self {
+        value.encode(self.0.next());
+        self
+    }
+
+    /// Add the number `n` in its `Display` form.
+    pub fn num(&mut self, n: impl Display) -> &mut Self {
+        let _ = write!(self.0.next(), "{n}");
+        self
+    }
+
+    /// Add an object whose members `members` adds.
+    pub fn object(&mut self, members: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        write_object(self.0.next(), members);
+        self
+    }
+}
+
+/// Already-encoded JSON, appended as is (a child process's document,
+/// say).
+pub struct Raw<'a>(pub &'a str);
+
+impl Encode for Raw<'_> {
+    fn encode(&self, out: &mut String) {
+        out.push_str(self.0);
+    }
+}
+
+impl Encode for str {
+    fn encode(&self, out: &mut String) {
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, out: &mut String) {
+        self.as_str().encode(out);
+    }
+}
+
+/// Types written in their `Display` form.
+macro_rules! encode_display {
+    ($($t:ty),*) => {$(
+        impl Encode for $t {
+            fn encode(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+encode_display!(bool, u16, u32, u64, usize);
+
+/// Written in its shortest round-trip form (`{:?}`); `num` takes any
+/// other.
+impl Encode for f64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self:?}");
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut String) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(v) => v.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        write_array(out, |a| {
+            for v in self {
+                a.item(v);
+            }
+        });
+    }
+}
+
+impl<K: AsRef<str>, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, out: &mut String) {
+        write_object(out, |o| {
+            for (k, v) in self {
+                o.field(k.as_ref(), v);
+            }
+        });
+    }
 }
 
 /// A parsed JSON value.
@@ -369,6 +576,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockdown_testkit::{check, Gen};
 
     #[test]
     fn plain_ascii_passes_through() {
@@ -504,5 +712,90 @@ mod tests {
         // the stack.
         assert!(parse(&"[".repeat(1_000_000)).is_err());
         assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn builders_write_members_in_call_order() {
+        let doc = object(|o| {
+            o.field("z", 1u64)
+                .field("a", Some("x"))
+                .field("n", None::<&str>)
+                .field("f", 0.5)
+                .num("g", format_args!("{:.2}", 0.5))
+                .field("r", Raw("[1,{}]"))
+                .object("o", |_| {})
+                .array("l", |a| {
+                    a.item(true).num(2).object(|_| {});
+                });
+        });
+        assert_eq!(
+            doc,
+            r#"{"z":1,"a":"x","n":null,"f":0.5,"g":0.50,"r":[1,{}],"o":{},"l":[true,2,{}]}"#
+        );
+    }
+
+    /// A string with printable ASCII, other Unicode, and now and then a
+    /// quote, a backslash or a control character.
+    fn text(g: &mut Gen) -> String {
+        let mut s = g.text(6);
+        if g.any() {
+            s.push(['"', '\\', '/', '\n', '\u{0}', '\u{1f}'][g.range(0..6usize)]);
+            s.push_str(&g.text(2));
+        }
+        s
+    }
+
+    /// A random value: nested objects and arrays (down to `depth`) of
+    /// strings, integers, floats, booleans and nulls.
+    fn value(g: &mut Gen, depth: u32) -> Value {
+        match g.range(0..if depth == 0 { 5u32 } else { 7 }) {
+            0 => Value::Null,
+            1 => Value::Bool(g.any()),
+            2 => Value::Number(g.any::<u64>() as f64),
+            3 => Value::Number(g.range(-1.0..1.0) * 10f64.powi(g.range(-300i64..300) as i32)),
+            4 => Value::String(text(g)),
+            5 => Value::Array(g.vec(0..5, |g| value(g, depth - 1))),
+            _ => Value::Object(members(g, depth - 1)),
+        }
+    }
+
+    fn members(g: &mut Gen, depth: u32) -> BTreeMap<String, Value> {
+        g.vec(0..5, |g| (text(g), value(g, depth)))
+            .into_iter()
+            .collect()
+    }
+
+    /// A value written back through the encoder: whole non-negative
+    /// numbers as `u64`, the rest as `f64`.
+    struct Tree<'a>(&'a Value);
+
+    impl Encode for Tree<'_> {
+        fn encode(&self, out: &mut String) {
+            match self.0 {
+                Value::Null => None::<u64>.encode(out),
+                Value::Bool(b) => b.encode(out),
+                Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+                    (*n as u64).encode(out)
+                }
+                Value::Number(n) => n.encode(out),
+                Value::String(s) => s.encode(out),
+                Value::Array(items) => items.iter().map(Tree).collect::<Vec<_>>().encode(out),
+                Value::Object(m) => write_object(out, |o| {
+                    for (k, v) in m {
+                        o.field(k, Tree(v));
+                    }
+                }),
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_documents_parse_back_to_their_values() {
+        check("encoded_documents_parse_back_to_their_values", |g| {
+            let doc = Value::Object(members(g, 3));
+            let text = to_string(&Tree(&doc));
+            assert!(text.is_ascii(), "{text}");
+            assert_eq!(parse(&text), Ok(doc), "{text}");
+        });
     }
 }

@@ -25,11 +25,11 @@
 //! mirroring the end-of-run semantics where a failed day contributes
 //! no state.
 
+use crate::json;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::observer::RunObserver;
 use nettrace::time::Day;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -173,66 +173,14 @@ pub struct Progress {
 impl Progress {
     /// Render as a strict-parser-safe JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"status\":{}", crate::json::quoted(self.status));
-        let _ = write!(out, ",\"days_total\":{}", self.days_total);
-        let _ = write!(out, ",\"days_completed\":{}", self.days_completed);
-        let _ = write!(out, ",\"days_inflight\":{}", self.days_inflight);
-        let _ = write!(out, ",\"degraded_days\":{}", self.degraded_days);
-        let _ = write!(out, ",\"flows\":{}", self.flows);
-        let _ = write!(out, ",\"elapsed_ns\":{}", self.elapsed_ns);
-        match self.eta_ns {
-            Some(eta) => {
-                let _ = write!(out, ",\"eta_ns\":{eta}");
-            }
-            None => out.push_str(",\"eta_ns\":null"),
-        }
-        match self.mem_live_bytes {
-            Some(b) => {
-                let _ = write!(out, ",\"mem_live_bytes\":{b}");
-            }
-            None => out.push_str(",\"mem_live_bytes\":null"),
-        }
-        match self.mem_peak_bytes {
-            Some(b) => {
-                let _ = write!(out, ",\"mem_peak_bytes\":{b}");
-            }
-            None => out.push_str(",\"mem_peak_bytes\":null"),
-        }
-        let _ = write!(out, ",\"shards\":{}", self.shards);
-        out.push_str(",\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"worker\":{}", w.worker);
-            match w.day {
-                Some(d) => {
-                    let _ = write!(out, ",\"day\":{d}");
-                }
-                None => out.push_str(",\"day\":null"),
-            }
-            let _ = write!(
-                out,
-                ",\"day_flows\":{},\"days_done\":{}}}",
-                w.day_flows, w.days_done
-            );
-        }
-        out.push_str("],\"shard_loads\":[");
-        for (i, s) in self.shard_loads.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"shard\":{},\"days_done\":{},\"flows\":{},\"wall_ns\":{}}}",
-                s.shard, s.days_done, s.flows, s.wall_ns
-            );
-        }
-        out.push_str("]}");
-        out
+        json::to_string(self)
     }
 }
+
+crate::encode_fields!(Progress: status, days_total, days_completed, days_inflight, degraded_days,
+    flows, elapsed_ns, eta_ns, mem_live_bytes, mem_peak_bytes, shards, workers, shard_loads);
+crate::encode_fields!(WorkerProgress: worker, day, day_flows, days_done);
+crate::encode_fields!(ShardLoad: shard, days_done, flows, wall_ns);
 
 impl LivePublisher {
     /// A fresh publisher; the wall clock starts now.

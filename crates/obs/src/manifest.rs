@@ -7,15 +7,14 @@
 //! and thread count, the versions of every workspace crate in the
 //! pipeline, wall time, per-span and per-stage time totals from the
 //! [trace](crate::trace), and the final [metrics
-//! snapshot](crate::metrics::MetricsSnapshot). Like every emitter in
-//! this crate it is dependency-free: the JSON is hand-rolled over
-//! [`crate::json`] escaping and parses under a strict parser.
+//! snapshot](crate::metrics::MetricsSnapshot). Like every document in
+//! the workspace it is written through the [`crate::json`] encoder and
+//! parses under a strict parser.
 
-use crate::json;
+use crate::json::{self, Encode};
 use crate::metrics::MetricsSnapshot;
 use crate::trace::Trace;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// 64-bit FNV-1a hash — a tiny, dependency-free, stable fingerprint
 /// used to identify configurations in manifests. Not cryptographic.
@@ -46,18 +45,7 @@ pub struct DegradedEntry {
     pub recovered: bool,
 }
 
-impl DegradedEntry {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"day\":{},\"stage\":{},\"error\":{},\"attempt\":{},\"recovered\":{}}}",
-            self.day,
-            json::quoted(&self.stage),
-            json::quoted(&self.error),
-            self.attempt,
-            self.recovered,
-        )
-    }
-}
+crate::encode_fields!(DegradedEntry: day, stage, error, attempt, recovered);
 
 /// One stage's row in a manifest's per-stage memory table: how much the
 /// stage allocated over the run and its largest within-touch transient.
@@ -70,6 +58,8 @@ pub struct StageMemory {
     /// Largest net growth inside any single stage touch, bytes.
     pub peak_net_bytes: u64,
 }
+
+crate::encode_fields!(StageMemory: alloc_bytes, allocs, peak_net_bytes);
 
 /// The `memory` section of a manifest: run-wide allocation accounting
 /// from the tracking allocator, present only when the run tracked
@@ -97,35 +87,22 @@ pub struct MemorySection {
     pub per_stage: BTreeMap<String, StageMemory>,
 }
 
-impl MemorySection {
-    fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"peak_bytes\":{}", self.peak_bytes);
-        let _ = write!(out, ",\"live_bytes\":{}", self.live_bytes);
-        let _ = write!(out, ",\"alloc_bytes\":{}", self.alloc_bytes);
-        let _ = write!(out, ",\"freed_bytes\":{}", self.freed_bytes);
-        let _ = write!(out, ",\"allocs\":{}", self.allocs);
-        let _ = write!(out, ",\"deallocs\":{}", self.deallocs);
-        let _ = write!(out, ",\"reallocs\":{}", self.reallocs);
-        let _ = write!(out, ",\"allocs_per_flow\":{:.3}", self.allocs_per_flow);
-        out.push_str(",\"per_stage\":{");
-        let mut first = true;
-        for (name, s) in &self.per_stage {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{}:{{\"alloc_bytes\":{},\"allocs\":{},\"peak_net_bytes\":{}}}",
-                json::quoted(name),
-                s.alloc_bytes,
-                s.allocs,
-                s.peak_net_bytes,
-            );
-        }
-        out.push_str("}}");
-        out
+impl Encode for MemorySection {
+    fn encode(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("peak_bytes", self.peak_bytes)
+                .field("live_bytes", self.live_bytes)
+                .field("alloc_bytes", self.alloc_bytes)
+                .field("freed_bytes", self.freed_bytes)
+                .field("allocs", self.allocs)
+                .field("deallocs", self.deallocs)
+                .field("reallocs", self.reallocs)
+                .num(
+                    "allocs_per_flow",
+                    format_args!("{:.3}", self.allocs_per_flow),
+                )
+                .field("per_stage", &self.per_stage);
+        });
     }
 }
 
@@ -157,30 +134,8 @@ pub struct ShardingSection {
     pub per_shard_wall_ns: Vec<u64>,
 }
 
-impl ShardingSection {
-    fn to_json(&self) -> String {
-        fn list_u64(out: &mut String, key: &str, v: &[u64]) {
-            let _ = write!(out, ",{}:[", json::quoted(key));
-            for (i, b) in v.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{b}");
-            }
-            out.push(']');
-        }
-        let mut out = String::from("{");
-        let _ = write!(out, "\"shards\":{}", self.shards);
-        let _ = write!(out, ",\"mode\":{}", json::quoted(&self.mode));
-        let _ = write!(out, ",\"merge_depth\":{}", self.merge_depth);
-        list_u64(&mut out, "per_shard_peak_bytes", &self.per_shard_peak_bytes);
-        list_u64(&mut out, "per_shard_flows", &self.per_shard_flows);
-        list_u64(&mut out, "per_shard_bytes", &self.per_shard_bytes);
-        list_u64(&mut out, "per_shard_wall_ns", &self.per_shard_wall_ns);
-        out.push('}');
-        out
-    }
-}
+crate::encode_fields!(ShardingSection: shards, mode, merge_depth, per_shard_peak_bytes,
+    per_shard_flows, per_shard_bytes, per_shard_wall_ns);
 
 /// One figure's row in an [`AccuracySection`]: the error contract the
 /// producing mode guarantees for that figure family.
@@ -194,6 +149,8 @@ pub struct FigureContract {
     /// producing mode (1.0 when exact).
     pub bound: f64,
 }
+
+crate::encode_fields!(FigureContract: figure, kind, bound);
 
 /// The `accuracy` section of a manifest: the error contract of the
 /// producing mode plus the run's headline statistics, so two run
@@ -221,39 +178,19 @@ pub struct AccuracySection {
     pub figures: Vec<FigureContract>,
 }
 
-impl AccuracySection {
-    fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"mode\":{}", json::quoted(&self.mode));
-        let _ = write!(out, ",\"guaranteed_bound\":{:?}", self.guaranteed_bound);
-        let _ = write!(
-            out,
-            ",\"counterfactual\":{}",
-            json::quoted(&self.counterfactual)
-        );
-        out.push_str(",\"headline\":{");
-        for (i, (name, value)) in self.headline.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{:?}", json::quoted(name), value);
-        }
-        out.push('}');
-        out.push_str(",\"figures\":[");
-        for (i, f) in self.figures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"figure\":{},\"kind\":{},\"bound\":{:?}}}",
-                json::quoted(&f.figure),
-                json::quoted(&f.kind),
-                f.bound,
-            );
-        }
-        out.push_str("]}");
-        out
+impl Encode for AccuracySection {
+    fn encode(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("mode", &self.mode)
+                .field("guaranteed_bound", self.guaranteed_bound)
+                .field("counterfactual", &self.counterfactual)
+                .object("headline", |h| {
+                    for (name, value) in &self.headline {
+                        h.field(name, value);
+                    }
+                })
+                .field("figures", &self.figures);
+        });
     }
 }
 
@@ -360,116 +297,44 @@ impl RunManifest {
 
     /// Serialize as a strict-parser-safe JSON object.
     pub fn to_json(&self) -> String {
-        fn map_u64(out: &mut String, key: &str, m: &BTreeMap<String, u64>) {
-            let _ = write!(out, "{}:{{", json::quoted(key));
-            let mut first = true;
-            for (k, v) in m {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "{}:{v}", json::quoted(k));
-            }
-            out.push('}');
-        }
-        let mut out = String::from("{");
-        let _ = write!(out, "\"tool\":{}", json::quoted(&self.tool));
-        let _ = write!(out, ",\"created_unix_ms\":{}", self.created_unix_ms);
-        let _ = write!(
-            out,
-            ",\"config_hash\":{}",
-            json::quoted(&self.config_hash_hex)
-        );
-        out.push_str(",\"scenario\":");
-        match &self.scenario {
-            Some(name) => out.push_str(&json::quoted(name)),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"scenario_hash\":");
-        match &self.scenario_hash_hex {
-            Some(h) => out.push_str(&json::quoted(h)),
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ",\"seed\":{}", self.seed);
-        // Scale is a small decimal; {:?} prints shortest roundtrip form.
-        let _ = write!(out, ",\"scale\":{:?}", self.scale);
-        let _ = write!(out, ",\"threads\":{}", self.threads);
-        out.push_str(",\"crates\":{");
-        let mut first = true;
-        for (k, v) in &self.crates {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "{}:{}", json::quoted(k), json::quoted(v));
-        }
-        out.push('}');
-        let _ = write!(out, ",\"wall_ns\":{}", self.wall_ns);
-        let _ = write!(out, ",\"top_level_span_ns\":{}", self.top_level_span_ns);
-        out.push(',');
-        map_u64(&mut out, "span_totals_ns", &self.span_totals_ns);
-        out.push(',');
-        map_u64(&mut out, "span_counts", &self.span_counts);
-        out.push(',');
-        map_u64(&mut out, "stage_totals_ns", &self.stage_totals_ns);
-        out.push_str(",\"degraded\":[");
-        for (i, d) in self.degraded.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&d.to_json());
-        }
-        out.push(']');
-        out.push_str(",\"serve_addr\":");
-        match &self.serve_addr {
-            Some(addr) => out.push_str(&json::quoted(addr)),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"memory\":");
-        match &self.memory {
-            Some(mem) => out.push_str(&mem.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"sharding\":");
-        match &self.sharding {
-            Some(s) => out.push_str(&s.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"accuracy\":");
-        match &self.accuracy {
-            Some(a) => out.push_str(&a.to_json()),
-            None => out.push_str("null"),
-        }
-        // Quantile digest of every histogram the run recorded (upper
-        // bucket bounds; true values lie within 2× below — see
-        // `HistogramSnapshot::quantile`), so a manifest answers "how
-        // slow were the days" without re-deriving from raw buckets.
-        out.push_str(",\"quantiles\":{");
-        let mut first = true;
-        for (name, h) in self.metrics.iter().flat_map(|m| &m.histograms) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                json::quoted(name),
-                h.count(),
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.quantile(0.99),
-            );
-        }
-        out.push('}');
-        out.push_str(",\"metrics\":");
-        match &self.metrics {
-            Some(m) => out.push_str(&m.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
+        json::object(|o| {
+            o.field("tool", &self.tool)
+                .field("created_unix_ms", self.created_unix_ms)
+                .field("config_hash", &self.config_hash_hex)
+                .field("scenario", &self.scenario)
+                .field("scenario_hash", &self.scenario_hash_hex)
+                .field("seed", self.seed)
+                .field("scale", self.scale)
+                .field("threads", self.threads)
+                .field("crates", &self.crates)
+                .field("wall_ns", self.wall_ns)
+                .field("top_level_span_ns", self.top_level_span_ns)
+                .field("span_totals_ns", &self.span_totals_ns)
+                .field("span_counts", &self.span_counts)
+                .field("stage_totals_ns", &self.stage_totals_ns)
+                .field("degraded", &self.degraded)
+                .field("serve_addr", &self.serve_addr)
+                .field("memory", &self.memory)
+                .field("sharding", &self.sharding)
+                .field("accuracy", &self.accuracy)
+                // Quantile digest of every histogram the run recorded
+                // (upper bucket bounds; true values lie within 2× below —
+                // see `HistogramSnapshot::quantile`), so a manifest
+                // answers "how slow were the days" without re-deriving
+                // from raw buckets.
+                .object("quantiles", |q| {
+                    for (name, h) in self.metrics.iter().flat_map(|m| &m.histograms) {
+                        q.object(name, |q| {
+                            q.field("count", h.count())
+                                .num("mean", format_args!("{:.1}", h.mean()))
+                                .field("p50", h.quantile(0.5))
+                                .field("p95", h.quantile(0.95))
+                                .field("p99", h.quantile(0.99));
+                        });
+                    }
+                })
+                .field("metrics", &self.metrics);
+        })
     }
 
     /// Write the manifest JSON to `path`.

@@ -8,6 +8,7 @@
 //! and trivially mergeable: each worker owns a private registry and the
 //! run folds the per-worker [`MetricsSnapshot`]s together at the end.
 
+use crate::json::{self, Encode};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -339,51 +340,27 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Render as a JSON object (hand-rolled). Metric names are
-    /// conventionally plain dotted identifiers, but the emitter does
-    /// not rely on that: every key goes through [`crate::json::quoted`]
-    /// so quotes, control characters, and non-ASCII text survive a
-    /// strict parser. Keys are emitted in lexicographic order, so equal
-    /// snapshots serialize byte-identically.
+    /// Render as a JSON object. Metric names are conventionally plain
+    /// dotted identifiers, but the encoder does not rely on that: every
+    /// key is escaped, so quotes, control characters, and non-ASCII
+    /// text survive a strict parser. Keys are emitted in lexicographic
+    /// order, so equal snapshots serialize byte-identically.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "{}:{v}", crate::json::quoted(k));
-        }
-        out.push_str("},\"gauges\":{");
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "{}:{v}", crate::json::quoted(k));
-        }
-        out.push_str("},\"histograms\":{");
-        first = true;
-        for (k, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                crate::json::quoted(k),
-                h.count(),
-                h.sum,
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.quantile(0.99),
-            );
-        }
-        out.push_str("}}");
-        out
+        json::to_string(self)
+    }
+}
+
+crate::encode_fields!(MetricsSnapshot: counters, gauges, histograms);
+
+impl Encode for HistogramSnapshot {
+    fn encode(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("count", self.count())
+                .field("sum", self.sum)
+                .field("p50", self.quantile(0.5))
+                .field("p95", self.quantile(0.95))
+                .field("p99", self.quantile(0.99));
+        });
     }
 }
 

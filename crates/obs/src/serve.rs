@@ -18,6 +18,7 @@
 //! explicit ([`TelemetryServer::shutdown`]) or on drop, and unblocks
 //! the accept loop with a self-connection.
 
+use crate::json;
 use crate::live::LivePublisher;
 use crate::prom;
 use std::io::{self, Read, Write};
@@ -214,10 +215,13 @@ fn route(head: &str, live: &LivePublisher) -> (&'static str, &'static str, Strin
             } else {
                 "ok"
             };
-            let body = format!(
-                "{{\"status\":\"{status}\",\"degraded_days\":{},\"days_completed\":{},\"days_total\":{},\"uptime_ns\":{}}}",
-                p.degraded_days, p.days_completed, p.days_total, p.elapsed_ns
-            );
+            let body = json::object(|o| {
+                o.field("status", status)
+                    .field("degraded_days", p.degraded_days)
+                    .field("days_completed", p.days_completed)
+                    .field("days_total", p.days_total)
+                    .field("uptime_ns", p.elapsed_ns);
+            });
             ("200 OK", "application/json", body)
         }
         "/progress" => ("200 OK", "application/json", live.progress().to_json()),

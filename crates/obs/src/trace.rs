@@ -49,10 +49,10 @@
 //! assert!(t.to_chrome_json().contains("\"name\":\"normalize\""));
 //! ```
 
-use crate::json;
+use crate::json::{self, Encode};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -81,6 +81,25 @@ impl From<u64> for AttrValue {
 impl From<&'static str> for AttrValue {
     fn from(v: &'static str) -> AttrValue {
         AttrValue::Str(v)
+    }
+}
+
+impl Encode for AttrValue {
+    fn encode(&self, out: &mut String) {
+        match self {
+            AttrValue::U64(n) => n.encode(out),
+            AttrValue::Str(t) => t.encode(out),
+        }
+    }
+}
+
+/// Nanoseconds written as fractional microseconds (`µs.ns`), the Chrome
+/// trace's time unit at full precision.
+struct Micros(u64);
+
+impl fmt::Display for Micros {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1_000, self.0 % 1_000)
     }
 }
 
@@ -498,57 +517,38 @@ impl Trace {
     /// timestamps (fractional, so nanosecond precision survives); lanes
     /// become `tid`s with `thread_name` metadata events.
     pub fn to_chrome_json(&self) -> String {
-        fn push_us(out: &mut String, ns: u64) {
-            let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
-        }
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for (&lane, name) in &self.lane_names {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                json::quoted(name)
-            );
-        }
-        for s in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":{},\"cat\":{},\"ts\":",
-                s.lane,
-                json::quoted(s.name),
-                json::quoted(s.cat)
-            );
-            push_us(&mut out, s.start_ns);
-            out.push_str(",\"dur\":");
-            push_us(&mut out, s.dur_ns);
-            out.push_str(",\"args\":{");
-            let mut first_attr = true;
-            for (k, v) in &s.attrs {
-                if !first_attr {
-                    out.push(',');
-                }
-                first_attr = false;
-                out.push_str(&json::quoted(k));
-                out.push(':');
-                match v {
-                    AttrValue::U64(n) => {
-                        let _ = write!(out, "{n}");
+        json::object(|o| {
+            o.field("displayTimeUnit", "ms")
+                .array("traceEvents", |events| {
+                    for (&lane, name) in &self.lane_names {
+                        events.object(|e| {
+                            e.field("ph", "M")
+                                .field("pid", 1u32)
+                                .field("tid", lane)
+                                .field("name", "thread_name")
+                                .object("args", |a| {
+                                    a.field("name", name);
+                                });
+                        });
                     }
-                    AttrValue::Str(t) => out.push_str(&json::quoted(t)),
-                }
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+                    for s in &self.spans {
+                        events.object(|e| {
+                            e.field("ph", "X")
+                                .field("pid", 1u32)
+                                .field("tid", s.lane)
+                                .field("name", s.name)
+                                .field("cat", s.cat)
+                                .num("ts", Micros(s.start_ns))
+                                .num("dur", Micros(s.dur_ns))
+                                .object("args", |a| {
+                                    for (k, v) in &s.attrs {
+                                        a.field(k, v);
+                                    }
+                                });
+                        });
+                    }
+                });
+        })
     }
 
     /// Export as collapsed-stack text (`frame;frame;frame value`, one
