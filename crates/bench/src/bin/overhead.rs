@@ -18,10 +18,14 @@
 //! process-global high-water mark measures exactly one run.
 //!
 //! Exit status 1 when a gate fails: the off medians must agree within
-//! max(noise band, 5 %), and the digest peak may grow at most 2× across
-//! the 10× pair. With `--check FILE`, untraced ns/flow, allocs/flow and
-//! peak net bytes may also grow at most 15 % over the committed artifact
-//! — a reintroduced per-record cost or allocation shows up at 2×.
+//! one stability band, the larger of the noise band and 5 % of the
+//! `off_a` median (the artifact's `off_within_noise` and the failure
+//! message use the same band), and the digest peak may grow at most 2×
+//! across the 10× pair. With `--check FILE`, untraced ns/flow,
+//! allocs/flow and peak net bytes may also grow at most 15 % over the
+//! committed artifact — a reintroduced per-record cost or allocation
+//! shows up at 2×. `--reps` must be at least 2, since a one-value series
+//! has no spread to measure; exit status 2 on a usage error.
 //!
 //! ```text
 //! overhead [--reps N] [--out FILE] [--check FILE]
@@ -217,8 +221,12 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match (a.as_str(), it.next()) {
             ("--reps", Some(v)) => match v.parse() {
-                Ok(n) if n > 0 => reps = n,
-                _ => return usage(&a),
+                Ok(n) if n > 1 => reps = n,
+                _ => {
+                    return usage(&format!(
+                        "--reps {v} (at least 2: a one-value series has no spread)"
+                    ))
+                }
             },
             ("--out", Some(v)) => out = v,
             ("--check", Some(v)) => check_path = Some(v),
@@ -313,6 +321,9 @@ fn run(reps: usize, out: &str, check_path: Option<&str>) -> Result<Vec<String>, 
         xs.iter().copied().fold(f64::MIN, f64::max) - xs.iter().copied().fold(f64::MAX, f64::min)
     };
     let noise_ns = spread(&off_a).max(spread(&off_b));
+    // The run-to-run stability band of the untraced, untracked path:
+    // the off series' own spread, never tighter than 5 % of the median.
+    let band_ns = noise_ns.max(ma * 0.05);
     let off_delta_ns = (ma - mb).abs();
     let (trace_pct, mem_pct) = (100.0 * (m_trace / ma - 1.0), 100.0 * (m_mem / ma - 1.0));
     // ns/flow series with one decimal per value.
@@ -339,7 +350,7 @@ fn run(reps: usize, out: &str, check_path: Option<&str>) -> Result<Vec<String>, 
             .num("median_mem_on", format_args!("{m_mem:.1}"))
             .num("noise_band_ns", format_args!("{noise_ns:.1}"))
             .num("off_delta_ns", format_args!("{off_delta_ns:.1}"))
-            .field("off_within_noise", off_delta_ns <= noise_ns)
+            .field("off_within_noise", off_delta_ns <= band_ns)
             .num("trace_on_overhead_pct", format_args!("{trace_pct:.2}"))
             .num("mem_on_overhead_pct", format_args!("{mem_pct:.2}"))
             .array("sweep", |a| {
@@ -390,10 +401,10 @@ fn run(reps: usize, out: &str, check_path: Option<&str>) -> Result<Vec<String>, 
         ("peak_net_bytes", counted.peak_net_bytes as f64),
     ];
     let mut failures = committed.map_or_else(Vec::new, |c| check(&c, &measured));
-    // Run-to-run stability of the untraced, untracked path.
-    if off_delta_ns > noise_ns.max(ma * 0.05) {
+    if off_delta_ns > band_ns {
         failures.push(format!(
-            "off medians differ by {off_delta_ns:.1} ns/flow, outside the {noise_ns:.1} ns noise band"
+            "off medians differ by {off_delta_ns:.1} ns/flow, outside the {band_ns:.1} ns band \
+             (the larger of the {noise_ns:.1} ns noise band and 5 % of {ma:.1})"
         ));
     }
     // The scale-out law: population grew 10x, peak allocation must

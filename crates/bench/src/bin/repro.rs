@@ -26,7 +26,8 @@
 //! (see `repro scenarios list`); `--scenario-file PATH` loads one from
 //! a scenario TOML file (`docs/SCENARIOS.md` documents the format).
 //! `--out DIR` additionally writes the machine-readable figure files;
-//! `--progress` streams per-day progress lines to stderr.
+//! `--progress` draws the run's live view to stderr, the frame `repro
+//! watch` draws, every 500 ms and once more when the study returns.
 //!
 //! `matrix` runs one full study per scenario — every built-in when no
 //! NAMEs are given — writing one figure directory plus `manifest.json`
@@ -114,11 +115,12 @@ use campussim::{FaultProfile, Scenario, SimConfig};
 use lockdown_bench::http;
 use lockdown_core::report::{self, RunView};
 use lockdown_core::{DegradedReport, Study, StudyError};
-use lockdown_obs::{
-    json, trace, LivePublisher, SpanRecorder, TelemetryServer, TextProgress, TrackingAlloc,
-};
+use lockdown_obs::{json, trace, LivePublisher, SpanRecorder, TelemetryServer, TrackingAlloc};
+use std::io::{IsTerminal, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// The tracking wrapper is always registered; until `--mem` enables it
 /// the cost is one relaxed load and a branch per allocator call.
@@ -199,6 +201,10 @@ struct Args {
     command: Command,
 }
 
+/// How often `repro watch` polls (unless `--interval` says otherwise)
+/// and `--progress` redraws, milliseconds.
+const WATCH_INTERVAL_MS: u64 = 500;
+
 const USAGE: &str = "usage: repro run [--scale S] [--threads N] [--seed X] [--shards K|auto] [--mem-budget BYTES] [--scenario NAME | --scenario-file PATH] [--out DIR] [--trace FILE] [--flame FILE] [--progress] [--mem] [--serve ADDR] [--fault-profile none|default] [--strict] [all|fig1..fig8|stats]\n       repro metrics [run options]          dump per-stage counters as JSON\n       repro matrix [run options] --out DIR [NAME...]   one study per scenario (default: all built-ins)\n       repro scenarios list                 list built-in scenarios\n       repro scenarios show NAME [--toml|--hash]   print a scenario (canonical TOML by default)\n       repro watch ADDR [--interval MS]   follow a served run live (poll every MS ms, default 500)\n       repro probe ADDR|DIR   validate a served run's endpoints, or a run directory's manifest accuracy/sharding sections\n       repro compare A B [--report FILE] [--json]   diff two run directories (manifest, headline drift, figure files)\n       repro compare --converge [--scales LIST] [--check FILE] [--report FILE] [--json]   digest scale ladder (default scales 0.02,0.06,0.2)";
 
 /// Valid `repro run` targets.
@@ -228,7 +234,7 @@ fn parse_args() -> Result<Args, String> {
         serve: None,
         fault: None,
         strict: false,
-        interval_ms: 500,
+        interval_ms: WATCH_INTERVAL_MS,
         show_toml: false,
         show_hash: false,
         converge: false,
@@ -624,7 +630,6 @@ fn http_ok(addr: &str, path: &str) -> Result<http::Response, String> {
 /// terminal (redrawn in place when stdout is a TTY) until the served
 /// run reports `done` or the server goes away.
 fn watch(addr: &str, interval_ms: u64) -> Result<(), String> {
-    use std::io::IsTerminal;
     let redraw = std::io::stdout().is_terminal();
     let mut reached_once = false;
     let mut printed = 0usize;
@@ -643,20 +648,66 @@ fn watch(addr: &str, interval_ms: u64) -> Result<(), String> {
         reached_once = true;
         let v =
             json::parse(&resp.body).map_err(|e| format!("/progress returned invalid JSON: {e}"))?;
-        let lines = render_progress(&v);
-        if redraw && printed > 0 {
-            // Move the cursor back over the previous frame and clear it.
-            print!("\x1b[{printed}A\x1b[J");
-        }
-        for line in &lines {
-            println!("{line}");
-        }
-        printed = lines.len();
+        printed = draw_frame(&mut std::io::stdout().lock(), redraw, printed, &v);
         if v.get("status").and_then(json::Value::as_str) == Some("done") {
             return Ok(());
         }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
+}
+
+/// Write the `watch` frame of one `/progress` snapshot to `out` and
+/// return its line count. With `redraw` (a terminal) it first moves
+/// the cursor back over the `printed` lines of the previous frame and
+/// clears them.
+fn draw_frame(out: &mut impl Write, redraw: bool, printed: usize, v: &json::Value) -> usize {
+    let lines = render_progress(v);
+    let clear = match printed {
+        n if redraw && n > 0 => format!("\x1b[{n}A\x1b[J"),
+        _ => String::new(),
+    };
+    // The frame is a view; a closed stream only loses the view.
+    let _ = writeln!(out, "{clear}{}", lines.join("\n"));
+    lines.len()
+}
+
+/// Run `study`. With `live` (`--progress`), draw the run's `repro
+/// watch` frame to stderr meanwhile, every [`WATCH_INTERVAL_MS`], and
+/// once more when the study returns, also when it returns an error:
+/// its return drops the sender the printer waits on, and the scope
+/// joins the printer. Stdout stays the study's own.
+fn watched<T>(live: Option<&LivePublisher>, study: impl FnOnce() -> T) -> T {
+    let Some(live) = live else {
+        return study();
+    };
+    let (stop, stopped) = mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let redraw = std::io::stderr().is_terminal();
+            let interval = Duration::from_millis(WATCH_INTERVAL_MS);
+            let mut printed = 0;
+            loop {
+                // Nothing is ever sent; only the sender's drop ends the
+                // wait early.
+                let last = matches!(
+                    stopped.recv_timeout(interval),
+                    Err(mpsc::RecvTimeoutError::Disconnected)
+                );
+                // `Progress::to_json` always parses (the JSON emitter
+                // tests pin its bytes); the round trip makes this the
+                // frame `repro watch` draws from `/progress`.
+                if let Ok(v) = json::parse(&live.progress().to_json()) {
+                    printed = draw_frame(&mut std::io::stderr().lock(), redraw, printed, &v);
+                }
+                if last {
+                    return;
+                }
+            }
+        });
+        let out = study();
+        drop(stop);
+        out
+    })
 }
 
 /// Format one `/progress` snapshot as the `watch` frame: a run summary
@@ -916,21 +967,23 @@ fn run(args: &Args) -> Result<(), StudyError> {
     if args.mem {
         eprintln!("memory tracking: on (mem.* metrics, manifest memory section)");
     }
+    // The run's one live view: `--serve` publishes it over HTTP and
+    // `--progress` draws it to stderr.
+    let live = (args.serve.is_some() || args.progress).then(LivePublisher::new);
     // Bind the telemetry server before the run starts so the bound
     // address (important with port 0) is known — and printed — while
     // there is still time to attach `repro watch` or a scraper.
-    let telemetry = match &args.serve {
-        Some(addr) => {
-            let live = LivePublisher::new();
+    let server = match (&args.serve, &live) {
+        (Some(addr), Some(live)) => {
             let server =
                 TelemetryServer::bind(addr, live.clone()).map_err(|source| StudyError::Serve {
                     addr: addr.clone(),
                     source,
                 })?;
             eprintln!("telemetry: listening on http://{}/", server.addr());
-            Some((live, server))
+            Some(server)
         }
-        None => None,
+        _ => None,
     };
     let recorder = (args.trace.is_some() || args.flame.is_some()).then(SpanRecorder::new);
     // The CLI itself records on the main lane: argument handling, the
@@ -961,10 +1014,7 @@ fn run(args: &Args) -> Result<(), StudyError> {
     if let Some(rec) = &recorder {
         b = b.trace(rec);
     }
-    if args.progress {
-        b = b.observer(TextProgress::stderr());
-    }
-    if let Some((live, _)) = &telemetry {
+    if let Some(live) = &live {
         b = b.live(live);
     }
     if let Some(fault) = &args.fault {
@@ -979,6 +1029,7 @@ fn run(args: &Args) -> Result<(), StudyError> {
     // The modes differ in their runner, their `all` report, and the
     // classification audit `stats` adds in exact mode (digest mode
     // keeps no device table to audit); everything after reads one view.
+    let progress = live.as_ref().filter(|_| args.progress);
     let (exact, digest);
     let (run, text, audit) = if args.shards == ShardsArg::Auto {
         // Digest mode: shard count derives from the memory budget and
@@ -988,7 +1039,7 @@ fn run(args: &Args) -> Result<(), StudyError> {
             "sharded digest mode: memory budget {:.0} MiB",
             budget as f64 / (1 << 20) as f64
         );
-        digest = b.mem_budget(budget).run_digest()?;
+        digest = watched(progress, || b.mem_budget(budget).run_digest())?;
         eprintln!(
             "digest study done in {:.1}s ({} shards, merge depth {})",
             t0.elapsed().as_secs_f64(),
@@ -998,7 +1049,7 @@ fn run(args: &Args) -> Result<(), StudyError> {
         let text = (target == "all").then(|| report::digest_text_report(&digest));
         (RunView::digest(&digest), text, None)
     } else {
-        exact = b.run()?;
+        exact = watched(progress, || b.run())?;
         eprintln!(
             "{} done in {:.1}s",
             if exact.counterfactual.is_some() {
@@ -1048,9 +1099,7 @@ fn run(args: &Args) -> Result<(), StudyError> {
         if manifest.wall_ns == 0 {
             manifest.wall_ns = t0.elapsed().as_nanos() as u64;
         }
-        manifest.serve_addr = telemetry
-            .as_ref()
-            .map(|(_, server)| server.addr().to_string());
+        manifest.serve_addr = server.as_ref().map(|s| s.addr().to_string());
         for path in manifest_targets(args) {
             manifest.write(&path).map_err(|source| StudyError::Io {
                 path: path.clone(),

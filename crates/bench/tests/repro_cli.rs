@@ -1,8 +1,10 @@
 //! `repro run` has one tail for exact and digest runs: what `repro run
 //! figN` prints is byte for byte what `--out` writes to `figN.*`, in
 //! both modes, and a telemetry address that cannot be bound is a typed
-//! runtime error (exit 1) before any work starts. `repro compare` holds
-//! a digest run's figure files to the digest contract column by column.
+//! runtime error (exit 1) before any work starts. `--progress` draws the
+//! `repro watch` frame on stderr and leaves stdout alone. `repro
+//! compare` holds a digest run's figure files to the digest contract
+//! column by column.
 
 use lockdown_obs::json::{self, Value};
 use std::path::{Path, PathBuf};
@@ -66,6 +68,50 @@ fn serve_on_an_occupied_port_is_a_typed_runtime_error() {
         output.stdout.is_empty(),
         "no study output after a bind failure"
     );
+}
+
+#[test]
+fn progress_draws_the_watch_frame_on_stderr_and_leaves_stdout_alone() {
+    let watched = repro(&["--progress", "run", "stats"]);
+    let plain = repro(&["run", "stats"]);
+    for output in [&watched, &plain] {
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+    assert!(
+        watched.stdout == plain.stdout,
+        "--progress changed stdout:\n{}",
+        String::from_utf8_lossy(&watched.stdout)
+    );
+    // The last frame is drawn when the study returns: its summary line,
+    // then one idle row per worker that took a day.
+    let stderr = String::from_utf8_lossy(&watched.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    let last = lines
+        .iter()
+        .rposition(|l| l.starts_with("[running]") || l.starts_with("[done]"))
+        .unwrap_or_else(|| panic!("no progress frame on stderr:\n{stderr}"));
+    assert!(lines[last].starts_with("[done] 121/121 days"), "{stderr}");
+    let rows: Vec<&&str> = lines[last + 1..]
+        .iter()
+        .take_while(|l| l.starts_with("  worker "))
+        .collect();
+    assert!((1..=2).contains(&rows.len()), "{stderr}");
+    assert!(rows.iter().all(|r| r.contains(": idle ")), "{stderr}");
+    let days_done: u64 = rows
+        .iter()
+        .map(|r| {
+            let n = r.rsplit('·').next().expect("days done column");
+            n.trim()
+                .trim_end_matches(" days done")
+                .parse::<u64>()
+                .expect("days done")
+        })
+        .sum();
+    assert_eq!(days_done, 121, "{stderr}");
 }
 
 /// `repro compare A B --json`: its exit code and the verdict per file.

@@ -21,9 +21,9 @@
 //! Everything a day pipeline needs besides its input stream and its
 //! collector travels in one [`PipelineOptions`] value: the shared
 //! context, the day, the anonymization key, and the optional
-//! observability hooks (a [`MetricsRegistry`] and a [`RunObserver`]).
-//! With the hooks left off the per-record cost is a single predictable
-//! branch on a `None`.
+//! observability hooks (a [`MetricsRegistry`] and the run's
+//! [`LivePublisher`]). With the hooks left off the per-record cost is
+//! a single predictable branch on a `None`.
 
 use analysis::collect::{PipelineCtx, StudyCollector};
 use campussim::{
@@ -33,9 +33,7 @@ use dhcplog::{
     LeaseEvent, LeaseIndex, NormalizeStage, NormalizeStats, Normalizer, DEFAULT_MAX_LEASE_SECS,
 };
 use dnslog::{DnsQuery, DomainId, DomainTable, LabeledFlow, ResolverMap};
-use lockdown_obs::{
-    trace, AllocScope, Counter, Gauge, MetricsRegistry, NullObserver, RunObserver, ScopeDelta,
-};
+use lockdown_obs::{trace, AllocScope, Counter, Gauge, LivePublisher, MetricsRegistry, ScopeDelta};
 use nettrace::ip::campus;
 use nettrace::time::Day;
 use nettrace::{BatchStage, DeviceId, FlowBatch, NO_LABEL};
@@ -58,7 +56,7 @@ pub struct PipelineOptions<'a> {
     /// Secret key for MAC anonymization (§3).
     pub anon_key: u64,
     metrics: Option<&'a MetricsRegistry>,
-    observer: &'a dyn RunObserver,
+    live: Option<&'a LivePublisher>,
     fault: Option<&'a FaultProfile>,
     attempt: u32,
     worker: usize,
@@ -67,7 +65,7 @@ pub struct PipelineOptions<'a> {
     track_memory: bool,
 }
 
-/// Number of collected flows between two [`RunObserver::day_tick`]
+/// Number of collected flows between two [`LivePublisher::day_tick`]
 /// publications, coarse enough that the tick is invisible next to
 /// per-record work. A day at the default scale 0.05 collects about
 /// 20,000 flows on average, so a live view refreshes about twice
@@ -91,7 +89,7 @@ impl<'a> PipelineOptions<'a> {
             day,
             anon_key,
             metrics: None,
-            observer: &NullObserver,
+            live: None,
             fault: None,
             attempt: 0,
             worker: 0,
@@ -107,9 +105,11 @@ impl<'a> PipelineOptions<'a> {
         self
     }
 
-    /// Report coarse progress events (stage flushes) to `observer`.
-    pub fn observer(mut self, observer: &'a dyn RunObserver) -> Self {
-        self.observer = observer;
+    /// Publish the day's collected flows to `live` every
+    /// [`DEFAULT_LIVE_TICK`] flows, with the day registry when
+    /// [`PipelineOptions::metrics`] is set.
+    pub fn live(mut self, live: Option<&'a LivePublisher>) -> Self {
+        self.live = live;
         self
     }
 
@@ -130,7 +130,7 @@ impl<'a> PipelineOptions<'a> {
     }
 
     /// The worker lane index running this day, reported with every
-    /// [`RunObserver::day_tick`] publication.
+    /// [`LivePublisher::day_tick`] publication.
     pub fn worker(mut self, worker: usize) -> Self {
         self.worker = worker;
         self
@@ -204,13 +204,13 @@ impl StageMeter {
     /// Run `f` as `records` records of this stage's work: timed only
     /// when traced, inside an [`AllocScope`] only when tracking memory.
     #[inline]
-    fn measure<R>(&mut self, records: u64, f: impl FnOnce() -> R) -> R {
+    fn measure(&mut self, records: u64, f: impl FnOnce()) {
         if !self.on {
             return f();
         }
         let scope = self.mem.is_some().then(AllocScope::begin);
         let t0 = self.busy.is_some().then(Instant::now);
-        let r = f();
+        f();
         if let (Some((ns, n)), Some(t0)) = (&mut self.busy, t0) {
             *ns += t0.elapsed().as_nanos() as u64;
             *n += records;
@@ -223,7 +223,6 @@ impl StageMeter {
             m.deallocs += d.deallocs;
             m.peak_net_bytes = m.peak_net_bytes.max(d.peak_net_bytes);
         }
-        r
     }
 
     /// Publish the busy time accrued since the last call as one
@@ -342,8 +341,8 @@ impl<'a> DayPipeline<'a> {
     }
 
     /// Flush day-scoped state (open social sessions), publish the
-    /// stages' own statistics to the registry and observer, and return
-    /// the day's normalization statistics.
+    /// stages' own statistics to the registry, and return the day's
+    /// normalization statistics.
     pub fn finish(mut self) -> NormalizeStats {
         self.emit_stage_spans();
         self.collector.finish_day();
@@ -456,12 +455,9 @@ impl<'a> DayPipeline<'a> {
         let tick = u64::from(DEFAULT_LIVE_TICK);
         if since >= tick {
             self.since_tick = (since % tick) as u32;
-            self.opts.observer.day_tick(
-                self.opts.worker,
-                self.opts.day,
-                self.collected_total,
-                self.opts.metrics,
-            );
+            if let Some(live) = self.opts.live {
+                live.day_tick(self.opts.worker, self.collected_total, self.opts.metrics);
+            }
         } else {
             self.since_tick = since as u32;
         }
@@ -929,23 +925,28 @@ mod tests {
 
     #[test]
     fn day_tick_publishes_at_the_configured_interval() {
-        // Twice the usual test campus, so a February day collects at
-        // least one tick interval of flows.
+        // Twice the usual test campus, so a February day collects
+        // between one and two tick intervals of flows.
         let sim = CampusSim::new(SimConfig::at_scale(0.02));
         let ctx = PipelineCtx::study();
-        let day = Day(10);
-        let obs = lockdown_obs::CountingObserver::new();
+        let day = Day(14);
+        let live = LivePublisher::new();
         // One row per batch makes every segment one record long, so the
         // tick lands exactly on the interval.
         let opts = PipelineOptions::new(&ctx, sim.directory().table(), day, sim.config().anon_key)
-            .observer(&obs)
+            .live(Some(&live))
             .worker(3)
             .batch_rows(1);
         let mut collector = StudyCollector::new();
         let stats = process_day_batched(opts, &mut collector, &sim);
-        let tick = u64::from(DEFAULT_LIVE_TICK);
-        assert!(stats.attributed >= tick, "need enough flows to tick");
-        assert_eq!(obs.ticks(), stats.attributed / tick);
+        assert_eq!(stats.attributed, 12_737, "the day this test is sized for");
+        // The worker row holds the last tick's total: one tick at 8,192.
+        // A tick at half the interval would leave 12,288 there, one at
+        // twice the interval 0.
+        let p = live.progress();
+        assert_eq!(p.workers.len(), 1);
+        assert_eq!(p.workers[0].worker, 3);
+        assert_eq!(p.workers[0].day_flows, u64::from(DEFAULT_LIVE_TICK));
     }
 
     #[test]

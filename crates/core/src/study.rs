@@ -17,8 +17,8 @@
 //! needed anywhere downstream.
 //!
 //! Runs are configured through [`StudyBuilder`] (see
-//! [`Study::builder`]): thread count, an optional [`RunObserver`] for
-//! progress events, the 2019 counterfactual, a seeded
+//! [`Study::builder`]): thread count, an optional [`LivePublisher`]
+//! that watches the run, the 2019 counterfactual, a seeded
 //! [`FaultProfile`], and strict mode. Every run collects per-stage
 //! metrics.
 //!
@@ -74,8 +74,7 @@ use campussim::{
 use devclass::{audit_sample, AuditReport, DeviceType};
 use dhcplog::NormalizeStats;
 use lockdown_obs::{
-    alloc, trace, AllocScope, Fanout, LivePublisher, MetricsRegistry, MetricsSnapshot,
-    NullObserver, RunObserver, SpanRecorder,
+    alloc, trace, AllocScope, LivePublisher, MetricsRegistry, MetricsSnapshot, SpanRecorder,
 };
 use nettrace::time::{Day, StudyCalendar};
 use nettrace::DeviceId;
@@ -397,11 +396,11 @@ impl CohortJoin {
     }
 }
 
-/// Run-wide state every worker shares: the pipeline context, the
-/// observer, and the failure bookkeeping.
+/// Run-wide state every worker shares: the pipeline context, the live
+/// view, and the failure bookkeeping.
 struct RunShared {
     ctx: PipelineCtx,
-    observer: Box<dyn RunObserver>,
+    live: Option<LivePublisher>,
     strict: bool,
     degraded: Mutex<DegradedReport>,
     abort: AtomicBool,
@@ -432,7 +431,7 @@ struct DayOutcome {
     stats: NormalizeStats,
     metrics: MetricsSnapshot,
     /// Wall duration of the attempt (the `study.day_duration_ns`
-    /// sample, also published through [`RunObserver::day_metrics`]).
+    /// sample, also published through [`LivePublisher::day_finished`]).
     duration_ns: u64,
 }
 
@@ -466,7 +465,7 @@ impl ShardingReport {
     /// shard, or a merge deeper than days → run. A one-shard exact run
     /// is the grid's degenerate case and looks unsharded: no manifest
     /// `sharding` section, no sharding lines in the reports, and no
-    /// per-shard observer events.
+    /// per-shard `/progress` rows.
     pub fn is_partitioned(&self) -> bool {
         self.shards > 1 || self.merge_depth > 1
     }
@@ -635,11 +634,10 @@ impl<'a, S: RunSink> Grid<'a, S> {
                 }
             }
         }
-        run.observer.worker_idle(worker);
     }
 
     /// Attempt grid cell `i` once. A success folds into the cell's
-    /// shard; a failure is reported to the observer and returned for
+    /// shard; a failure is reported to the live view and returned for
     /// the caller to quarantine or record.
     fn attempt(
         &self,
@@ -652,14 +650,16 @@ impl<'a, S: RunSink> Grid<'a, S> {
         let day = self.days[day_index];
         let shard = slot.shard.id();
         let sim = self.shard_sim(slot);
-        let observer = run.observer.as_ref();
-        observer.day_started(worker, day);
+        let live = run.live.as_ref();
+        if let Some(live) = live {
+            live.day_started(worker, day);
+        }
         match self.try_day(run, &sim, shard, day, worker, attempt) {
             Ok(out) => {
-                observer.day_metrics(worker, day, out.duration_ns, &out.metrics);
-                observer.day_finished(worker, day, out.stats.attributed);
-                if self.sharding.is_partitioned() {
-                    observer.shard_day_finished(shard, day, out.stats.attributed, out.duration_ns);
+                if let Some(live) = live {
+                    let shard = self.sharding.is_partitioned().then_some(shard);
+                    let flows = out.stats.attributed;
+                    live.day_finished(worker, shard, flows, out.duration_ns, &out.metrics);
                 }
                 // Fold the day into the shard's load tallies before the
                 // outcome moves into the reduction.
@@ -677,7 +677,9 @@ impl<'a, S: RunSink> Grid<'a, S> {
                 Ok(())
             }
             Err(error) => {
-                observer.day_failed(worker, day, attempt, &error);
+                if let Some(live) = live {
+                    live.day_failed(worker);
+                }
                 Err(DayFailure {
                     day: day.0,
                     stage: self.side.stage().to_string(),
@@ -727,7 +729,7 @@ impl<'a, S: RunSink> Grid<'a, S> {
                 day,
                 sim.config().anon_key,
             )
-            .observer(run.observer.as_ref())
+            .live(run.live.as_ref())
             .metrics(&registry)
             .fault(self.fault)
             .attempt(attempt)
@@ -944,14 +946,16 @@ impl Study {
 /// ```no_run
 /// use campussim::SimConfig;
 /// use lockdown_core::Study;
-/// use lockdown_obs::TextProgress;
+/// use lockdown_obs::LivePublisher;
 ///
 /// # fn main() -> Result<(), lockdown_core::StudyError> {
+/// let live = LivePublisher::new();
 /// let run = Study::builder(SimConfig::at_scale(0.05))
 ///     .threads(8)
-///     .observer(TextProgress::stderr())
+///     .live(&live)
 ///     .with_counterfactual()
 ///     .run()?;
+/// println!("{} days", live.progress().days_completed);
 /// println!("growth vs 2019: {:?}", run.growth_vs_2019());
 /// # Ok(())
 /// # }
@@ -959,7 +963,6 @@ impl Study {
 pub struct StudyBuilder {
     cfg: SimConfig,
     threads: usize,
-    observer: Box<dyn RunObserver>,
     counterfactual: bool,
     trace: Option<SpanRecorder>,
     fault: Option<FaultProfile>,
@@ -971,14 +974,13 @@ pub struct StudyBuilder {
 }
 
 impl StudyBuilder {
-    /// Defaults: sequential, silent observer, no tracing, no
+    /// Defaults: sequential, unwatched, no tracing, no
     /// counterfactual, no fault injection, graceful (non-strict)
     /// degradation, one population shard.
     pub fn new(cfg: SimConfig) -> Self {
         StudyBuilder {
             cfg,
             threads: 1,
-            observer: Box::new(NullObserver),
             counterfactual: false,
             trace: None,
             fault: None,
@@ -1054,12 +1056,6 @@ impl StudyBuilder {
         self
     }
 
-    /// Receive progress events ([`RunObserver`]) during the run.
-    pub fn observer(mut self, observer: impl RunObserver + 'static) -> Self {
-        self.observer = Box::new(observer);
-        self
-    }
-
     /// Record a span timeline of the run into `recorder`: each worker
     /// gets a lane with nested `worker` → `day` → `stream_day` spans
     /// plus per-stage busy aggregates (and `build_shard` /
@@ -1114,8 +1110,8 @@ impl StudyBuilder {
     /// work-stealing runner and ordered reduction keep every cell
     /// bit-deterministic.
     ///
-    /// Observers, tracing, fault injection, and live telemetry are
-    /// per-run concerns and are *not* carried into matrix cells.
+    /// Tracing, fault injection, and live telemetry are per-run
+    /// concerns and are *not* carried into matrix cells.
     ///
     /// Errors on the first cell that fails; completed cells are
     /// dropped (scenario runs are cheap relative to debugging a
@@ -1205,7 +1201,6 @@ impl StudyBuilder {
         let StudyBuilder {
             cfg,
             threads,
-            observer,
             counterfactual,
             trace: trace_rec,
             fault,
@@ -1222,12 +1217,6 @@ impl StudyBuilder {
         // one the run proceeds untracked.
         let mem_on = track_memory && alloc::enable();
         let mem_base = mem_on.then(alloc::stats);
-        // The caller's observer and the live publisher both hear every
-        // event; without a publisher the original box rides unchanged.
-        let observer: Box<dyn RunObserver> = match &live {
-            Some(l) => Box::new(Fanout(l.clone(), observer)),
-            None => observer,
-        };
         // If a recorder is configured and the calling thread is not
         // already recording (e.g. the CLI installed its own main lane),
         // give the orchestration phases a lane of their own. No span
@@ -1254,7 +1243,7 @@ impl StudyBuilder {
         }
         let run = RunShared {
             ctx,
-            observer,
+            live,
             strict,
             degraded: Mutex::default(),
             abort: AtomicBool::new(false),
@@ -1331,9 +1320,7 @@ impl StudyBuilder {
         let _finalize_span = trace::span("finalize");
 
         // Tail idle per worker: the gap between a worker running out of
-        // work and the last worker finishing (the join barrier). The
-        // observer's `worker_idle` event marks *that* a worker went
-        // idle; this histogram records *how long* it sat idle.
+        // work and the last worker finishing (the join barrier).
         let reg = MetricsRegistry::new();
         if let Some(latest) = finished.iter().copied().max() {
             let idle = reg.histogram("study.worker_idle_ns");
@@ -1366,7 +1353,7 @@ impl StudyBuilder {
         // The live view ends on the exact final merged metrics (a
         // superset of everything published mid-run, so the view stays
         // monotone), marked done for `/healthz` once the result exists.
-        let final_metrics = live.as_ref().map(|_| {
+        let final_metrics = run.live.as_ref().map(|_| {
             let mut m = main.metrics.clone();
             if let Some(cf) = &counterfactual {
                 m.merge(&cf.metrics);
@@ -1379,7 +1366,7 @@ impl StudyBuilder {
             cohort: run.join.map(CohortJoin::into_total),
             degraded,
         });
-        if let (Some(live), Some(metrics)) = (&live, &final_metrics) {
+        if let (Some(live), Some(metrics)) = (&run.live, &final_metrics) {
             live.finish(metrics);
         }
         Ok(result)
@@ -1597,8 +1584,7 @@ impl MatrixRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockdown_obs::{CountingObserver, TelemetryServer};
-    use std::sync::Arc;
+    use lockdown_obs::TelemetryServer;
 
     fn tiny() -> SimConfig {
         SimConfig {
@@ -1853,26 +1839,29 @@ mod tests {
 
     #[test]
     fn observer_sees_every_day() {
-        let obs = Arc::new(CountingObserver::new());
-        let run = Study::builder(tiny())
-            .threads(2)
-            .observer(Arc::clone(&obs))
-            .run()
-            .unwrap();
+        let live = LivePublisher::new();
+        let run = Study::builder(tiny()).threads(2).live(&live).run().unwrap();
         let days = StudyCalendar::days().count() as u64;
-        assert_eq!(obs.days_started(), days);
-        assert_eq!(obs.days_finished(), days);
-        assert_eq!(obs.days_failed(), 0);
-        assert_eq!(obs.workers_idled(), 2);
-        assert_eq!(obs.flows(), run.study.norm_stats.attributed);
+        let p = live.progress();
+        assert_eq!(p.days_completed, days);
+        assert_eq!(p.degraded_days, 0);
+        assert_eq!(p.flows, run.study.norm_stats.attributed);
+        assert_eq!(p.workers.iter().map(|w| w.days_done).sum::<u64>(), days);
+        assert!((1..=2).contains(&p.workers.len()), "{p:?}");
+        assert!(
+            p.workers
+                .iter()
+                .all(|w| w.day.is_none() && w.day_flows == 0),
+            "{p:?}"
+        );
     }
 
     #[test]
     fn injected_panic_is_quarantined_and_recovered() {
-        let obs = Arc::new(CountingObserver::new());
+        let live = LivePublisher::new();
         let run = Study::builder(tiny())
             .threads(2)
-            .observer(Arc::clone(&obs))
+            .live(&live)
             .fault_profile(FaultProfile::new().panic_on_day(47))
             .run()
             .unwrap();
@@ -1882,7 +1871,7 @@ mod tests {
         assert_eq!(degraded.recovered[0].day, 47);
         assert_eq!(degraded.recovered[0].attempt, 0);
         assert_eq!(degraded.recovered[0].stage, "pipeline");
-        assert_eq!(obs.days_failed(), 1);
+        assert_eq!(live.progress().degraded_days, 1);
         // The retried day's data is present and exact: the recovered
         // day submits under its original calendar index, so the run
         // matches a clean one bit for bit — floats included.

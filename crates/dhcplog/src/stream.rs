@@ -18,7 +18,7 @@
 
 use crate::lease::{LeaseAction, LeaseEvent};
 use crate::normalize::NormalizeStats;
-use nettrace::batch::{BatchIo, BatchStage, FlowBatch};
+use nettrace::batch::{BatchStage, FlowBatch};
 use nettrace::flow::DeviceFlow;
 use nettrace::ip::Ipv4Cidr;
 use nettrace::{DeviceId, FastMap, MacAddr, Timestamp};
@@ -265,11 +265,10 @@ impl BatchStage for NormalizeStage {
     /// windows, via [`set_raw_limit`](FlowBatch::set_raw_limit)), and
     /// the generator's device-major stream makes same-device runs the
     /// common case.
-    fn push_batch(&mut self, batch: &mut FlowBatch) -> BatchIo {
+    fn push_batch(&mut self, batch: &mut FlowBatch) {
         let w = batch.raw_window();
         // (local ip, anonymized device, interval start, interval end).
         let mut memo: Option<(Ipv4Addr, DeviceId, Timestamp, Timestamp)> = None;
-        let mut out = 0u64;
         for i in w.clone() {
             let f = batch.raw_row(i);
             let (local_ip, remote, remote_port, tx, rx) = if self.pool.contains(f.orig) {
@@ -296,7 +295,6 @@ impl BatchStage for NormalizeStage {
             match device {
                 Some(device) => {
                     self.stats.attributed += 1;
-                    out += 1;
                     batch.push_dev(DeviceFlow {
                         device,
                         ts: f.ts,
@@ -312,10 +310,6 @@ impl BatchStage for NormalizeStage {
             }
         }
         batch.advance_raw(w.end);
-        BatchIo {
-            records_in: (w.end - w.start) as u64,
-            records_out: out,
-        }
     }
 }
 
@@ -459,10 +453,14 @@ mod tests {
         for f in flows {
             batch.push_raw(f);
         }
-        let io = stage.push_batch(&mut batch);
-        assert_eq!(io.records_in, flows.len() as u64);
-        assert_eq!(io.records_out, batch.dev_len() as u64);
+        let attributed = stage.stats().attributed;
+        stage.push_batch(&mut batch);
         assert_eq!(batch.raw_window(), flows.len()..flows.len());
+        // Every appended row is one attributed flow.
+        assert_eq!(
+            stage.stats().attributed - attributed,
+            batch.dev_len() as u64
+        );
         (0..batch.dev_len()).map(|i| batch.dev_row(i)).collect()
     }
 

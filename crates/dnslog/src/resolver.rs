@@ -210,7 +210,7 @@ impl ResolverMap {
 /// indices, and a table would need 2³² − 1 distinct domains before
 /// handing out `u32::MAX`.
 impl nettrace::BatchStage for ResolverMap {
-    fn push_batch(&mut self, batch: &mut nettrace::FlowBatch) -> nettrace::BatchIo {
+    fn push_batch(&mut self, batch: &mut nettrace::FlowBatch) {
         let w = batch.dev_window();
         for i in w.clone() {
             let d = batch.dev_row(i);
@@ -223,11 +223,6 @@ impl nettrace::BatchStage for ResolverMap {
             }
         }
         batch.advance_dev(w.end);
-        let n = (w.end - w.start) as u64;
-        nettrace::BatchIo {
-            records_in: n,
-            records_out: n,
-        }
     }
 }
 
@@ -393,8 +388,10 @@ mod tests {
         for f in &flows {
             batch.push_dev(*f);
         }
-        let io = m.push_batch(&mut batch);
-        assert_eq!((io.records_in, io.records_out), (4, 4));
+        m.push_batch(&mut batch);
+        // The whole device window is consumed, and labeled in place.
+        assert_eq!(batch.dev_window(), 4..4);
+        assert_eq!(batch.dev_len(), 4);
         let got: Vec<LabeledFlow> = (0..batch.dev_len())
             .map(|i| LabeledFlow {
                 flow: batch.dev_row(i),
@@ -407,7 +404,8 @@ mod tests {
         assert_eq!((stats.labeled, stats.unlabeled), (1, 3));
         assert!((stats.coverage() - 0.25).abs() < 1e-12);
         // The window is consumed; re-pushing is a no-op.
-        assert_eq!(m.push_batch(&mut batch).records_in, 0);
+        m.push_batch(&mut batch);
+        assert_eq!(batch.dev_window(), 4..4);
         assert_eq!(m.label_stats(), stats);
     }
 

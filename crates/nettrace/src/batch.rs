@@ -217,16 +217,6 @@ impl FlowBatch {
     }
 }
 
-/// What one [`BatchStage::push_batch`] call consumed and produced, so
-/// a caller accounts for a whole window in one update.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchIo {
-    /// Rows the stage consumed from its input window.
-    pub records_in: u64,
-    /// Rows the stage produced (appended or labeled).
-    pub records_out: u64,
-}
-
 /// A pipeline stage that processes a [`FlowBatch`] window in place.
 ///
 /// State builds incrementally, but the unit of work is a window of rows
@@ -242,9 +232,10 @@ pub struct BatchIo {
 pub trait BatchStage {
     /// Consume this stage's input window of `batch` (raw or device
     /// rows, by stage kind), produce output rows or labels in place,
-    /// and advance the matching cursor. Returns the consumed/produced
-    /// row counts for amortized accounting.
-    fn push_batch(&mut self, batch: &mut FlowBatch) -> BatchIo;
+    /// and advance the matching cursor. A caller counts what a call
+    /// consumed and produced from the batch itself: the input window
+    /// before the call, and `dev_len()` before and after.
+    fn push_batch(&mut self, batch: &mut FlowBatch);
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ pub mod time;
 pub mod udp;
 pub mod zeek;
 
-pub use batch::{BatchIo, BatchStage, FlowBatch, NO_LABEL};
+pub use batch::{BatchStage, FlowBatch, NO_LABEL};
 pub use devmap::{DeviceIndex, SlotValues};
 pub use error::{Error, Result};
 pub use fasthash::{FastMap, FastSet};

@@ -10,14 +10,11 @@
 //!   fixed-bucket histograms. Handles ([`Counter`], [`Gauge`],
 //!   [`Histogram`]) are acquired once per stage and are then pure
 //!   `Relaxed` atomics on the hot path.
-//! * [`RunObserver`] — progress events (`day_started`, `day_finished`,
-//!   `shard_day_finished`, `day_failed`, `worker_idle`) plus
-//!   live-publication hooks (`day_tick`, `day_metrics`), with a no-op
-//!   [`NullObserver`], a stderr [`TextProgress`], a tallying
-//!   [`CountingObserver`], and a [`Fanout`] combinator.
-//! * [`live`] — the live aggregation seam: a [`LivePublisher`] merges
-//!   coarse worker snapshots into a monotone read-side view with run
-//!   progress ([`Progress`]) and an EWMA-based ETA.
+//! * [`live`] — the one live view of a run: a [`LivePublisher`] hears
+//!   each worker's day boundaries (`day_started`, `day_tick`,
+//!   `day_finished`, `day_failed`) and merges their coarse snapshots
+//!   into a monotone read-side view with run progress ([`Progress`])
+//!   and an EWMA-based ETA.
 //! * [`prom`] — Prometheus text exposition (format 0.0.4) rendering of
 //!   a [`MetricsSnapshot`], including histogram `_bucket`/`_sum`/
 //!   `_count` series and p50/p95/p99 quantile companions, plus a strict
@@ -40,9 +37,9 @@
 //!   allocator call.
 //!
 //! Instrumentation is zero-cost when off: every instrumented call site
-//! takes an `Option` of a handle (or the [`NullObserver`]; for spans,
-//! the absence of an installed lane), so the disabled path is a single
-//! predictable branch.
+//! takes an `Option` of a handle (for spans, the absence of an
+//! installed lane), so the disabled path is a single predictable
+//! branch.
 //!
 //! ```
 //! use lockdown_obs::MetricsRegistry;
@@ -64,7 +61,6 @@ pub mod json;
 pub mod live;
 pub mod manifest;
 pub mod metrics;
-pub mod observer;
 pub mod prom;
 pub mod serve;
 pub mod trace;
@@ -76,7 +72,6 @@ pub use manifest::{
     StageMemory,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use observer::{CountingObserver, Fanout, NullObserver, RunObserver, TextProgress};
 pub use serve::TelemetryServer;
 pub use trace::{SpanRecorder, Trace};
 

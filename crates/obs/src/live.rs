@@ -1,13 +1,15 @@
-//! The live aggregation seam: a [`LivePublisher`] that workers feed
-//! with cheap, periodic metric snapshots so an in-flight run can be
-//! observed from outside (see [`crate::serve`]).
+//! The live view of a run: a [`LivePublisher`] that the study's
+//! workers feed with coarse day-boundary events and periodic metric
+//! snapshots, so an in-flight run can be watched from outside (see
+//! [`crate::serve`], `repro watch` and `repro run --progress`).
 //!
 //! The end-of-run merge story is untouched: each worker still owns
 //! private per-day registries whose snapshots fold together after the
-//! run. The publisher is a *second reader* of the same data — it
-//! receives the [`RunObserver`] day-boundary events plus two publication
-//! hooks ([`RunObserver::day_tick`] every N records,
-//! [`RunObserver::day_metrics`] when a day completes) and maintains:
+//! run. The publisher is a *second reader* of the same data. Workers
+//! call four methods — [`LivePublisher::day_started`],
+//! [`LivePublisher::day_tick`] every N records,
+//! [`LivePublisher::day_finished`] with the day's final snapshot, and
+//! [`LivePublisher::day_failed`] — and the publisher maintains:
 //!
 //! * a `base` snapshot — the merged metrics of every *completed* day;
 //! * one `inflight` snapshot per worker — the latest mid-day snapshot,
@@ -18,16 +20,18 @@
 //!   durations (the same duration samples the study runner records
 //!   into the `study.day_duration_ns` histogram).
 //!
-//! Publication is coarse — once per day boundary and once per tick
-//! interval — so the hot path never contends the publisher's mutex.
-//! Counters in the live view only ever decrease in one case: a day
-//! that *fails* has its partial inflight snapshot discarded, exactly
-//! mirroring the end-of-run semantics where a failed day contributes
-//! no state.
+//! Every event is one transition under one lock, so a [`Progress`]
+//! snapshot is always consistent with itself: `days_completed` is the
+//! sum of the worker rows' `days_done`, and `flows` is the completed
+//! days' flows plus the rows' `day_flows`. Publication is coarse —
+//! once per day boundary and once per tick interval — so the hot path
+//! never contends the publisher's mutex. Counters in the live view only
+//! ever decrease in one case: a day that *fails* has its partial
+//! inflight snapshot discarded, exactly mirroring the end-of-run
+//! semantics where a failed day contributes no state.
 
 use crate::json;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::observer::RunObserver;
 use nettrace::time::Day;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,17 +60,21 @@ struct ShardLive {
     wall_ns: u64,
 }
 
+/// Everything a day boundary changes, behind one lock so a reader
+/// never sees a day counted in one place and not yet in another.
 #[derive(Debug, Default)]
 struct LiveTables {
     base: MetricsSnapshot,
-    /// Flows from completed days. Guarded by the same lock as the
-    /// per-worker `day_flows` so a day's count moves from inflight to
-    /// done in one transition — concurrent `/progress` readers never
-    /// see the day counted twice or not at all.
+    /// Flows from completed days.
     flows_done: u64,
+    days_completed: u64,
+    /// Failed day *attempts* observed (a recovered day counts once).
+    degraded: u64,
+    /// EWMA of day wall durations in ns; 0 = no sample yet.
+    ewma_day_ns: u64,
     workers: BTreeMap<usize, WorkerLive>,
-    /// Per-shard load tallies, fed by `shard_day_finished`; empty on
-    /// one-shard exact runs (the event never fires there).
+    /// Per-shard load tallies, fed by days finished with a shard id;
+    /// empty on one-shard exact runs.
     shards: BTreeMap<u32, ShardLive>,
 }
 
@@ -74,12 +82,7 @@ struct LiveTables {
 struct LiveInner {
     started: Instant,
     days_total: AtomicU64,
-    days_completed: AtomicU64,
-    /// Failed day *attempts* observed (a recovered day counts once).
-    degraded: AtomicU64,
     finished: AtomicBool,
-    /// EWMA of day wall durations in ns; 0 = no sample yet.
-    ewma_day_ns: AtomicU64,
     /// The served run has allocation tracking on; `/progress` and
     /// `/metrics` read the tracker's process-global live/peak bytes.
     mem_tracking: AtomicBool,
@@ -88,10 +91,10 @@ struct LiveInner {
     tables: Mutex<LiveTables>,
 }
 
-/// Shared, cloneable live-telemetry state. Attach one to a run (it
-/// implements [`RunObserver`]) and hand a clone to a
-/// [`TelemetryServer`](crate::serve::TelemetryServer) — or poll
-/// [`LivePublisher::progress`] / [`LivePublisher::metrics`] directly.
+/// Shared, cloneable live-telemetry state. Attach one to a run and hand
+/// a clone to a [`TelemetryServer`](crate::serve::TelemetryServer) —
+/// or poll [`LivePublisher::progress`] / [`LivePublisher::metrics`]
+/// directly.
 #[derive(Debug, Clone)]
 pub struct LivePublisher {
     inner: Arc<LiveInner>,
@@ -117,7 +120,7 @@ pub struct WorkerProgress {
 }
 
 /// One shard's accumulated load in a [`Progress`] view. Fed by the
-/// sharded runner's per-(shard, day) completion events; a shard's row
+/// sharded runner's per-(shard, day) completions; a shard's row
 /// totals every resolved cell, across the factual and (when streamed)
 /// counterfactual passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,10 +192,7 @@ impl LivePublisher {
             inner: Arc::new(LiveInner {
                 started: Instant::now(),
                 days_total: AtomicU64::new(0),
-                days_completed: AtomicU64::new(0),
-                degraded: AtomicU64::new(0),
                 finished: AtomicBool::new(false),
-                ewma_day_ns: AtomicU64::new(0),
                 mem_tracking: AtomicBool::new(false),
                 shards: AtomicU64::new(1),
                 tables: Mutex::new(LiveTables::default()),
@@ -280,8 +280,8 @@ impl LivePublisher {
     pub fn progress(&self) -> Progress {
         let finished = self.is_finished();
         let days_total = self.inner.days_total.load(Ordering::Relaxed);
-        let days_completed = self.inner.days_completed.load(Ordering::Relaxed);
         let t = lock(&self.inner.tables);
+        let (days_completed, degraded_days, ewma) = (t.days_completed, t.degraded, t.ewma_day_ns);
         let mut flows = t.flows_done;
         let mut workers = Vec::with_capacity(t.workers.len());
         let mut days_inflight = 0;
@@ -307,7 +307,6 @@ impl LivePublisher {
             });
         }
         drop(t);
-        let ewma = self.inner.ewma_day_ns.load(Ordering::Relaxed);
         let eta_ns = if finished {
             Some(0)
         } else if ewma == 0 || days_total <= days_completed {
@@ -328,7 +327,7 @@ impl LivePublisher {
             days_total,
             days_completed,
             days_inflight,
-            degraded_days: self.inner.degraded.load(Ordering::Relaxed),
+            degraded_days,
             flows,
             elapsed_ns: self.inner.started.elapsed().as_nanos() as u64,
             eta_ns,
@@ -342,7 +341,7 @@ impl LivePublisher {
 
     /// Failed day attempts observed so far.
     pub fn degraded_days(&self) -> u64 {
-        self.inner.degraded.load(Ordering::Relaxed)
+        lock(&self.inner.tables).degraded
     }
 
     /// Wall clock since the publisher was created.
@@ -351,8 +350,11 @@ impl LivePublisher {
     }
 }
 
-impl RunObserver for LivePublisher {
-    fn day_started(&self, worker: usize, day: Day) {
+/// The four events a study's workers report, each one locked
+/// transition.
+impl LivePublisher {
+    /// `worker` pulled `day` and is about to stream it.
+    pub fn day_started(&self, worker: usize, day: Day) {
         let mut t = lock(&self.inner.tables);
         let w = t.workers.entry(worker).or_default();
         w.current_day = Some(day.0);
@@ -360,7 +362,11 @@ impl RunObserver for LivePublisher {
         w.inflight = MetricsSnapshot::default();
     }
 
-    fn day_tick(&self, worker: usize, _day: Day, flows: u64, registry: Option<&MetricsRegistry>) {
+    /// Mid-day publication, every tick interval (`lockdown_core`'s
+    /// `DEFAULT_LIVE_TICK` collected flows): the flows `worker` has
+    /// collected so far this day and, when metrics are on, its
+    /// day-scoped registry.
+    pub fn day_tick(&self, worker: usize, flows: u64, registry: Option<&MetricsRegistry>) {
         let snap = registry.map(MetricsRegistry::snapshot);
         let mut t = lock(&self.inner.tables);
         let w = t.workers.entry(worker).or_default();
@@ -373,50 +379,50 @@ impl RunObserver for LivePublisher {
         }
     }
 
-    fn day_metrics(&self, worker: usize, _day: Day, duration_ns: u64, metrics: &MetricsSnapshot) {
+    /// `worker` completed its day: `flows` were attributed in
+    /// `duration_ns` of wall time, and `metrics` is the day's final
+    /// snapshot. `shard` names the population shard on a partitioned
+    /// run, whose `/progress` carries per-shard load rows. The day
+    /// moves from the worker's row into the run totals in one
+    /// transition.
+    pub fn day_finished(
+        &self,
+        worker: usize,
+        shard: Option<u32>,
+        flows: u64,
+        duration_ns: u64,
+        metrics: &MetricsSnapshot,
+    ) {
         let mut t = lock(&self.inner.tables);
         t.base.merge(metrics);
-        let w = t.workers.entry(worker).or_default();
-        w.inflight = MetricsSnapshot::default();
-        // `day_flows` stays until `day_finished` folds it into
-        // `flows_done` in the same locked transition; clearing it here
-        // would let a concurrent `/progress` read see the day's flows
-        // in neither bucket.
-        drop(t);
-        // Racy-update EWMA: day completions are coarse enough that a
-        // lost update costs nothing but a slightly staler ETA.
-        let prev = self.inner.ewma_day_ns.load(Ordering::Relaxed);
-        let next = if prev == 0 {
+        t.flows_done += flows;
+        t.days_completed += 1;
+        t.ewma_day_ns = if t.ewma_day_ns == 0 {
             duration_ns
         } else {
-            (EWMA_ALPHA * duration_ns as f64 + (1.0 - EWMA_ALPHA) * prev as f64) as u64
-        };
-        self.inner.ewma_day_ns.store(next.max(1), Ordering::Relaxed);
-    }
-
-    fn day_finished(&self, worker: usize, _day: Day, flows: u64) {
-        self.inner.days_completed.fetch_add(1, Ordering::Relaxed);
-        let mut t = lock(&self.inner.tables);
-        t.flows_done += flows;
+            (EWMA_ALPHA * duration_ns as f64 + (1.0 - EWMA_ALPHA) * t.ewma_day_ns as f64) as u64
+        }
+        .max(1);
         let w = t.workers.entry(worker).or_default();
         w.current_day = None;
         w.day_flows = 0;
         w.days_done += 1;
+        w.inflight = MetricsSnapshot::default();
+        if let Some(shard) = shard {
+            let s = t.shards.entry(shard).or_default();
+            s.days_done += 1;
+            s.flows += flows;
+            s.wall_ns += duration_ns;
+        }
     }
 
-    fn shard_day_finished(&self, shard: u32, _day: Day, flows: u64, duration_ns: u64) {
+    /// `worker`'s day attempt failed (panic or typed error). The study
+    /// runner quarantines the day and retries it once; the attempt's
+    /// partial state is discarded, exactly as the end-of-run merge
+    /// discards it.
+    pub fn day_failed(&self, worker: usize) {
         let mut t = lock(&self.inner.tables);
-        let s = t.shards.entry(shard).or_default();
-        s.days_done += 1;
-        s.flows += flows;
-        s.wall_ns += duration_ns;
-    }
-
-    fn day_failed(&self, worker: usize, _day: Day, _attempt: u32, _error: &str) {
-        self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-        // The failed attempt's partial state is discarded, exactly as
-        // the end-of-run merge discards it.
-        let mut t = lock(&self.inner.tables);
+        t.degraded += 1;
         let w = t.workers.entry(worker).or_default();
         w.current_day = None;
         w.day_flows = 0;
@@ -452,26 +458,24 @@ mod tests {
         live.day_started(0, Day(0));
         probe(&live);
         let reg = registry_with(10);
-        live.day_tick(0, Day(0), 10, Some(&reg));
+        live.day_tick(0, 10, Some(&reg));
         probe(&live);
         reg.counter("pipeline.flows_collected").add(15);
-        live.day_tick(0, Day(0), 25, Some(&reg));
+        live.day_tick(0, 25, Some(&reg));
         probe(&live);
         // Day completes: final day snapshot >= last inflight.
         reg.counter("pipeline.flows_collected").add(5);
-        live.day_metrics(0, Day(0), 1_000_000, &reg.snapshot());
-        live.day_finished(0, Day(0), 30);
+        live.day_finished(0, None, 30, 1_000_000, &reg.snapshot());
         probe(&live);
         assert_eq!(last.get(), 30);
 
         // Second day on another worker.
         live.day_started(1, Day(1));
         let reg2 = registry_with(7);
-        live.day_tick(1, Day(1), 7, Some(&reg2));
+        live.day_tick(1, 7, Some(&reg2));
         probe(&live);
         assert_eq!(last.get(), 37);
-        live.day_metrics(1, Day(1), 3_000_000, &reg2.snapshot());
-        live.day_finished(1, Day(1), 7);
+        live.day_finished(1, None, 7, 3_000_000, &reg2.snapshot());
         probe(&live);
 
         let p = live.progress();
@@ -494,8 +498,7 @@ mod tests {
         assert_eq!(p.workers[0].worker, 3);
         assert_eq!(p.workers[0].day, Some(5));
 
-        live.day_metrics(3, Day(5), 1_000_000, &MetricsSnapshot::default());
-        live.day_finished(3, Day(5), 100);
+        live.day_finished(3, None, 100, 1_000_000, &MetricsSnapshot::default());
         let p = live.progress();
         assert_eq!(p.days_completed, 1);
         // 9 days remain on 1 lane at ~1ms EWMA.
@@ -504,8 +507,7 @@ mod tests {
 
         // A second, slower day pulls the EWMA (and thus the ETA) up.
         live.day_started(3, Day(6));
-        live.day_metrics(3, Day(6), 5_000_000, &MetricsSnapshot::default());
-        live.day_finished(3, Day(6), 100);
+        live.day_finished(3, None, 100, 5_000_000, &MetricsSnapshot::default());
         let eta2 = live.progress().eta_ns.expect("ETA");
         assert!(
             eta2 > eta,
@@ -526,9 +528,9 @@ mod tests {
         let live = LivePublisher::new();
         live.day_started(0, Day(47));
         let reg = registry_with(50);
-        live.day_tick(0, Day(47), 50, Some(&reg));
+        live.day_tick(0, 50, Some(&reg));
         assert_eq!(live.metrics().counter("pipeline.flows_collected"), 50);
-        live.day_failed(0, Day(47), 0, "injected");
+        live.day_failed(0);
         assert_eq!(live.metrics().counter("pipeline.flows_collected"), 0);
         assert_eq!(live.degraded_days(), 1);
         assert_eq!(live.progress().days_inflight, 0);
@@ -539,7 +541,7 @@ mod tests {
         let live = LivePublisher::new();
         live.set_days_total(121);
         live.day_started(0, Day(3));
-        live.day_tick(0, Day(3), 42, None);
+        live.day_tick(0, 42, None);
         let json = live.progress().to_json();
         let v = crate::json::parse(&json).expect("strict parse");
         assert_eq!(v.get("status").unwrap().as_str(), Some("running"));
@@ -560,9 +562,9 @@ mod tests {
     fn shard_loads_accumulate_and_round_trip() {
         let live = LivePublisher::new();
         live.set_shards(3);
-        live.shard_day_finished(1, Day(0), 10, 500);
-        live.shard_day_finished(0, Day(0), 7, 300);
-        live.shard_day_finished(1, Day(1), 5, 250);
+        live.day_finished(0, Some(1), 10, 500, &MetricsSnapshot::default());
+        live.day_finished(0, Some(0), 7, 300, &MetricsSnapshot::default());
+        live.day_finished(0, Some(1), 5, 250, &MetricsSnapshot::default());
         let p = live.progress();
         assert_eq!(p.shard_loads.len(), 2);
         // Ordered by shard id, not arrival order.
@@ -616,8 +618,7 @@ mod tests {
         let live = LivePublisher::new();
         live.set_days_total(4);
         live.day_started(0, Day(0));
-        live.day_metrics(0, Day(0), 1_000, &MetricsSnapshot::default());
-        live.day_finished(0, Day(0), 9);
+        live.day_finished(0, None, 9, 1_000, &MetricsSnapshot::default());
         let snap = live.exposition_metrics();
         assert_eq!(snap.gauge("study.live.days_completed"), 1);
         assert_eq!(snap.gauge("study.live.days_total"), 4);

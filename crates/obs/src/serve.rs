@@ -238,7 +238,6 @@ fn route(head: &str, live: &LivePublisher) -> (&'static str, &'static str, Strin
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use crate::observer::RunObserver;
     use nettrace::time::Day;
 
     /// Minimal HTTP GET against a local server; returns (status, body).
@@ -270,9 +269,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("pipeline.flows_collected").add(42);
         reg.histogram("study.day_duration_ns").record(1_000_000);
-        live.day_tick(0, Day(0), 42, Some(&reg));
-        live.day_metrics(0, Day(0), 1_000_000, &reg.snapshot());
-        live.day_finished(0, Day(0), 42);
+        live.day_tick(0, 42, Some(&reg));
+        live.day_finished(0, None, 42, 1_000_000, &reg.snapshot());
         live
     }
 
@@ -307,7 +305,7 @@ mod tests {
         assert_eq!(v.get("days_total").unwrap().as_u64(), Some(121));
 
         // A failed day flips health to degraded; finish() flips to done.
-        live.day_failed(1, Day(9), 0, "boom");
+        live.day_failed(1);
         let (_, body) = http_get(server.addr(), "/healthz");
         assert!(body.contains("\"status\":\"degraded\""), "{body}");
         live.finish(&Default::default());

@@ -13,8 +13,8 @@ use lockdown_obs::manifest::{
 };
 use lockdown_obs::trace::{AttrValue, SpanEvent};
 use lockdown_obs::{
-    HistogramSnapshot, LivePublisher, MetricsSnapshot, Progress, RunObserver, ShardLoad,
-    SpanRecorder, TelemetryServer, WorkerProgress,
+    HistogramSnapshot, LivePublisher, MetricsSnapshot, Progress, ShardLoad, SpanRecorder,
+    TelemetryServer, WorkerProgress,
 };
 use nettrace::time::Day;
 use std::io::{Read, Write};
@@ -321,13 +321,13 @@ fn healthz_is_pinned_in_each_status() {
         r#"{"status":"ok","degraded_days":0,"days_completed":0,"days_total":242,"uptime_ns":N}"#
     );
     live.day_started(0, Day(5));
-    live.day_failed(0, Day(5), 0, HOSTILE);
+    live.day_failed(0);
     assert_eq!(
         healthz(&server),
         r#"{"status":"degraded","degraded_days":1,"days_completed":0,"days_total":242,"uptime_ns":N}"#
     );
     live.day_started(0, Day(5));
-    live.day_finished(0, Day(5), 10);
+    live.day_finished(0, None, 10, 1_000_000, &MetricsSnapshot::default());
     live.finish(&MetricsSnapshot::default());
     assert_eq!(
         healthz(&server),

@@ -43,8 +43,7 @@ pub mod prelude {
         report, DayFailure, DegradedReport, Study, StudyBuilder, StudyError, StudyRun,
     };
     pub use lockdown_obs::{
-        LivePublisher, MetricsRegistry, MetricsSnapshot, NullObserver, Progress, RunObserver,
-        TelemetryServer, TextProgress,
+        LivePublisher, MetricsRegistry, MetricsSnapshot, Progress, TelemetryServer,
     };
     pub use nettrace::time::{Day, Month, Phase, StudyCalendar};
 }

@@ -8,9 +8,8 @@
 //! numbers agree with what the pipeline itself reports.
 
 use campussim::SimConfig;
-use lockdown_obs::{trace, CountingObserver, SpanRecorder};
+use lockdown_obs::{trace, SpanRecorder};
 use locked_in_lockdown::prelude::*;
-use std::sync::Arc;
 
 fn tiny() -> SimConfig {
     SimConfig {
@@ -127,17 +126,22 @@ fn metrics_agree_with_pipeline_totals() {
 
 #[test]
 fn observer_event_stream_covers_the_run() {
-    let obs = Arc::new(CountingObserver::new());
-    let run = Study::builder(tiny())
-        .threads(3)
-        .observer(Arc::clone(&obs))
-        .run()
-        .unwrap();
+    let live = LivePublisher::new();
+    let run = Study::builder(tiny()).threads(3).live(&live).run().unwrap();
     let days = StudyCalendar::days().count() as u64;
-    assert_eq!(obs.days_started(), days);
-    assert_eq!(obs.days_finished(), days);
-    assert_eq!(obs.workers_idled(), 3);
-    assert_eq!(obs.flows(), run.norm_stats.attributed);
+    let p = live.progress();
+    assert_eq!(p.status, "done");
+    assert_eq!(p.days_completed, days);
+    assert_eq!(p.degraded_days, 0);
+    assert_eq!(p.flows, run.norm_stats.attributed);
+    assert_eq!(p.workers.iter().map(|w| w.days_done).sum::<u64>(), days);
+    assert!((1..=3).contains(&p.workers.len()), "{p:?}");
+    assert!(
+        p.workers
+            .iter()
+            .all(|w| w.day.is_none() && w.day_flows == 0),
+        "{p:?}"
+    );
 }
 
 #[test]
